@@ -42,10 +42,11 @@ SMOKE_DIR := /tmp/apc-checkpoint-smoke
 
 # Fuzz targets exercised briefly by fuzz-smoke: the two binary decoders
 # that parse untrusted bytes, the flat-vs-pointer differential harness
-# (the compiled classify core must answer bit-identically to the pointer
-# descent on arbitrary rule sets and packets), and the interval-coded
-# AtomSet vs its map-of-IDs model. A short -fuzztime keeps CI fast; long
-# runs are for dedicated fuzzing sessions.
+# (the compiled classify core — the one stage-1 serving path — must answer
+# bit-identically to the pointer-tree reference on every dataset and
+# arbitrary packets), and the interval-coded AtomSet vs its map-of-IDs
+# model. A short -fuzztime keeps CI fast; long runs are for dedicated
+# fuzzing sessions.
 FUZZ_TIME ?= 5s
 
 # bench-flat's -dur: long enough for stable per-network Mqps columns at
@@ -85,10 +86,12 @@ bench-smoke:
 bench-churn:
 	$(GO) run ./cmd/apbench -scale small -run churn -dur $(CHURN_DUR)
 
-# Flat-engine smoke: the compiled array classifier vs the pointer descent
-# on both networks at small scale. A non-regression gate (the flat core
-# must compile for every dataset and the experiment must run end to end);
-# recorded numbers live in EXPERIMENTS.md.
+# Flat smoke: the compiled classify core measured against the pointer-tree
+# reference (the uncounted ClassifyPointer descent tests compare with, not
+# a second serving engine) on both networks at small scale. A
+# non-regression gate (the flat core must compile for every dataset and
+# the experiment must run end to end); recorded numbers live in
+# EXPERIMENTS.md.
 bench-flat:
 	$(GO) run ./cmd/apbench -scale small -run flat -dur $(FLAT_DUR)
 

@@ -28,7 +28,6 @@ package apclassifier
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync/atomic"
 
@@ -190,9 +189,6 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 		d.GC()
 	}
 	c.Manager = aptree.NewManagerWith(d, reg, tree, opts.Method)
-	if flatDisabledByEnv() {
-		c.Manager.SetFlatCompile(false)
-	}
 
 	// Topology.
 	c.Net = network.New()
@@ -219,12 +215,6 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 	c.env = &network.Env{Source: c.Manager}
 	return c, nil
 }
-
-// flatDisabledByEnv reports the APC_FLAT=0 escape hatch: operators set it
-// to serve stage 1 from the pointer tree instead of the compiled flat
-// core — the rollback lever if a flat-compile bug ever ships. Read at
-// classifier construction; flip at runtime via Manager.SetFlatCompile.
-func flatDisabledByEnv() bool { return os.Getenv("APC_FLAT") == "0" }
 
 // Env returns the stage-2 environment (classification, liveness); useful
 // for driving network.Behavior directly or attaching middleboxes.
@@ -448,36 +438,4 @@ func (c *Classifier) SetInACL(box int, acl *rule.ACL) {
 	if err := c.ApplyRuleDeltas([]RuleDelta{{Op: OpSetInACL, Box: box, ACL: acl}}); err != nil {
 		panic(err)
 	}
-}
-
-// ReconvertBox recomputes every port predicate of a box from scratch and
-// swaps the changed ones, tombstoning replaced IDs until the next
-// Reconstruct. This is the pre-delta update path, kept as the baseline the
-// churn benchmark (and EXPERIMENTS.md) compares the delta pipeline
-// against; production callers should use ApplyRuleDeltas or the rule-level
-// mutators, which touch only the cone a change actually affects.
-func (c *Classifier) ReconvertBox(box int) {
-	spec := &c.Dataset.Boxes[box]
-	c.Manager.Update(func(tx *aptree.Tx) {
-		preds := predicate.PortPredicates(tx.DD(), c.Layout, "dstIP", &spec.Fwd, spec.NumPorts)
-		for pi := 0; pi < spec.NumPorts; pi++ {
-			oldID := c.PortPred[box][pi]
-			oldRef := bdd.False
-			if oldID != network.NoPred {
-				oldRef = tx.Ref(oldID)
-			}
-			if preds[pi] == oldRef {
-				continue
-			}
-			newID := network.NoPred
-			if oldID != network.NoPred {
-				tx.Delete(oldID)
-			}
-			if preds[pi] != bdd.False {
-				newID = tx.Add(preds[pi])
-			}
-			c.PortPred[box][pi] = newID
-			c.Net.Boxes[box].Ports[pi].Fwd = newID
-		}
-	})
 }

@@ -82,9 +82,6 @@ func NewFromRestored(res *checkpoint.Restored) (*Classifier, error) {
 	for _, h := range ds.Hosts {
 		c.Net.AttachHost(h.Box, h.Port, h.Name)
 	}
-	if flatDisabledByEnv() {
-		c.Manager.SetFlatCompile(false)
-	}
 	c.env = &network.Env{Source: c.Manager}
 	// Resume the firehose cursor: sequenced /rules/batch deliveries the
 	// checkpointed classifier already applied stay acknowledged-only.

@@ -4,7 +4,7 @@
 //	apserver -net internet2 -scale 0.05 -listen :8080
 //	curl -s localhost:8080/stats
 //	curl -s -X POST localhost:8080/query -d '{"ingress":"seattle","dst":"10.1.2.3"}'
-//	curl -s -X POST localhost:8080/rules/add -d '{"box":"seattle","prefix":"240.0.0.0/8","port":-1}'
+//	curl -s -X POST localhost:8080/rules/batch -d '[{"op":"add-fwd","box":"seattle","prefix":"240.0.0.0/8","port":-1}]'
 //	curl -s localhost:8080/verify/loops
 //
 // Durability (see README "Checkpoint & warm restart"):

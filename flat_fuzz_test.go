@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"apclassifier/internal/header"
 	"apclassifier/internal/netgen"
+	"apclassifier/internal/rule"
 )
 
 // fuzzClassifiers lazily builds one classifier per netgen dataset for the
@@ -21,8 +23,9 @@ var fuzzClassifiers struct {
 
 func fuzzSetup() ([]*Classifier, []*netgen.Dataset, error) {
 	fuzzClassifiers.once.Do(func() {
-		names := []string{"internet2", "stanford", "multitenant"}
+		names := []string{"internet2", "stanford", "multitenant", "shortunion"}
 		all := diffDatasets()
+		all["shortunion"] = shortUnionDataset()
 		for _, name := range names {
 			ds := all[name]
 			c, err := New(ds, Options{})
@@ -37,23 +40,23 @@ func fuzzSetup() ([]*Classifier, []*netgen.Dataset, error) {
 	return fuzzClassifiers.cs, fuzzClassifiers.ds, fuzzClassifiers.err
 }
 
-// TestAPCFlatEnvHatch checks the operator escape hatch: with APC_FLAT=0
-// a new classifier publishes pointer-only snapshots and still answers.
-func TestAPCFlatEnvHatch(t *testing.T) {
-	t.Setenv("APC_FLAT", "0")
-	ds := netgen.MultiTenantLike(2, 2, 5)
-	c, err := New(ds, Options{})
-	if err != nil {
-		t.Fatal(err)
+// shortUnionDataset is one box whose port-0 predicate is the union of two
+// short prefixes (64.0.0.0/3 ∪ 144.0.0.0/5) and whose port-1 predicate is
+// the rest of the space: non-minterms over five header bits, the shape no
+// generator produces. The flat core lowers them to cube lists; the fuzz
+// seeds below start on their edges.
+func shortUnionDataset() *netgen.Dataset {
+	ds := &netgen.Dataset{
+		Name:   "shortunion",
+		Layout: header.IPv4Dst,
+		Boxes:  []netgen.BoxSpec{{Name: "r0", NumPorts: 2}},
+		Hosts:  []netgen.Host{{Box: 0, Port: 0, Name: "h0"}, {Box: 0, Port: 1, Name: "h1"}},
 	}
-	if c.Manager.Snapshot().Flat() != nil {
-		t.Fatal("APC_FLAT=0 classifier still compiled a flat core")
-	}
-	rng := rand.New(rand.NewSource(48))
-	pkt := ds.PacketFromFields(ds.RandomFields(rng))
-	if b := c.Behavior(0, pkt); b == nil {
-		t.Fatal("pointer-only classifier failed to answer")
-	}
+	fwd := &ds.Boxes[0].Fwd
+	fwd.Add(rule.FwdRule{Prefix: rule.P(0x40000000, 3), Port: 0})
+	fwd.Add(rule.FwdRule{Prefix: rule.P(0x90000000, 5), Port: 0})
+	fwd.Add(rule.FwdRule{Prefix: rule.P(0, 0), Port: 1})
+	return ds
 }
 
 // FuzzFlatVsPointer is the differential fuzz harness for the flat

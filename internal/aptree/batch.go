@@ -171,27 +171,22 @@ func (s *Snapshot) ClassifyBatch(pkts [][]byte, out []*Node) {
 
 // ClassifyBatchWith is the epoch-pinned batch search with caller-owned
 // scratch, the allocation-free form used by the facade's batch pipeline.
-// Like single-packet Classify it descends the epoch's compiled flat core
-// when one exists and the pointer tree otherwise, with identical answers
-// and visit accounting either way.
+// Like single-packet Classify it descends the epoch's compiled flat core.
 func (s *Snapshot) ClassifyBatchWith(sc *BatchScratch, pkts [][]byte, out []*Node) {
 	visit := func(atom int32, w uint64) { s.visits.addN(atom, w) }
 	if !s.count {
 		visit = nil
 	}
+	s.debugCheckFlat()
+	f := s.flat
 	classifyBatch(sc, pkts, out, func(idx, tmp, weight []int32) {
-		if f := s.flat; f != nil {
-			s.debugCheckFlat()
-			f.descend(f.root, pkts, idx, tmp, weight, out, visit)
-		} else {
-			descend(s.view, s.tree.preds, s.tree.root, pkts, idx, tmp, weight, out, visit)
-		}
+		f.descend(f.root, pkts, idx, tmp, weight, out, visit)
 	})
 }
 
-// ClassifyBatchPointerWith is ClassifyBatchWith forced onto the pointer
-// engine, with no visit accounting — the batched reference the
-// differential suite compares the flat descent against.
+// ClassifyBatchPointerWith is ClassifyBatchWith over the pointer tree,
+// with no visit accounting — the batched reference the differential
+// suite compares the flat descent against.
 func (s *Snapshot) ClassifyBatchPointerWith(sc *BatchScratch, pkts [][]byte, out []*Node) {
 	classifyBatch(sc, pkts, out, func(idx, tmp, weight []int32) {
 		descend(s.view, s.tree.preds, s.tree.root, pkts, idx, tmp, weight, out, nil)

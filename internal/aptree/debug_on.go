@@ -21,7 +21,7 @@ func (t *Tree) debugCheckPartition() {
 // flat form and the snapshot in one critical section, so a mismatch means
 // a stale-compile bug at the swap. Only compiled under -tags apdebug.
 func (s *Snapshot) debugCheckFlat() {
-	if s.flat != nil && (s.flat.src != s.tree.root || s.flat.view != s.view) {
+	if s.flat.src != s.tree.root || s.flat.view != s.view {
 		panic("aptree: apdebug flat/epoch mismatch: flat core compiled for a retired epoch")
 	}
 }

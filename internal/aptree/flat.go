@@ -15,8 +15,6 @@ import (
 //
 //   - minterm predicates (prefix matches: exactly one satisfying path) become
 //     a masked byte-compare over a ≤8-byte window of the header;
-//   - predicates probing at most flatMaxTableBits distinct header bits become
-//     a truth-table bit test over those probed bits;
 //   - union-of-rules predicates with at most flatMaxCubes satisfying BDD
 //     paths (forwarding tables, ACL permit sets) become a cube list — an OR
 //     of masked byte-compares, one per path;
@@ -32,8 +30,6 @@ import (
 type Flat struct {
 	nodes  []flatNode
 	leaves []*Node    // leaf payloads; kids encode leaf L as ^L
-	bits   []uint16   // probed-bit-position arena (table nodes)
-	table  []uint64   // truth-table word arena (table nodes)
 	cubes  []flatCube // rule-cube arena (cube nodes)
 	root   int32      // root node index, or ^leafIdx when the tree is one leaf
 	view   *bdd.View
@@ -43,23 +39,22 @@ type Flat struct {
 	// another epoch's tree (see Snapshot.debugCheckFlat).
 	src *Node
 
-	maskNodes, tableNodes, cubeNodes, fallbackNodes int
+	maskNodes, cubeNodes, fallbackNodes int
 }
 
 // flatNode is one internal tree node, 40 bytes. kids[b] is the next node
 // index when the node's test evaluates to b; a negative index ^L terminates
 // the descent at leaf L. A flatMask node carries its want/mask words inline
 // — the payload rides the same cache line as the node, so the dominant test
-// kind touches no arena at all. off/aux are overloaded by kind: for
-// flatMask, off is the first probed packet byte; for flatTable, off is the
-// bit-position-arena offset and aux the table-arena word offset; for
-// flatCubes, aux is the cube-arena offset and n the cube count.
+// kind touches no arena at all. For flatMask, off is the first probed
+// packet byte and n the probed byte count; for flatCubes, aux is the
+// cube-arena offset and n the cube count.
 type flatNode struct {
 	kids       [2]int32
 	want, mask uint64  // flatMask: little-endian match words, zero past the span
 	pred       bdd.Ref // flatBDD: evaluated through the frozen view
 	kind       uint8
-	n          uint8 // flatMask: probed bytes (≤8); flatTable: probed bits
+	n          uint8 // flatMask: probed bytes (≤8); flatCubes: cube count
 	off        uint32
 	aux        uint32
 }
@@ -68,7 +63,6 @@ type flatNode struct {
 const (
 	flatBDD   uint8 = iota // frozen-view fallback for wide predicates
 	flatMask               // minterm: masked byte compare
-	flatTable              // truth table over the probed bits
 	flatCubes              // union of rule cubes: OR of masked byte compares
 )
 
@@ -82,16 +76,6 @@ type flatCube struct {
 	n          uint8  // probed bytes (≤8), for the short-packet path
 	_          [3]byte
 }
-
-// flatMaxTableBits bounds the truth-table lowering: a predicate probing
-// more distinct header bits than this falls back to the frozen view (the
-// table would cost 2^bits). 12 keeps every table within 64 words.
-const flatMaxTableBits = 12
-
-// flatTableBudgetWords caps the per-lineage truth-table arena so a
-// pathological predicate set cannot balloon the compiled form; plans past
-// the budget fall back to the frozen view.
-const flatTableBudgetWords = 1 << 16
 
 // flatMaxCubes bounds the cube-list lowering: a predicate with more
 // satisfying BDD paths than this falls back to the frozen view. Past a few
@@ -122,8 +106,8 @@ func (f *Flat) test(n *flatNode, pkt []byte) int32 {
 	return f.testSlow(n, pkt)
 }
 
-// testSlow evaluates everything off the word fast path: truth-table
-// probes, frozen-view descent, and mask nodes whose 8-byte window hangs
+// testSlow evaluates everything off the word fast path: cube lists,
+// frozen-view descent, and mask nodes whose 8-byte window hangs
 // off the packet's end (a 4-byte load when the span allows it, else the
 // probed bytes one at a time).
 func (f *Flat) testSlow(n *flatNode, pkt []byte) int32 {
@@ -168,12 +152,6 @@ func (f *Flat) testSlow(n *flatNode, pkt []byte) int32 {
 			}
 		}
 		return 0
-	case flatTable:
-		idx := uint32(0)
-		for _, pos := range f.bits[n.off : n.off+uint32(n.n)] {
-			idx = idx<<1 | uint32(pkt[pos>>3]>>(7-pos&7))&1
-		}
-		return int32(f.table[n.aux+idx>>6] >> (idx & 63) & 1)
 	}
 	if f.view.EvalBits(n.pred, pkt) {
 		return 1
@@ -268,7 +246,6 @@ type FlatStats struct {
 	Nodes         int // internal nodes in the flat array
 	Leaves        int
 	MaskNodes     int // minterm predicates lowered to masked byte compares
-	TableNodes    int // predicates lowered to truth-table bit tests
 	CubeNodes     int // union predicates lowered to rule-cube lists
 	FallbackNodes int // wide predicates still evaluated through the frozen view
 	Bytes         int // nodes + arenas + leaf index, excluding the shared view
@@ -282,10 +259,8 @@ func (f *Flat) Stats() FlatStats {
 		Nodes:         len(f.nodes),
 		Leaves:        len(f.leaves),
 		MaskNodes:     f.maskNodes,
-		TableNodes:    f.tableNodes,
 		CubeNodes:     f.cubeNodes,
 		FallbackNodes: f.fallbackNodes,
-		Bytes: len(f.nodes)*nodeBytes + len(f.leaves)*8 +
-			len(f.bits)*2 + len(f.table)*8 + len(f.cubes)*cubeBytes,
+		Bytes:         len(f.nodes)*nodeBytes + len(f.leaves)*8 + len(f.cubes)*cubeBytes,
 	}
 }

@@ -9,10 +9,9 @@ import (
 )
 
 // flatTestManager builds a manager whose predicate set exercises every
-// lowering tier: prefix minterms (mask nodes), unions of short prefixes
-// confined to a few bits (table nodes), wide unions of long prefixes (cube
-// nodes), and dense xor predicates whose satisfying-path count blows the
-// cube cap (frozen-view fallback).
+// lowering tier: prefix minterms (mask nodes), unions of short and of long
+// prefixes (cube nodes), and dense xor predicates whose satisfying-path
+// count blows the cube cap (frozen-view fallback).
 func flatTestManager(t *testing.T, seed int64) (*Manager, *rand.Rand) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -22,7 +21,7 @@ func flatTestManager(t *testing.T, seed int64) (*Manager, *rand.Rand) {
 		for i := 0; i < 12; i++ { // minterms
 			tx.Add(d.FromPrefix(0, uint64(rng.Uint32()), 8+rng.Intn(17), 32))
 		}
-		for i := 0; i < 8; i++ { // few-bit unions: truth tables
+		for i := 0; i < 8; i++ { // few-bit unions: cube lists
 			a := d.FromPrefix(0, uint64(rng.Uint32()), 3+rng.Intn(6), 32)
 			b := d.FromPrefix(0, uint64(rng.Uint32()), 3+rng.Intn(6), 32)
 			tx.Add(d.Or(a, b))
@@ -58,10 +57,10 @@ func TestFlatMatchesPointer(t *testing.T) {
 			t.Fatalf("%s: published snapshot has no flat form", label)
 		}
 		st := f.Stats()
-		if st.MaskNodes == 0 || st.TableNodes == 0 || st.CubeNodes == 0 || st.FallbackNodes == 0 {
+		if st.MaskNodes == 0 || st.CubeNodes == 0 || st.FallbackNodes == 0 {
 			t.Fatalf("%s: lowering mix not exercised: %+v", label, st)
 		}
-		if st.MaskNodes+st.TableNodes+st.CubeNodes+st.FallbackNodes != st.Nodes {
+		if st.MaskNodes+st.CubeNodes+st.FallbackNodes != st.Nodes {
 			t.Fatalf("%s: node kinds do not sum: %+v", label, st)
 		}
 		pkts := make([][]byte, 257)
@@ -155,11 +154,12 @@ func TestFlatLayoutInvariants(t *testing.T) {
 }
 
 // TestFlatLoweringExhaustive enumerates every assignment of a small
-// header space and requires each lowering — mask, table, and the plans'
+// header space and requires each lowering — mask, cubes, and the plans'
 // kind selection itself — to agree bit-for-bit with frozen-view BDD
 // evaluation. Predicates are built to land deterministically in each
-// tier; every plan is then evaluated through a one-node Flat against all
-// 2^16 packets.
+// tier, the few-bit non-minterms (unions and xors of short prefixes, byte
+// parity) in whichever of cubes or view their path count selects; every
+// plan is then evaluated through a one-node Flat against all 2^16 packets.
 func TestFlatLoweringExhaustive(t *testing.T) {
 	d := bdd.New(16)
 	type tc struct {
@@ -168,12 +168,11 @@ func TestFlatLoweringExhaustive(t *testing.T) {
 		kind uint8
 	}
 	short := func(v uint64, l int) bdd.Ref { return d.FromPrefix(0, v<<8, l, 16) }
-	// xorWide is the parity of the top 14 header bits: support 14 (> the
-	// table cap) and 2^13 satisfying paths (> the cube cap) — nothing but
-	// the frozen view can evaluate it.
-	xorWide := func(d *bdd.DD) bdd.Ref {
+	// parity of the top n header bits has 2^(n-1) satisfying paths: past
+	// the cube cap from n = 8 on, so only the frozen view can evaluate it.
+	parity := func(n int) bdd.Ref {
 		x := d.FromPrefix(0, 1, 1, 1)
-		for j := 1; j < 14; j++ {
+		for j := 1; j < n; j++ {
 			x = d.Xor(x, d.FromPrefix(j, 1, 1, 1))
 		}
 		return x
@@ -182,12 +181,13 @@ func TestFlatLoweringExhaustive(t *testing.T) {
 		{"minterm-short", d.FromPrefix(0, 0xA500, 5, 16), flatMask},
 		{"minterm-full", d.FromPrefix(0, 0x1234, 16, 16), flatMask},
 		{"minterm-offset", d.FromPrefix(6, 0x2A0, 7, 10), flatMask},
-		{"union-table", d.Or(short(0x40, 3), short(0x90, 5)), flatTable},
-		{"union-table-12bit", d.Or(d.FromPrefix(0, 0x0120, 12, 16), d.FromPrefix(0, 0xF300, 9, 16)), flatTable},
-		{"xor-table", d.Xor(short(0xC0, 2), short(0x30, 4)), flatTable},
+		{"union-short-cubes", d.Or(short(0x40, 3), short(0x90, 5)), flatCubes},
+		{"union-12bit-cubes", d.Or(d.FromPrefix(0, 0x0120, 12, 16), d.FromPrefix(0, 0xF300, 9, 16)), flatCubes},
+		{"xor-short-cubes", d.Xor(short(0xC0, 2), short(0x30, 4)), flatCubes},
+		{"parity-8bit-fallback", parity(8), flatBDD},
 		{"union-cubes", d.Or(d.FromPrefix(0, 0x4321, 16, 16), d.FromPrefix(0, 0x8765, 16, 16)), flatCubes},
 		{"acl-cubes", d.Or(d.Or(d.FromPrefix(0, 0xAB00, 13, 16), d.FromPrefix(0, 0x1100, 14, 16)), d.FromPrefix(0, 0xF0F0, 16, 16)), flatCubes},
-		{"xor-wide-fallback", xorWide(d), flatBDD},
+		{"parity-14bit-fallback", parity(14), flatBDD},
 	}
 	for _, c := range cases {
 		d.Retain(c.ref)
@@ -195,8 +195,7 @@ func TestFlatLoweringExhaustive(t *testing.T) {
 	v := d.Freeze()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var words int
-			p := lowerPred(v, c.ref, &words)
+			p := lowerPred(v, c.ref)
 			if p.kind != c.kind {
 				t.Fatalf("lowered to kind %d, want %d", p.kind, c.kind)
 			}
@@ -205,8 +204,6 @@ func TestFlatLoweringExhaustive(t *testing.T) {
 			tleaf, fleaf := &Node{Pred: -1}, &Node{Pred: -1}
 			f := &Flat{
 				leaves: []*Node{tleaf, fleaf},
-				bits:   p.bits,
-				table:  p.table,
 				cubes:  p.cubes,
 				view:   v,
 			}
@@ -219,10 +216,6 @@ func TestFlatLoweringExhaustive(t *testing.T) {
 				n:    p.nb,
 				off:  p.base,
 			}}
-			if p.kind == flatTable {
-				f.nodes[0].off = 0 // bits arena offset
-				f.nodes[0].aux = 0
-			}
 			pkt := make([]byte, 2)
 			for a := 0; a < 1<<16; a++ {
 				pkt[0], pkt[1] = byte(a>>8), byte(a)
@@ -251,42 +244,46 @@ func TestFlatMintermPlanRejects(t *testing.T) {
 	if p := mintermPlan(v, wide); p != nil {
 		t.Fatal("11-byte-span minterm accepted into an 8-byte mask window")
 	}
-	// The wide conjunction is still a 4-bit function: the table tier must
-	// take it, and agree with the view everywhere it probes.
-	var words int
-	p := lowerPred(v, wide, &words)
-	if p.kind != flatTable {
-		t.Fatalf("wide-span minterm lowered to kind %d, want table", p.kind)
+	// Its one satisfying path spans the same 11 bytes, so no cube holds it
+	// either: the frozen view must take it.
+	if p := lowerPred(v, wide); p.kind != flatBDD {
+		t.Fatalf("wide-span minterm lowered to kind %d, want the view fallback", p.kind)
 	}
 }
 
-// TestSetFlatCompile checks the escape hatch: turning flat compilation
-// off republishes a pointer-only snapshot that still classifies
-// identically, and turning it back on restores the compiled form.
-func TestSetFlatCompile(t *testing.T) {
-	m, rng := flatTestManager(t, 13)
-	if m.Snapshot().Flat() == nil {
-		t.Fatal("flat compilation should be on by default")
+// checkFlatPublished fails unless s carries a flat core compiled from its
+// own tree against its own frozen view — what every publish must produce
+// now that the flat core is the only stage-1 serving path.
+func checkFlatPublished(t *testing.T, label string, s *Snapshot) {
+	t.Helper()
+	f := s.Flat()
+	if f == nil {
+		t.Fatalf("%s: published snapshot has no flat core", label)
 	}
-	ref := m.Snapshot()
-	m.SetFlatCompile(false)
-	s := m.Snapshot()
-	if s.Flat() != nil {
-		t.Fatal("SetFlatCompile(false) still published a flat form")
+	if f.src != s.tree.root || f.view != s.view {
+		t.Fatalf("%s: flat core compiled for another epoch's tree or view", label)
 	}
-	pkt := make([]byte, 4)
-	for i := 0; i < 64; i++ {
-		rng.Read(pkt)
-		want, _ := ref.ClassifyPointer(pkt)
-		got, _ := s.Classify(pkt)
-		if got.AtomID != want.AtomID {
-			t.Fatalf("pointer-only snapshot diverged on %x", pkt)
-		}
+}
+
+// TestEveryPublishCompilesFlat drives the publishers a manager has —
+// construction, Update, Reconstruct (NewRestoredManager is covered where
+// a restored manager exists, in TestRestoreRoundTrip) — and checks each
+// snapshot they publish with checkFlatPublished.
+func TestEveryPublishCompilesFlat(t *testing.T) {
+	m := NewManager(32, MethodOAPT) // NewManagerWith over the one-atom tree
+	checkFlatPublished(t, "NewManagerWith", m.Snapshot())
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 4; i++ {
+		addRandomPredicate(m, rng)
+		checkFlatPublished(t, "Update", m.Snapshot())
 	}
-	m.SetFlatCompile(true)
-	if m.Snapshot().Flat() == nil {
-		t.Fatal("SetFlatCompile(true) did not recompile")
+	before := m.Snapshot()
+	m.Reconstruct(false)
+	if m.Snapshot() == before {
+		t.Fatal("Reconstruct did not publish")
 	}
+	checkFlatPublished(t, "Reconstruct", m.Snapshot())
+	checkFlatPublished(t, "retired epoch", before)
 }
 
 // TestFlatPlannerLifecycle checks the cross-publish plan cache: plans

@@ -2,7 +2,6 @@ package aptree
 
 import (
 	"encoding/binary"
-	"slices"
 
 	"apclassifier/internal/bdd"
 )
@@ -10,8 +9,8 @@ import (
 // Compiler from the pointer AP Tree to the Flat array form. compileFlat
 // runs inside publishLocked on every epoch publication, so its cost is on
 // the delta engine's critical path; the expensive part — deciding how each
-// predicate BDD lowers (minterm walk, support enumeration, truth-table
-// fill) — is therefore cached across publishes in a flatPlanner owned by
+// predicate BDD lowers (minterm walk, cube-path enumeration) — is
+// therefore cached across publishes in a flatPlanner owned by
 // the Manager. Refs are canonical within one DD lineage (hash-consed,
 // append-only between the GC-at-swap boundaries, never collected after the
 // first freeze), so a plan computed for a ref at one publish stays valid
@@ -32,12 +31,6 @@ type predPlan struct {
 	nb         uint8
 	want, mask [8]byte
 
-	// flatTable payload: the probed bit positions (ascending) and the
-	// truth table over them, one bit per assignment, index built MSB-first
-	// in bits order.
-	bits  []uint16
-	table []uint64
-
 	// flatCubes payload: the predicate holds iff any cube matches.
 	cubes []flatCube
 }
@@ -46,9 +39,6 @@ type predPlan struct {
 type flatPlanner struct {
 	d     *bdd.DD
 	plans map[bdd.Ref]*predPlan
-	// tableWords counts truth-table words planned so far; past
-	// flatTableBudgetWords new predicates fall back to the frozen view.
-	tableWords int
 }
 
 func newFlatPlanner(d *bdd.DD) *flatPlanner {
@@ -61,21 +51,16 @@ func (pl *flatPlanner) plan(v *bdd.View, f bdd.Ref) *predPlan {
 	if p, ok := pl.plans[f]; ok {
 		return p
 	}
-	p := lowerPred(v, f, &pl.tableWords)
+	p := lowerPred(v, f)
 	pl.plans[f] = p
 	return p
 }
 
-// flatMaxPredNodes caps the support-enumeration DFS: a predicate whose BDD
-// has more reachable nodes than this is declared wide without finishing
-// the walk and falls back to the frozen view.
-const flatMaxPredNodes = 4096
-
 // lowerPred decides how predicate f evaluates in the flat engine,
-// cheapest admissible form first: masked byte compare for minterms, truth
-// table for few-bit predicates, cube list for small unions of rule cubes,
-// frozen-view descent for everything else.
-func lowerPred(v *bdd.View, f bdd.Ref, tableWords *int) *predPlan {
+// cheapest admissible form first: masked byte compare for minterms, cube
+// list for small unions of rule cubes, frozen-view descent for everything
+// else.
+func lowerPred(v *bdd.View, f bdd.Ref) *predPlan {
 	if f <= bdd.True {
 		// Terminal predicate (never placed on a tree node in practice —
 		// constants split nothing): view descent is O(1) and correct.
@@ -83,17 +68,6 @@ func lowerPred(v *bdd.View, f bdd.Ref, tableWords *int) *predPlan {
 	}
 	if p := mintermPlan(v, f); p != nil {
 		return p
-	}
-	support, ok := supportLevels(v, f)
-	if ok && len(support) <= flatMaxTableBits && int(support[len(support)-1]) < 1<<16 {
-		words := 1
-		if len(support) > 6 {
-			words = 1 << (len(support) - 6)
-		}
-		if *tableWords+words <= flatTableBudgetWords {
-			*tableWords += words
-			return tablePlan(v, f, support, words)
-		}
 	}
 	if p := cubeListPlan(v, f); p != nil {
 		return p
@@ -231,94 +205,16 @@ func cubeFromProbes(probes []cubeProbe) (flatCube, bool) {
 	return c, true
 }
 
-// supportLevels enumerates the distinct variable levels f depends on, in
-// ascending order. ok is false when the walk exceeds flatMaxPredNodes
-// nodes or the support exceeds flatMaxTableBits levels — both mean "too
-// wide to tabulate", and bailing early keeps publish-time compile cheap on
-// the big ACL predicates.
-func supportLevels(v *bdd.View, f bdd.Ref) (support []int32, ok bool) {
-	seen := make(map[bdd.Ref]bool)
-	levels := make(map[int32]bool)
-	stack := []bdd.Ref{f}
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if r <= bdd.True || seen[r] {
-			continue
-		}
-		seen[r] = true
-		if len(seen) > flatMaxPredNodes {
-			return nil, false
-		}
-		level, low, high := v.Node(r)
-		if !levels[level] {
-			levels[level] = true
-			if len(levels) > flatMaxTableBits {
-				return nil, false
-			}
-		}
-		stack = append(stack, low, high)
-	}
-	support = make([]int32, 0, len(levels))
-	for l := range levels {
-		support = append(support, l)
-	}
-	slices.Sort(support)
-	return support, true
-}
-
-// tablePlan tabulates f over its support: one truth-table bit per
-// assignment of the support levels, indexed MSB-first in ascending level
-// order — exactly how Flat.test rebuilds the index from packet bits.
-func tablePlan(v *bdd.View, f bdd.Ref, support []int32, words int) *predPlan {
-	p := &predPlan{
-		kind:  flatTable,
-		nb:    uint8(len(support)),
-		bits:  make([]uint16, len(support)),
-		table: make([]uint64, words),
-	}
-	for i, l := range support {
-		p.bits[i] = uint16(l)
-	}
-	k := len(support)
-	// fill enumerates the subcube below r: bi is the next support slot to
-	// assign, idx the assignment prefix. Ordered-BDD paths visit levels
-	// ascending, so when r's level is past support[bi] (or r is terminal)
-	// the function is constant in that bit and both halves inherit r.
-	var fill func(r bdd.Ref, bi int, idx uint32)
-	fill = func(r bdd.Ref, bi int, idx uint32) {
-		if r == bdd.False {
-			return // table words start zeroed
-		}
-		if bi == k {
-			p.table[idx>>6] |= 1 << (idx & 63)
-			return
-		}
-		if r > bdd.True {
-			if level, low, high := v.Node(r); level == support[bi] {
-				fill(low, bi+1, idx<<1)
-				fill(high, bi+1, idx<<1|1)
-				return
-			}
-		}
-		fill(r, bi+1, idx<<1)
-		fill(r, bi+1, idx<<1|1)
-	}
-	fill(f, 0, 0)
-	return p
-}
-
 // compileFlat lowers the pointer tree into its Flat array form against the
 // epoch's frozen view. Nodes are emitted in descent order — each internal
 // node is immediately followed by its entire true-subtree, then its
 // false-subtree — so every internal child index is strictly greater than
 // its parent's (the acyclicity invariant the property tests check) and the
-// leaves array enumerates leaves in Tree.Leaves preorder. Plan payloads
-// are copied into per-Flat arenas, deduplicated by ref within the build.
+// leaves array enumerates leaves in Tree.Leaves preorder. Cube lists are
+// copied into the per-Flat arena, deduplicated by ref within the build.
 func compileFlat(t *Tree, view *bdd.View, pl *flatPlanner) *Flat {
 	f := &Flat{view: view, src: t.root}
-	type arenaLoc struct{ off, aux uint32 }
-	placed := make(map[bdd.Ref]arenaLoc)
+	placed := make(map[bdd.Ref]uint32) // ref -> cube-arena offset
 	var emit func(n *Node) int32
 	emit = func(n *Node) int32 {
 		if n.IsLeaf() {
@@ -337,27 +233,16 @@ func compileFlat(t *Tree, view *bdd.View, pl *flatPlanner) *Flat {
 			fn.off = p.base
 			fn.want = binary.LittleEndian.Uint64(p.want[:])
 			fn.mask = binary.LittleEndian.Uint64(p.mask[:])
-		case flatTable:
-			f.tableNodes++
-			fn.n = p.nb
-			loc, ok := placed[ref]
-			if !ok {
-				loc = arenaLoc{off: uint32(len(f.bits)), aux: uint32(len(f.table))}
-				f.bits = append(f.bits, p.bits...)
-				f.table = append(f.table, p.table...)
-				placed[ref] = loc
-			}
-			fn.off, fn.aux = loc.off, loc.aux
 		case flatCubes:
 			f.cubeNodes++
 			fn.n = p.nb
-			loc, ok := placed[ref]
+			aux, ok := placed[ref]
 			if !ok {
-				loc = arenaLoc{aux: uint32(len(f.cubes))}
+				aux = uint32(len(f.cubes))
 				f.cubes = append(f.cubes, p.cubes...)
-				placed[ref] = loc
+				placed[ref] = aux
 			}
-			fn.aux = loc.aux
+			fn.aux = aux
 		default:
 			f.fallbackNodes++
 		}

@@ -40,11 +40,6 @@ type Manager struct {
 
 	method Method
 
-	// flatOff disables compilation of the flat classify core at publish
-	// time (APC_FLAT=0 escape hatch / A/B benchmarking); snapshots then
-	// classify through the pointer tree.
-	//lint:guard mu
-	flatOff bool
 	// flatPlans caches predicate lowering plans across the publishes of
 	// one DD lineage; Reconstruct's DD swap discards it (refs from the
 	// retired DD mean nothing in the new one).
@@ -122,23 +117,19 @@ func (m *Manager) publishLocked() {
 		}
 	}
 	view := m.d.Freeze()
-	var flat *Flat
-	if !m.flatOff {
-		if m.flatPlans == nil || m.flatPlans.d != m.d {
-			m.flatPlans = newFlatPlanner(m.d)
-		}
-		start := time.Now()
-		flat = compileFlat(m.tree, view, m.flatPlans)
-		mFlatBuildDur.Record(time.Since(start).Seconds())
-		mFlatBuilds.Inc()
-		st := flat.Stats()
-		mFlatNodes.Set(int64(st.Nodes))
-		mFlatBytes.Set(int64(st.Bytes))
-		mFlatMask.Set(int64(st.MaskNodes))
-		mFlatTable.Set(int64(st.TableNodes))
-		mFlatCubes.Set(int64(st.CubeNodes))
-		mFlatFallback.Set(int64(st.FallbackNodes))
+	if m.flatPlans == nil || m.flatPlans.d != m.d {
+		m.flatPlans = newFlatPlanner(m.d)
 	}
+	start := time.Now()
+	flat := compileFlat(m.tree, view, m.flatPlans)
+	mFlatBuildDur.Record(time.Since(start).Seconds())
+	mFlatBuilds.Inc()
+	st := flat.Stats()
+	mFlatNodes.Set(int64(st.Nodes))
+	mFlatBytes.Set(int64(st.Bytes))
+	mFlatMask.Set(int64(st.MaskNodes))
+	mFlatCubes.Set(int64(st.CubeNodes))
+	mFlatFallback.Set(int64(st.FallbackNodes))
 	m.snap.Store(&Snapshot{
 		tree:    m.tree,
 		view:    view,
@@ -177,20 +168,6 @@ func (m *Manager) ReadPinned(fn func(s *Snapshot)) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	fn(m.snap.Load())
-}
-
-// SetFlatCompile toggles publish-time compilation of the flat classify
-// core and republishes the current epoch in the chosen form. On is the
-// default; the facade turns it off when APC_FLAT=0, and A/B benchmarks
-// flip it to pit the two engines against each other on one manager.
-func (m *Manager) SetFlatCompile(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.flatOff = !on
-	if !on {
-		m.flatPlans = nil
-	}
-	m.publishLocked()
 }
 
 // DD returns the live BDD manager. Callers must only use it inside

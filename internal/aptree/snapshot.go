@@ -30,9 +30,8 @@ type Snapshot struct {
 	tree *Tree
 	view *bdd.View
 	// flat is the cache-packed classify core compiled for this epoch at
-	// publish time, or nil when flat compilation is off (APC_FLAT=0 /
-	// Manager.SetFlatCompile(false)). When present it is the stage-1
-	// engine; the pointer tree stays the reference implementation.
+	// publish time: the stage-1 engine. The pointer tree is the build and
+	// update structure and the reference the flat form is tested against.
 	flat *Flat
 	// live has bit id set iff predicate id was not tombstoned at capture
 	// time. Out-of-range IDs (added after the capture) read as dead,
@@ -49,10 +48,25 @@ type Snapshot struct {
 	atomView atomic.Pointer[AtomView]
 }
 
-// classifyPointer is the pointer-tree stage-1 walk, visit counting
-// excluded: node BDDs evaluate through the frozen view, so a writer
-// growing the live DD never races with it.
-func (s *Snapshot) classifyPointer(pkt []byte) *Node {
+// Classify runs the stage-1 search against this epoch — a descent over
+// its compiled flat core — and returns the leaf together with the epoch's
+// version. It takes no lock and does not allocate.
+func (s *Snapshot) Classify(pkt []byte) (*Node, uint64) {
+	s.debugCheckFlat()
+	n := s.flat.Classify(pkt)
+	if s.count {
+		s.visits.add(n.AtomID)
+	}
+	return n, s.version
+}
+
+// ClassifyPointer runs stage 1 through the pointer tree — the reference
+// the differential fuzz and churn suites and internal/verify hold the
+// flat core against. Node BDDs evaluate through the frozen view, so a
+// writer growing the live DD never races with it. It does no visit
+// accounting, so differential probing never skews the §V-D distribution
+// statistics.
+func (s *Snapshot) ClassifyPointer(pkt []byte) (*Node, uint64) {
 	n := s.tree.root
 	v := s.view
 	preds := s.tree.preds
@@ -63,40 +77,10 @@ func (s *Snapshot) classifyPointer(pkt []byte) *Node {
 			n = n.F
 		}
 	}
-	return n
-}
-
-// Classify runs the stage-1 search against this epoch and returns the
-// leaf together with the epoch's version. It takes no lock and does not
-// allocate. When the epoch carries a compiled flat core the descent runs
-// over it; otherwise (flat compilation disabled) the pointer tree is
-// walked directly. Either way the answer and the visit accounting are
-// identical.
-func (s *Snapshot) Classify(pkt []byte) (*Node, uint64) {
-	var n *Node
-	if f := s.flat; f != nil {
-		s.debugCheckFlat()
-		n = f.Classify(pkt)
-	} else {
-		n = s.classifyPointer(pkt)
-	}
-	if s.count {
-		s.visits.add(n.AtomID)
-	}
 	return n, s.version
 }
 
-// ClassifyPointer runs stage 1 through the pointer tree regardless of
-// whether a flat core was compiled — the reference engine the
-// differential fuzz and churn suites pit the flat form against. It does
-// no visit accounting, so differential probing never skews the §V-D
-// distribution statistics.
-func (s *Snapshot) ClassifyPointer(pkt []byte) (*Node, uint64) {
-	return s.classifyPointer(pkt), s.version
-}
-
-// Flat returns the epoch's compiled flat classify core, or nil when flat
-// compilation was disabled at publish time.
+// Flat returns the epoch's compiled flat classify core.
 func (s *Snapshot) Flat() *Flat { return s.flat }
 
 // IsLive reports whether predicate id was live in this epoch.

@@ -40,7 +40,7 @@ var (
 	// publishLocked under the write lock; the flat descent itself, like
 	// the pointer descent, records nothing.
 	mFlatBuilds = obs.Default.Counter("apc_flat_builds_total",
-		"Flat classify cores compiled (one per snapshot publication while enabled).")
+		"Flat classify cores compiled (one per snapshot publication).")
 	mFlatBuildDur = obs.Default.Histogram("apc_flat_build_duration_seconds",
 		"Wall time to compile one epoch's flat classify core.", obs.DefBuckets)
 	mFlatNodes = obs.Default.Gauge("apc_flat_nodes",
@@ -49,8 +49,6 @@ var (
 		"Compiled footprint of the latest flat core: node array plus predicate arenas.")
 	mFlatMask = obs.Default.Gauge("apc_flat_mask_nodes",
 		"Flat nodes lowered to masked byte compares (minterm predicates).")
-	mFlatTable = obs.Default.Gauge("apc_flat_table_nodes",
-		"Flat nodes lowered to truth-table bit tests over their probed bits.")
 	mFlatCubes = obs.Default.Gauge("apc_flat_cube_nodes",
 		"Flat nodes lowered to rule-cube lists (unions of masked byte compares).")
 	mFlatFallback = obs.Default.Gauge("apc_flat_fallback_nodes",

@@ -8,7 +8,11 @@ import (
 	"time"
 
 	"apclassifier"
+	"apclassifier/internal/aptree"
+	"apclassifier/internal/bdd"
 	"apclassifier/internal/netgen"
+	"apclassifier/internal/network"
+	"apclassifier/internal/predicate"
 	"apclassifier/internal/rule"
 )
 
@@ -184,7 +188,7 @@ func (e *Env) Churn(budget time.Duration, queryWorkers int) *Table {
 					} else {
 						spec.Fwd.Remove(ev.prefix)
 					}
-					c.ReconvertBox(ev.box)
+					reconvertBox(c, ev.box)
 				}
 			}},
 			{"reconvert+rebuild", func(c *apclassifier.Classifier, ds *netgen.Dataset) func(churnEvent) {
@@ -195,7 +199,7 @@ func (e *Env) Churn(budget time.Duration, queryWorkers int) *Table {
 					} else {
 						spec.Fwd.Remove(ev.prefix)
 					}
-					c.ReconvertBox(ev.box)
+					reconvertBox(c, ev.box)
 					c.Reconstruct(false)
 				}
 			}},
@@ -221,4 +225,34 @@ func (e *Env) Churn(budget time.Duration, queryWorkers int) *Table {
 		}
 	}
 	return t
+}
+
+// reconvertBox recomputes every port predicate of a box from scratch and
+// swaps the changed ones, tombstoning replaced IDs until the next
+// Reconstruct. This is the pre-delta update path, kept only as the
+// baseline the delta pipeline (ApplyRuleDeltas) is measured against.
+func reconvertBox(c *apclassifier.Classifier, box int) {
+	spec := &c.Dataset.Boxes[box]
+	c.Manager.Update(func(tx *aptree.Tx) {
+		preds := predicate.PortPredicates(tx.DD(), c.Layout, "dstIP", &spec.Fwd, spec.NumPorts)
+		for pi := 0; pi < spec.NumPorts; pi++ {
+			oldID := c.PortPred[box][pi]
+			oldRef := bdd.False
+			if oldID != network.NoPred {
+				oldRef = tx.Ref(oldID)
+			}
+			if preds[pi] == oldRef {
+				continue
+			}
+			newID := network.NoPred
+			if oldID != network.NoPred {
+				tx.Delete(oldID)
+			}
+			if preds[pi] != bdd.False {
+				newID = tx.Add(preds[pi])
+			}
+			c.PortPred[box][pi] = newID
+			c.Net.Boxes[box].Ports[pi].Fwd = newID
+		}
+	})
 }

@@ -16,12 +16,12 @@ const flatBatch = 256
 // against the pointer descent of the same published epoch, single-packet
 // and batched, over a uniform atom-sampled trace on both networks. The
 // lowering mix columns say how much of each tree the compiler got out of
-// the BDD (mask = minterm byte-compare, table = truth-table bit test,
-// cube = union-of-rules cube list, bdd = frozen-view fallback) — the flat win tracks that mix.
+// the BDD (mask = minterm byte-compare, cube = union-of-rules cube list,
+// bdd = frozen-view fallback) — the flat win tracks that mix.
 func (e *Env) FlatVsPointer(traceLen int, minDur time.Duration) *Table {
 	t := &Table{
 		Title: "Flat classify core — compiled array engine vs pointer descent (Mqps)",
-		Header: []string{"network", "nodes", "mask", "table", "cube", "bdd",
+		Header: []string{"network", "nodes", "mask", "cube", "bdd",
 			"flat", "pointer", "speedup", "batch flat", "batch ptr", "batch speedup"},
 		Notes: []string{
 			"single-packet: one stage-1 descent per query, visit accounting off on both engines",
@@ -50,7 +50,7 @@ func (e *Env) FlatVsPointer(traceLen int, minDur time.Duration) *Table {
 		})
 
 		t.AddRow(name, fmt.Sprint(st.Nodes), fmt.Sprint(st.MaskNodes),
-			fmt.Sprint(st.TableNodes), fmt.Sprint(st.CubeNodes), fmt.Sprint(st.FallbackNodes),
+			fmt.Sprint(st.CubeNodes), fmt.Sprint(st.FallbackNodes),
 			mqps(flat), mqps(ptr), fmt.Sprintf("%.2fx", flat/ptr),
 			mqps(bflat), mqps(bptr), fmt.Sprintf("%.2fx", bflat/bptr))
 	}

@@ -3,6 +3,7 @@ package lint
 import (
 	"flag"
 	"fmt"
+	"go/ast"
 	"os"
 	"path/filepath"
 	"strings"
@@ -233,6 +234,32 @@ func TestModuleIsClean(t *testing.T) {
 	diags := Run(m, All())
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+	// The flat core is the one stage-1 serving path; the environment
+	// variable that used to select the other is gone. Keep any such switch
+	// from coming back unnoticed: non-test code (all the loader reads) must
+	// not consult an APC_* environment variable.
+	for _, pkg := range m.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "Getenv" && sel.Sel.Name != "LookupEnv") {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "os" {
+					return true
+				}
+				if lit, ok := call.Args[0].(*ast.BasicLit); ok && strings.HasPrefix(lit.Value, `"APC_`) {
+					t.Errorf("%s: reads %s: classifier behaviour must not switch on the environment",
+						m.Fset.Position(call.Pos()), lit.Value)
+				}
+				return true
+			})
+		}
 	}
 }
 

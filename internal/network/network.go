@@ -245,11 +245,13 @@ func (b *Behavior) Traverses(box int) bool {
 
 // Path returns the box sequence of a unicast behavior (panics on
 // multicast). It includes the ingress box and, for delivered packets, ends
-// at the delivery box.
+// at the delivery box. On a forwarding loop it ends at the box the walk
+// revisited (where the DropLoop event sits): a unicast walk crosses each
+// edge once, so len(b.Edges) steps always reach the end of the path.
 func (b *Behavior) Path() []int {
 	path := []int{b.Ingress}
 	cur := b.Ingress
-	for {
+	for range b.Edges {
 		next := -1
 		for _, e := range b.Edges {
 			if e.Box == cur && e.To.Kind == DestBox {
@@ -260,11 +262,12 @@ func (b *Behavior) Path() []int {
 			}
 		}
 		if next < 0 {
-			return path
+			break
 		}
 		path = append(path, next)
 		cur = next
 	}
+	return path
 }
 
 // String renders the behavior compactly for logs and examples.

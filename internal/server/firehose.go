@@ -32,7 +32,7 @@ const (
 
 var (
 	mDeltaOps = obs.Default.CounterVec("apc_delta_ops_total",
-		"Rule-delta operations applied through the /rules/batch firehose, by kind.", "op")
+		"Rule-delta operations applied through the /rules endpoints, by kind.", "op")
 	// deltaOpCounters resolves each op's child once at init, so the apply
 	// path never takes the CounterVec mutex and every label value is a
 	// compile-time constant.
@@ -223,29 +223,41 @@ func (s *Server) handleRulesBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	applied, ok := s.applyDeltas(w, seq, reqs)
+	if !ok {
+		return
+	}
+	writeJSON(w, http.StatusOK, RulesBatchResponse{
+		Applied:     applied,
+		Count:       len(reqs),
+		Seq:         s.c.DeltaSeq(),
+		TreeVersion: s.c.Manager.Version(),
+	})
+}
+
+// applyDeltas resolves wire deltas against the topology and applies them
+// as one update transaction: the one update path behind /rules/batch,
+// /rules/add and /rules/remove. The caller holds s.mu. When ok is false
+// the error response has already been written and nothing was applied.
+func (s *Server) applyDeltas(w http.ResponseWriter, seq uint64, reqs []RuleDeltaRequest) (applied, ok bool) {
 	deltas := make([]apclassifier.RuleDelta, len(reqs))
 	for i, rq := range reqs {
 		dl, status, err := s.convertDelta(rq)
 		if status != 0 {
 			writeErr(w, status, "delta %d: %v", i, err)
-			return
+			return false, false
 		}
 		deltas[i] = dl
 	}
 	applied, err := s.c.ApplyRuleDeltasSeq(seq, deltas)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return false, false
 	}
 	if applied {
 		for i := range reqs {
 			deltaOpCounters[reqs[i].Op].Inc()
 		}
 	}
-	writeJSON(w, http.StatusOK, RulesBatchResponse{
-		Applied:     applied,
-		Count:       len(deltas),
-		Seq:         s.c.DeltaSeq(),
-		TreeVersion: s.c.Manager.Version(),
-	})
+	return applied, true
 }

@@ -80,10 +80,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"apc_flat_nodes",
 		"apc_flat_bytes",
 		"apc_flat_mask_nodes",
-		"apc_flat_table_nodes",
 		"apc_flat_cube_nodes",
 		"apc_flat_fallback_nodes",
-		"apc_flat_enabled",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

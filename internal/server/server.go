@@ -8,9 +8,9 @@
 //	GET  /stats                     → dataset and classifier statistics
 //	POST /query                     → {"dst":"10.1.2.3","ingress":"seattle", ...} → behavior
 //	POST /query/batch               → [query, ...] → [behavior, ...] (≤256 per request)
-//	POST /rules/add                 → {"box":"seattle","prefix":"10.0.0.0/8","port":3}
-//	POST /rules/remove              → {"box":"seattle","prefix":"10.0.0.0/8"}
 //	POST /rules/batch[?seq=n]       → [delta, ...] → one epoch per batch (≤256, idempotent via seq)
+//	POST /rules/add                 → {"box":"seattle","prefix":"10.0.0.0/8","port":3}: a batch of one add-fwd
+//	POST /rules/remove              → {"box":"seattle","prefix":"10.0.0.0/8"}: a batch of one remove-fwd (404 if absent)
 //	POST /reconstruct               → {"weighted":false}
 //	POST /checkpoint                → force a checkpoint save (503 if disabled)
 //	GET  /checkpoint/latest         → newest committed checkpoint file (peer bootstrap)
@@ -422,36 +422,21 @@ type RuleRequest struct {
 	Port   int    `json:"port"` // output port index; -1 = drop (add only)
 }
 
-func (s *Server) parseRule(w http.ResponseWriter, r *http.Request) (int, rule.Prefix, int, bool) {
-	var req RuleRequest
-	if !s.decodeBody(w, r, maxSingleBody, &req) {
-		return 0, rule.Prefix{}, 0, false
-	}
-	box := s.c.Net.BoxByName(req.Box)
-	if box < 0 {
-		writeErr(w, http.StatusBadRequest, "unknown box %q", req.Box)
-		return 0, rule.Prefix{}, 0, false
-	}
-	p, err := netgen.ParsePrefix(req.Prefix)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "prefix: %v", err)
-		return 0, rule.Prefix{}, 0, false
-	}
-	return box, p, req.Port, true
-}
+// handleRuleAdd and handleRuleRemove are /rules/batch with a batch of one:
+// the request becomes a single RuleDeltaRequest and takes the same
+// convert → validate → apply path (see applyDeltas).
 
 func (s *Server) handleRuleAdd(w http.ResponseWriter, r *http.Request) {
+	var req RuleRequest
+	if !s.decodeBody(w, r, maxSingleBody, &req) {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	box, p, port, ok := s.parseRule(w, r)
-	if !ok {
+	add := RuleDeltaRequest{Op: opAddFwd, Box: req.Box, Prefix: req.Prefix, Port: req.Port}
+	if _, ok := s.applyDeltas(w, 0, []RuleDeltaRequest{add}); !ok {
 		return
 	}
-	if port != rule.Drop && (port < 0 || port >= s.ds.Boxes[box].NumPorts) {
-		writeErr(w, http.StatusBadRequest, "port %d out of range", port)
-		return
-	}
-	s.c.AddFwdRule(box, rule.FwdRule{Prefix: p, Port: port})
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"installed": true, "treeVersion": s.c.Manager.Version(),
 		"updatesSinceSwap": s.c.Manager.UpdatesSinceSwap(),
@@ -459,13 +444,20 @@ func (s *Server) handleRuleAdd(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRuleRemove(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	box, p, _, ok := s.parseRule(w, r)
-	if !ok {
+	var req RuleRequest
+	if !s.decodeBody(w, r, maxSingleBody, &req) {
 		return
 	}
-	removed := s.c.RemoveFwdRule(box, p)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Removing an absent prefix is a no-op delta; the endpoint reports it
+	// as 404, told apart by whether the rule count moved.
+	before := s.ds.NumRules()
+	remove := RuleDeltaRequest{Op: opRemoveFwd, Box: req.Box, Prefix: req.Prefix}
+	if _, ok := s.applyDeltas(w, 0, []RuleDeltaRequest{remove}); !ok {
+		return
+	}
+	removed := s.ds.NumRules() < before
 	status := http.StatusOK
 	if !removed {
 		status = http.StatusNotFound

@@ -11,6 +11,7 @@ import (
 
 	"apclassifier"
 	"apclassifier/internal/netgen"
+	"apclassifier/internal/network"
 	"apclassifier/internal/rule"
 )
 
@@ -185,4 +186,43 @@ func TestVerifyEndpoints(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/verify/reach?from=nosuch&host=x", &reach); code != 400 {
 		t.Fatalf("unknown box: status %d", code)
 	}
+}
+
+// TestQueryAnswersForwardingLoop installs a two-box forwarding loop
+// through /rules/batch and checks /query and /query/batch answer it in
+// bounded time and memory: 200, the loop drop, and a finite path that ends
+// at the box the walk revisited.
+func TestQueryAnswersForwardingLoop(t *testing.T) {
+	ts, ds := testServer(t)
+	l := ds.Links[0]
+	a, b := ds.Boxes[l.A].Name, ds.Boxes[l.B].Name
+	loop := []RuleDeltaRequest{
+		{Op: opAddFwd, Box: a, Prefix: "240.9.0.0/16", Port: l.PA},
+		{Op: opAddFwd, Box: b, Prefix: "240.9.0.0/16", Port: l.PB},
+	}
+	var ack RulesBatchResponse
+	if code := postJSON(t, ts.URL+"/rules/batch", loop, &ack); code != 200 || !ack.Applied {
+		t.Fatalf("installing the loop: status %d, %+v", code, ack)
+	}
+	check := func(label string, resp QueryResponse) {
+		t.Helper()
+		want := fmt.Sprintf("%s: %s", a, network.DropLoop)
+		if len(resp.Drops) != 1 || resp.Drops[0] != want {
+			t.Fatalf("%s: drops %v, want [%q]", label, resp.Drops, want)
+		}
+		if got := fmt.Sprint(resp.Path); got != fmt.Sprint([]string{a, b, a}) {
+			t.Fatalf("%s: path %v, want [%s %s %s]", label, resp.Path, a, b, a)
+		}
+	}
+	q := QueryRequest{Ingress: a, Dst: "240.9.1.1"}
+	var one QueryResponse
+	if code := postJSON(t, ts.URL+"/query", q, &one); code != 200 {
+		t.Fatalf("/query status %d", code)
+	}
+	check("/query", one)
+	var many []QueryResponse
+	if code := postJSON(t, ts.URL+"/query/batch", []QueryRequest{q, q}, &many); code != 200 || len(many) != 2 {
+		t.Fatalf("/query/batch status %d, %d answers", code, len(many))
+	}
+	check("/query/batch", many[1])
 }

@@ -17,9 +17,6 @@ import (
 // interleave in arrival order.
 func (c *Classifier) SetTraceSink(r *obs.TraceRing) { c.sink.Store(r) }
 
-// TraceSink returns the installed trace ring, or nil.
-func (c *Classifier) TraceSink() *obs.TraceRing { return c.sink.Load() }
-
 // RegisterMetrics registers this classifier's derived metrics — values
 // computed at scrape time from the published snapshot and the striped
 // visit counters, costing the query path nothing — into reg (typically
@@ -54,14 +51,6 @@ func (c *Classifier) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("apc_bdd_live_mem_bytes",
 		"Estimated bytes of live BDD state in the published epoch.",
 		func() float64 { return float64(m.Snapshot().View().LiveMemBytes()) })
-	reg.GaugeFunc("apc_flat_enabled",
-		"Whether the published epoch carries a compiled flat classify core (0 when disabled via APC_FLAT=0 or SetFlatCompile).",
-		func() float64 {
-			if m.Snapshot().Flat() != nil {
-				return 1
-			}
-			return 0
-		})
 }
 
 // traceQuery runs one pinned two-stage query with stage timing and

@@ -52,13 +52,6 @@ func (s *Snapshot) Behavior(ingress int, pkt header.Packet) *network.Behavior {
 	return s.c.behaviorVia(s.c.cacheFor(s.s), nil, s.s, ingress, pkt, leaf, false)
 }
 
-// BehaviorWith is Behavior using the caller's Walker scratch space; the
-// result is read-only and valid until the Walker's next query.
-func (s *Snapshot) BehaviorWith(w *network.Walker, ingress int, pkt header.Packet) *network.Behavior {
-	leaf, _ := s.s.Classify(pkt)
-	return s.c.behaviorVia(s.c.cacheFor(s.s), w, s.s, ingress, pkt, leaf, false)
-}
-
 // BehaviorFrom runs stage 2 only, from a leaf the caller already
 // obtained via Classify on this same snapshot. Callers that need both
 // the leaf and the behavior (the server's /query, traced queries) use it
