@@ -26,11 +26,6 @@ BENCH_SMOKE := ^(BenchmarkManagerClassify|BenchmarkParallelClassify|BenchmarkPar
 # -benchtime for the same non-regression purpose.
 BENCH_SMOKE_ROOT := ^BenchmarkBehaviorBatch$$
 
-# bench-churn's -dur (the churn experiment budgets 5×dur per engine):
-# long enough that the delta engine's advantage over reconvert+rebuild is
-# unambiguous at small scale, short enough for CI.
-CHURN_DUR := 60ms
-
 # Coverage floor for the observability layer: metrics and traces are what
 # operators debug incidents with, so internal/obs stays near-fully tested.
 COVER_PKG   := ./internal/obs
@@ -53,7 +48,7 @@ FUZZ_TIME ?= 5s
 # small scale, short enough for CI.
 FLAT_DUR := 100ms
 
-.PHONY: build test vet lint race apdebug bench-smoke bench-churn bench-flat cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke check
+.PHONY: build test vet lint race apdebug bench-smoke bench-gate bench-flat cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke check
 
 build:
 	$(GO) build ./...
@@ -79,12 +74,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_SMOKE)' -benchtime 200x -cpu 1,4 ./internal/aptree
 	$(GO) test -run '^$$' -bench '$(BENCH_SMOKE_ROOT)' -benchtime 512x .
 
-# Churn smoke: the incremental delta engine's updates/sec-under-query-load
-# experiment at small scale. Like bench-smoke it is a non-regression gate
-# (the delta engine must run and keep beating reconvert+rebuild — the
-# table's speedup column); recorded numbers live in EXPERIMENTS.md.
-bench-churn:
-	$(GO) run ./cmd/apbench -scale small -run churn -dur $(CHURN_DUR)
+# The benchmark (BENCHMARK.json, bench/) as a liveness gate: all six
+# workloads at smoke scale, the oracle pass before each window, exit 1 on
+# any `correct:false`. Like the other smokes it is not a performance
+# gate — a perf claim is a paired -out/-compare run (README "Benchmark").
+bench-gate:
+	$(GO) run ./bench -workload all -smoke -seconds 5
 
 # Flat smoke: the compiled classify core measured against the pointer-tree
 # reference (the uncounted ClassifyPointer descent tests compare with, not
@@ -142,5 +137,5 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit !(t+0 >= f+0) }' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-check: build vet test lint race apdebug bench-smoke bench-churn bench-flat checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke cover
+check: build vet test lint race apdebug bench-smoke bench-gate bench-flat checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke cover
 	@echo "all gates passed"

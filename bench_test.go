@@ -279,16 +279,6 @@ func BenchmarkTableII_HeaderChanges(b *testing.B) {
 	}
 }
 
-func BenchmarkRuleUpdateCost(b *testing.B) {
-	e := getEnv(b)
-	for i := 0; i < b.N; i++ {
-		t := e.RuleUpdateCost(20)
-		if len(t.Rows) != 2 {
-			b.Fatal("bad table")
-		}
-	}
-}
-
 func BenchmarkScalingSweep(b *testing.B) {
 	e := getEnv(b)
 	for i := 0; i < b.N; i++ {

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"apclassifier/internal/checkpoint"
+	"apclassifier/internal/netgen"
 	"apclassifier/internal/network"
+	"apclassifier/internal/rule"
 )
 
 // This file is the facade's warm-restart surface: capturing a running
@@ -16,11 +18,12 @@ import (
 // the restored manager.
 
 // CheckpointSource captures the classifier's published epoch plus the
-// dataset and topology wiring into an encodable Source. The snapshot
-// pins the classifier state, so encoding the result runs concurrently
-// with queries; the dataset and wiring are read here, so callers must
-// synchronize with rule updates exactly as Behavior's contract requires
-// (the HTTP server takes its read lock around this call).
+// dataset and topology wiring into an encodable Source. Callers must
+// synchronize this call with rule updates exactly as Behavior's
+// contract requires (the HTTP server takes its read lock around it);
+// the returned Source is self-contained — the snapshot pins the
+// classifier state and the rule tables are copied here — so encoding it
+// afterwards runs concurrently with queries and with updates.
 func (c *Classifier) CheckpointSource() *checkpoint.Source {
 	wiring := make([]checkpoint.BoxWiring, len(c.Net.Boxes))
 	for b, box := range c.Net.Boxes {
@@ -37,11 +40,32 @@ func (c *Classifier) CheckpointSource() *checkpoint.Source {
 	}
 	return &checkpoint.Source{
 		Snap:     c.Manager.Snapshot(),
-		Dataset:  c.Dataset,
+		Dataset:  copyRuleTables(c.Dataset),
 		Method:   c.Manager.Method(),
 		Wiring:   wiring,
 		DeltaSeq: c.deltaSeq.Load(),
 	}
+}
+
+// copyRuleTables returns a dataset that shares everything immutable with
+// ds (layout, links, hosts, installed ACL objects, which updates replace
+// and never edit) and owns what ApplyRuleDeltas rewrites in place: each
+// box's rule slice (FwdTable.Remove compacts it) and port-ACL map. The
+// checkpoint runner encodes outside the server lock; handing it the live
+// tables let a checkpoint taken under churn persist a torn rule table.
+func copyRuleTables(ds *netgen.Dataset) *netgen.Dataset {
+	cp := *ds
+	cp.Boxes = make([]netgen.BoxSpec, len(ds.Boxes))
+	for i, b := range ds.Boxes {
+		b.Fwd.Rules = append([]rule.FwdRule(nil), b.Fwd.Rules...)
+		acls := make(map[int]*rule.ACL, len(b.PortACL))
+		for port, acl := range b.PortACL {
+			acls[port] = acl
+		}
+		b.PortACL = acls
+		cp.Boxes[i] = b
+	}
+	return &cp
 }
 
 // NewFromRestored assembles a Classifier around a decoded checkpoint:

@@ -6,7 +6,6 @@
 //	apstate inspect ckpt.apc                                # headers + section sizes (CRC-checked)
 //	apstate verify ckpt.apc                                 # full decode + self-check
 //	apstate dump ckpt.apc                                   # decoded state details
-//	apstate bench -net internet2 -scale 0.01                # cold build vs warm restore timing
 //
 // inspect only CRC-checks and reads the cheap headers; verify performs
 // the full restore (BDD rebuild, tree validation, membership
@@ -15,7 +14,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -41,8 +39,6 @@ func main() {
 		err = cmdVerify(os.Args[2:])
 	case "dump":
 		err = cmdDump(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	default:
 		usage()
 	}
@@ -59,8 +55,7 @@ commands:
   save     build a classifier and write a checkpoint file
   inspect  print checkpoint headers and section sizes (CRC-checked)
   verify   fully decode a checkpoint and self-check the restored state
-  dump     print decoded checkpoint state in detail
-  bench    time cold build vs checkpoint save + warm restore`)
+  dump     print decoded checkpoint state in detail`)
 	os.Exit(2)
 }
 
@@ -201,67 +196,5 @@ func cmdDump(args []string) error {
 	for b, w := range res.Wiring {
 		fmt.Printf("  %-12s in=%-3d fwd=%v\n", ds.Boxes[b].Name, w.InACL, w.Fwd)
 	}
-	return nil
-}
-
-// cmdBench is the EXPERIMENTS.md "warm restart" measurement: the same
-// classifier state reached cold (rule conversion + atom computation +
-// tree build) and warm (decode a checkpoint), with the checkpoint's
-// size and save cost alongside.
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	netName := fs.String("net", "internet2", "dataset: internet2, stanford or multitenant")
-	scale := fs.Float64("scale", 0.01, "rule-volume scale")
-	seed := fs.Int64("seed", 1, "generator seed")
-	runs := fs.Int("runs", 3, "measurement repetitions (best-of)")
-	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
-
-	ds, err := buildDataset(*netName, *seed, *scale)
-	if err != nil {
-		return err
-	}
-	var c *apclassifier.Classifier
-	cold := time.Duration(1<<62 - 1)
-	for i := 0; i < *runs; i++ {
-		dsi, _ := buildDataset(*netName, *seed, *scale)
-		start := time.Now()
-		ci, err := apclassifier.New(dsi, apclassifier.Options{})
-		if err != nil {
-			return err
-		}
-		if d := time.Since(start); d < cold {
-			cold = d
-		}
-		c = ci
-	}
-
-	var buf bytes.Buffer
-	saveStart := time.Now()
-	if err := checkpoint.Encode(&buf, c.CheckpointSource()); err != nil {
-		return err
-	}
-	save := time.Since(saveStart)
-
-	warm := time.Duration(1<<62 - 1)
-	for i := 0; i < *runs; i++ {
-		start := time.Now()
-		res, err := checkpoint.Decode(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return err
-		}
-		if _, err := apclassifier.NewFromRestored(res); err != nil {
-			return err
-		}
-		if d := time.Since(start); d < warm {
-			warm = d
-		}
-	}
-
-	fmt.Printf("%s scale=%g: %d rules, %d predicates, %d atoms\n",
-		ds.Name, *scale, ds.NumRules(), c.NumPredicates(), c.NumAtoms())
-	fmt.Printf("  cold build:    %v\n", cold.Round(10*time.Microsecond))
-	fmt.Printf("  save:          %v (%d bytes)\n", save.Round(10*time.Microsecond), buf.Len())
-	fmt.Printf("  warm restore:  %v (%.1fx faster than cold)\n",
-		warm.Round(10*time.Microsecond), float64(cold)/float64(warm))
 	return nil
 }

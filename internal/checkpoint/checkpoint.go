@@ -75,8 +75,8 @@ type BoxWiring struct {
 // dataset and wiring that give its predicate IDs meaning. The snapshot
 // pins the epoch, so encoding runs concurrently with queries and
 // updates; Dataset and Wiring are read directly, so callers must hold
-// them stable for the duration (the same external synchronization rule
-// as apclassifier.Behavior vs rule updates).
+// them stable for the duration (apclassifier.CheckpointSource does so by
+// handing over copies of everything a rule update rewrites).
 type Source struct {
 	Snap    *aptree.Snapshot
 	Dataset *netgen.Dataset

@@ -90,6 +90,14 @@ func (r *Runner) loop(notify <-chan struct{}) {
 	for {
 		select {
 		case <-r.done:
+			// A publish that signalled while the last save was encoding
+			// is still pending on notify, and select may pick done
+			// first: look before deciding the state is clean.
+			select {
+			case <-notify:
+				dirty = true
+			default:
+			}
 			if dirty {
 				save()
 			}

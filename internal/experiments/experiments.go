@@ -224,6 +224,3 @@ func measureQPS(fn func(pkt []byte), trace [][]byte, minDur time.Duration) float
 
 // mqps formats queries/second in millions.
 func mqps(v float64) string { return fmt.Sprintf("%.2f", v/1e6) }
-
-// kqps formats queries/second in thousands.
-func kqps(v float64) string { return fmt.Sprintf("%.1f", v/1e3) }

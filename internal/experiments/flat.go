@@ -9,7 +9,7 @@ import (
 )
 
 // flatBatch is the batch size the flat experiment drives both group-by-
-// branch descents at — the mid point of the batch experiment's sweep.
+// branch descents at — the batch size bench/'s query workloads use.
 const flatBatch = 256
 
 // FlatVsPointer measures stage 1 alone: the compiled flat classify core

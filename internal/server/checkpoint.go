@@ -21,7 +21,8 @@ import (
 // query handlers hold — because Source reads the dataset and topology
 // wiring, which rule updates rewrite under the write lock. Queries keep
 // flowing during capture; only updates wait, and only for the capture
-// (the encode works off the pinned snapshot, outside any lock).
+// (the encode works off the pinned snapshot and the rule tables
+// CheckpointSource copied, outside any lock).
 func (s *Server) EnableCheckpoints(dir *checkpoint.Dir, cfg checkpoint.RunnerConfig) *checkpoint.Runner {
 	s.ckpt = dir
 	return checkpoint.StartRunner(dir, s.c.Manager, s.captureCheckpoint, cfg)
