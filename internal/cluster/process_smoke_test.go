@@ -48,6 +48,8 @@ func TestClusterProcessSmoke(t *testing.T) {
 	router := startProc(t, bin.aprouter,
 		"-listen", fmt.Sprintf("127.0.0.1:%d", ports[3]),
 		"-shards", w0URL+","+w1URL)
+	// Graceful stops assert a clean exit. startProc's cleanup kills what
+	// this misses: w0, which an early Fatalf leaves running.
 	defer func() {
 		for _, p := range []*exec.Cmd{router, w1, oracle} {
 			sigterm(t, p)
@@ -127,13 +129,25 @@ func reservePorts(t *testing.T, n int) []int {
 	return ports
 }
 
+// startProc starts a child that cannot outlive the test: whatever is
+// still running when the test ends — passed, failed mid-way or skipped
+// past its sigterm — is killed and reaped by the cleanup, and childAttr
+// has the kernel kill it if the test binary itself dies first (timeout,
+// SIGKILL), when no cleanup runs.
 func startProc(t *testing.T, bin string, args ...string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+	cmd.SysProcAttr = childAttr()
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if cmd.ProcessState == nil {
+			_ = cmd.Process.Kill() // already failing or done: no graceful exit to assert
+			_ = cmd.Wait()
+		}
+	})
 	return cmd
 }
 
@@ -155,6 +169,7 @@ func sigterm(t *testing.T, cmd *exec.Cmd) {
 		}
 	case <-time.After(15 * time.Second):
 		_ = cmd.Process.Kill()
+		<-done // reaped: the cleanup must not race this Wait
 		t.Errorf("%s ignored SIGTERM", filepath.Base(cmd.Path))
 	}
 }

@@ -12,6 +12,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"apclassifier/internal/aptree"
@@ -330,7 +331,7 @@ type Walker struct {
 	// env is a private copy: BehaviorPinned swaps its Source per query
 	// without touching the Env the Walker was built from.
 	env     Env
-	visited map[visitKey]bool
+	visited []visitKey
 	queue   []workItem
 	beh     Behavior
 }
@@ -338,7 +339,7 @@ type Walker struct {
 // NewWalker returns a reusable traverser for the network. The Env is
 // copied; later changes to it do not affect the Walker.
 func NewWalker(n *Network, env *Env) *Walker {
-	w := &Walker{n: n, visited: make(map[visitKey]bool)}
+	w := &Walker{n: n}
 	if env != nil {
 		w.env = *env
 	}
@@ -349,7 +350,7 @@ func NewWalker(n *Network, env *Env) *Walker {
 // internal buffers. The returned pointer aliases the Walker's scratch and
 // is only valid until the next call.
 func (w *Walker) Behavior(ingress int, pkt []byte, leaf *aptree.Node) *Behavior {
-	clear(w.visited)
+	w.visited = w.visited[:0]
 	w.queue = w.queue[:0]
 	w.beh = Behavior{
 		Ingress:    ingress,
@@ -357,7 +358,7 @@ func (w *Walker) Behavior(ingress int, pkt []byte, leaf *aptree.Node) *Behavior 
 		Deliveries: w.beh.Deliveries[:0],
 		Drops:      w.beh.Drops[:0],
 	}
-	w.n.behaviorInto(&w.env, ingress, pkt, leaf, &w.beh, w.visited, &w.queue)
+	w.n.behaviorInto(&w.env, ingress, pkt, leaf, &w.beh, &w.visited, &w.queue)
 	return &w.beh
 }
 
@@ -375,12 +376,13 @@ func (w *Walker) BehaviorPinned(src Source, ingress int, pkt []byte, leaf *aptre
 // otherwise.
 func (n *Network) Behavior(env *Env, ingress int, pkt []byte, leaf *aptree.Node) *Behavior {
 	b := &Behavior{Ingress: ingress}
+	var visited []visitKey
 	var queue []workItem
-	n.behaviorInto(env, ingress, pkt, leaf, b, make(map[visitKey]bool), &queue)
+	n.behaviorInto(env, ingress, pkt, leaf, b, &visited, &queue)
 	return b
 }
 
-func (n *Network) behaviorInto(env *Env, ingress int, pkt []byte, leaf *aptree.Node, b *Behavior, visited map[visitKey]bool, queuep *[]workItem) {
+func (n *Network) behaviorInto(env *Env, ingress int, pkt []byte, leaf *aptree.Node, b *Behavior, visitedp *[]visitKey, queuep *[]workItem) {
 	maxHops := env.MaxHops
 	if maxHops == 0 {
 		maxHops = 4*len(n.Boxes) + 16
@@ -399,22 +401,27 @@ func (n *Network) behaviorInto(env *Env, ingress int, pkt []byte, leaf *aptree.N
 			countDrop(d.Reason)
 		}
 	}()
+	// The queue is drained with a head index, not by reslicing from the
+	// front: the caller gets the slice back at full capacity, so a reused
+	// Walker stops regrowing it. The visited set is a slice scanned
+	// linearly: a walk crosses a handful of boxes, where a scan costs less
+	// than a map's hash, assign and clear.
 	queue := append(*queuep, workItem{box: ingress, pkt: pkt, leaf: leaf})
-	defer func() { *queuep = queue[:0] }()
-	for len(queue) > 0 {
+	visited := *visitedp
+	defer func() { *queuep, *visitedp = queue[:0], visited[:0] }()
+	for head := 0; head < len(queue); head++ {
 		hops++
-		w := queue[0]
-		queue = queue[1:]
+		w := queue[head]
 		if w.hops > maxHops {
 			b.Drops = append(b.Drops, DropEvent{w.box, DropHopBudget})
 			continue
 		}
 		vk := visitKey{w.box, w.leaf}
-		if visited[vk] {
+		if slices.Contains(visited, vk) {
 			b.Drops = append(b.Drops, DropEvent{w.box, DropLoop})
 			continue
 		}
-		visited[vk] = true
+		visited = append(visited, vk)
 		box := n.Boxes[w.box]
 
 		if !aclPasses(env, w.leaf, box.InACL) {

@@ -71,6 +71,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"apc_bdd_nodes_allocated_total",
 		"apc_network_walks_total",
 		"apc_network_hops_total",
+		"apc_verify_rows_built_total",
+		"apc_verify_row_walks_total",
+		"apc_verify_row_build_seconds_count",
 		"apc_checkpoint_saves_total",
 		"apc_checkpoint_save_duration_seconds",
 		"apc_checkpoint_age_seconds",

@@ -16,8 +16,9 @@
 //	GET  /checkpoint/latest         → newest committed checkpoint file (peer bootstrap)
 //	GET  /healthz                   → readiness: 200 serving, 503 draining; epoch + delta cursor
 //	GET  /verify/loops              → loop-freedom check over all packets (epoch-pinned)
-//	GET  /verify/reach?from=a&host=h → exact reachability summary (epoch-pinned)
+//	GET  /verify/reach?from=a&host=h → exact reachability summary (epoch-pinned; 400 on an unknown box or host)
 //	GET  /verify/blackholes?from=a  → packets dropped with no route (epoch-pinned)
+//	                                  (all /verify/*: 422 on a network hosting a middlebox)
 //	GET  /metrics                   → Prometheus text exposition of the obs registry
 //	GET  /debug/trace?n=k           → last k per-query stage traces (JSON)
 //	GET  /debug/pprof/...           → net/http/pprof profiles
@@ -495,8 +496,40 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 // write endpoints proceeds concurrently; the response names the epoch the
 // answer is exact for.
 
+// analyzer pins an epoch for a /verify/* handler. A network hosting a
+// middlebox gets 422 and nil: atom-level analysis does not cover header
+// rewrites, and verify.New panics on them.
+func (s *Server) analyzer(w http.ResponseWriter) *verify.Analyzer {
+	for _, b := range s.c.Net.Boxes {
+		if b.MB != nil {
+			writeErr(w, http.StatusUnprocessableEntity,
+				"verification does not support middleboxes: box %q rewrites headers", b.Name)
+			return nil
+		}
+	}
+	return verify.New(s.c)
+}
+
+// hostAttached reports whether a port of the topology faces the named
+// host. Attachments are fixed when the classifier is built — rule deltas
+// rewrite predicates, never peers — so the live topology answers for
+// whatever epoch an analyzer pinned.
+func (s *Server) hostAttached(name string) bool {
+	for _, b := range s.c.Net.Boxes {
+		for i := range b.Ports {
+			if p := &b.Ports[i].Peer; p.Kind == network.DestHost && p.Host == name {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func (s *Server) handleLoops(w http.ResponseWriter, r *http.Request) {
-	a := verify.New(s.c)
+	a := s.analyzer(w)
+	if a == nil {
+		return
+	}
 	loops := a.Loops()
 	names := make([]string, 0, len(loops))
 	for _, l := range loops {
@@ -510,13 +543,22 @@ func (s *Server) handleLoops(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	from := r.URL.Query().Get("from")
 	host := r.URL.Query().Get("host")
-	a := verify.New(s.c)
+	a := s.analyzer(w)
+	if a == nil {
+		return
+	}
 	box := a.BoxByName(from)
 	if box < 0 {
 		writeErr(w, http.StatusBadRequest, "unknown box %q", from)
 		return
 	}
 	set := a.ReachSet(box, host)
+	// Nothing reaches an unknown name, which must not read as "attached
+	// but unreachable"; an empty host asks for delivery to any host.
+	if set.Empty() && host != "" && !s.hostAttached(host) {
+		writeErr(w, http.StatusBadRequest, "unknown host %q", host)
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"from": from, "host": host, "packets": a.Describe(set),
 		"atoms": set.NumAtoms(), "fraction": set.Fraction(), "epoch": a.Epoch(),
@@ -525,7 +567,10 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBlackholes(w http.ResponseWriter, r *http.Request) {
 	from := r.URL.Query().Get("from")
-	a := verify.New(s.c)
+	a := s.analyzer(w)
+	if a == nil {
+		return
+	}
 	box := a.BoxByName(from)
 	if box < 0 {
 		writeErr(w, http.StatusBadRequest, "unknown box %q", from)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"apclassifier"
@@ -185,6 +186,49 @@ func TestVerifyEndpoints(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/verify/reach?from=nosuch&host=x", &reach); code != 400 {
 		t.Fatalf("unknown box: status %d", code)
+	}
+}
+
+// TestVerifyBadInput pins the /verify/* contract for input the analyzer
+// cannot answer: a name the pinned topology does not know is the caller's
+// error, not an empty packet set, and a middlebox network is refused with
+// a message instead of reaching verify.New's panic.
+func TestVerifyBadInput(t *testing.T) {
+	ds := netgen.Internet2Like(netgen.Config{Seed: 71, RuleScale: 0.01})
+	box, host := ds.Boxes[0].Name, ds.Hosts[0].Name
+	for _, tc := range []struct {
+		name      string
+		middlebox bool
+		path      string
+		status    int
+		errHas    string
+	}{
+		{"reach", false, "/verify/reach?from=" + box + "&host=" + host, 200, ""},
+		{"reach any host", false, "/verify/reach?from=" + box, 200, ""},
+		{"reach unknown host", false, "/verify/reach?from=" + box + "&host=nosuch", 400, "unknown host"},
+		{"blackholes unknown box", false, "/verify/blackholes?from=nosuch", 400, "unknown box"},
+		{"loops on a middlebox network", true, "/verify/loops", 422, "middlebox"},
+		{"reach on a middlebox network", true, "/verify/reach?from=" + box + "&host=" + host, 422, "middlebox"},
+		{"blackholes on a middlebox network", true, "/verify/blackholes?from=" + box, 422, "middlebox"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := apclassifier.New(ds, apclassifier.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.middlebox {
+				c.Net.Boxes[1].MB = &network.Middlebox{Name: "nat"}
+			}
+			ts := httptest.NewServer(New(c).Handler())
+			defer ts.Close()
+			var body map[string]interface{}
+			if code := getJSON(t, ts.URL+tc.path, &body); code != tc.status {
+				t.Fatalf("status %d, want %d (%v)", code, tc.status, body)
+			}
+			if msg, _ := body["error"].(string); !strings.Contains(msg, tc.errHas) {
+				t.Fatalf("error %q does not mention %q", msg, tc.errHas)
+			}
+		})
 	}
 }
 

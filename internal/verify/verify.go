@@ -10,51 +10,78 @@
 //
 // The Analyzer is snapshot-native: New pins one classifier epoch (the
 // published snapshot plus a copy of the topology captured atomically with
-// it) and never reads the live Manager again. Analyses are therefore
-// lock-free and churn-safe — concurrent rule-delta batches and
-// reconstructions cannot change an Analyzer's answers — with no
-// quiescence requirement. Results are PacketSets: interval-coded atom-ID
-// sets interpreted against the pinned epoch.
+// it) and never reads the live Manager again, so concurrent rule-delta
+// batches and reconstructions cannot change its answers and it needs no
+// quiescence. Results are PacketSets: interval-coded atom-ID sets
+// interpreted against the pinned epoch.
 package verify
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"apclassifier"
 	"apclassifier/internal/aptree"
 	"apclassifier/internal/bdd"
 	"apclassifier/internal/header"
 	"apclassifier/internal/network"
+	"apclassifier/internal/obs"
 	"apclassifier/internal/predicate"
 )
 
 // Analyzer answers network-wide verification queries against one pinned
-// classifier epoch. It is safe for concurrent use; sweep queries
-// parallelize internally.
+// classifier epoch. It walks each (ingress, atom) pair at most once: the
+// first query that names an ingress builds that ingress's row, and every
+// query after it — on any host, box or property — is a lookup in the row.
+// It is safe for concurrent use; sweep queries build rows in parallel.
 type Analyzer struct {
 	layout *header.Layout
 	snap   *aptree.Snapshot
 	view   *aptree.AtomView
 	net    *network.Network
-	// cache memoizes behaviors per (ingress, atom) for targeted queries.
-	// Exhaustive sweeps (Loops, ReachabilityMatrix) deliberately bypass it:
-	// at fat-tree scale persisting millions of cloned behaviors costs more
-	// than the walks they would save.
-	cache *network.BehaviorCache
+	// hostID numbers the hosts attached in the pinned topology.
+	hostID map[string]int
+	rows   []lazyRow
+}
+
+// lazyRow is one ingress's row: built once, by whichever query asks
+// first, and read lock-free after.
+type lazyRow struct {
+	once sync.Once
+	row  *row
+}
+
+// row is what one ingress's walks amount to, transposed: for each
+// question a query can ask, the set of atoms that answer yes.
+type row struct {
+	delivered  []predicate.AtomSet // by hostID: atoms with a branch delivered to the host
+	anyHost    predicate.AtomSet   // atoms delivered to at least one host
+	traverses  []predicate.AtomSet // by box: atoms whose walk crosses the box
+	loops      predicate.AtomSet   // atoms that revisit a box
+	blackholes predicate.AtomSet   // atoms with a branch no port matches
 }
 
 // New pins the classifier's published epoch — snapshot and topology
 // captured atomically — and builds an analyzer over it. The classifier
 // may keep updating freely; the analyzer's answers describe the pinned
-// epoch. Networks with middleboxes are rejected (their rewrites depend on
+// epoch. New walks nothing: rows are built by the queries that need them.
+// Networks with middleboxes are rejected (their rewrites depend on
 // concrete headers, not atoms).
 func New(c *apclassifier.Classifier) *Analyzer {
 	snap, net := c.PinForVerify()
+	hostID := map[string]int{}
 	for _, b := range net.Boxes {
 		if b.MB != nil {
 			panic("verify: atom-level analysis does not support middleboxes")
+		}
+		for i := range b.Ports {
+			if p := &b.Ports[i].Peer; p.Kind == network.DestHost {
+				if _, ok := hostID[p.Host]; !ok {
+					hostID[p.Host] = len(hostID)
+				}
+			}
 		}
 	}
 	return &Analyzer{
@@ -62,7 +89,8 @@ func New(c *apclassifier.Classifier) *Analyzer {
 		snap:   snap,
 		view:   snap.Atoms(),
 		net:    net,
-		cache:  network.NewBehaviorCache(snap, len(net.Boxes)),
+		hostID: hostID,
+		rows:   make([]lazyRow, len(net.Boxes)),
 	}
 }
 
@@ -77,14 +105,7 @@ func (a *Analyzer) NumBoxes() int { return len(a.net.Boxes) }
 
 // BoxByName resolves a box name against the pinned topology (not the live
 // one, which may gain boxes concurrently). Returns -1 if absent.
-func (a *Analyzer) BoxByName(name string) int {
-	for i, b := range a.net.Boxes {
-		if b.Name == name {
-			return i
-		}
-	}
-	return -1
-}
+func (a *Analyzer) BoxByName(name string) int { return a.net.BoxByName(name) }
 
 // BoxName returns the pinned topology's name for a box ID.
 func (a *Analyzer) BoxName(i int) string { return a.net.Boxes[i].Name }
@@ -95,16 +116,97 @@ func (a *Analyzer) newWalker() *network.Walker {
 	return network.NewWalker(a.net, &network.Env{Source: a.snap})
 }
 
-// behavior computes (or recalls) the behavior of an atom from an ingress
-// through the per-epoch cache.
-func (a *Analyzer) behavior(w *network.Walker, ingress int, atom int32) *network.Behavior {
-	if b := a.cache.Lookup(ingress, atom); b != nil {
-		return b
-	}
-	b := w.BehaviorPinned(a.snap, ingress, nil, a.view.Leaf(atom)).Clone()
-	a.cache.Store(ingress, atom, b)
-	return b
+// row returns the ingress's row, building it on first use with the
+// caller's Walker (sweep workers have one) or, given nil, a fresh one.
+func (a *Analyzer) row(w *network.Walker, ingress int) *row {
+	lr := &a.rows[ingress]
+	lr.once.Do(func() {
+		if w == nil {
+			w = a.newWalker()
+		}
+		lr.row = a.buildRow(w, ingress)
+	})
+	return lr.row
 }
+
+// atomAcc accumulates one index entry during the ascending atom pass. A
+// walk can hit the same entry twice (two edges through one box); next
+// makes add idempotent per atom.
+type atomAcc struct {
+	b    predicate.AtomSetBuilder
+	next int32 // last atom added + 1
+}
+
+func (c *atomAcc) add(atom int32) {
+	if c.next != atom+1 {
+		c.b.Add(atom)
+		c.next = atom + 1
+	}
+}
+
+func atomSets(accs []atomAcc) []predicate.AtomSet {
+	sets := make([]predicate.AtomSet, len(accs))
+	for i := range accs {
+		sets[i] = accs[i].b.Set()
+	}
+	return sets
+}
+
+// buildRow is the analyzer's only traversal: one ascending pass over the
+// atoms, one walk each, read straight out of the Walker's scratch (nothing
+// is cloned or cached per atom) and folded into the row's indexes.
+func (a *Analyzer) buildRow(w *network.Walker, ingress int) *row {
+	start := time.Now()
+	delivered := make([]atomAcc, len(a.hostID))
+	traverses := make([]atomAcc, len(a.net.Boxes))
+	var anyHost, loops, blackholes atomAcc
+	a.view.Each(func(atom int32) bool {
+		b := w.BehaviorPinned(a.snap, ingress, nil, a.view.Leaf(atom))
+		for _, d := range b.Deliveries {
+			delivered[a.hostID[d.Host]].add(atom)
+			anyHost.add(atom)
+		}
+		if len(b.Edges) > 0 || len(b.Deliveries) > 0 || len(b.Drops) > 0 {
+			traverses[ingress].add(atom)
+		}
+		for _, e := range b.Edges {
+			traverses[e.Box].add(atom)
+			if e.To.Kind == network.DestBox {
+				traverses[e.To.Box].add(atom)
+			}
+		}
+		for _, d := range b.Drops {
+			switch d.Reason {
+			case network.DropLoop:
+				loops.add(atom)
+			case network.DropNoRoute:
+				blackholes.add(atom)
+			}
+		}
+		return true
+	})
+	mRowsBuilt.Inc()
+	mRowWalks.Add(uint64(a.view.N()))
+	mRowBuild.Record(time.Since(start).Seconds())
+	return &row{
+		delivered:  atomSets(delivered),
+		anyHost:    anyHost.b.Set(),
+		traverses:  atomSets(traverses),
+		loops:      loops.b.Set(),
+		blackholes: blackholes.b.Set(),
+	}
+}
+
+// Row-build metrics, flushed once per row — never per atom, and nothing
+// on the query path.
+var (
+	mRowsBuilt = obs.Default.Counter("apc_verify_rows_built_total",
+		"Per-ingress verification rows built (one pass over every atom of the pinned epoch).")
+	mRowWalks = obs.Default.Counter("apc_verify_row_walks_total",
+		"Stage-2 walks performed by verification row builds, one per (ingress, atom).")
+	mRowBuild = obs.Default.Histogram("apc_verify_row_build_seconds",
+		"Time to build one verification row.", obs.DefBuckets)
+)
 
 // PacketSet is an exact set of packets of the analyzer's epoch: a union
 // of atomic predicates, held as an interval-coded atom-ID set. All
@@ -172,40 +274,24 @@ func (ps PacketSet) UnionRef(d *bdd.DD) bdd.Ref {
 	return set
 }
 
-// packetSet assembles a PacketSet from an ascending-ID builder.
-func (a *Analyzer) packetSet(b *predicate.AtomSetBuilder) PacketSet {
-	return PacketSet{a: a, set: b.Set()}
-}
-
 // ReachSet returns the exact set of packets that, entering at ingress,
-// are delivered to the named host.
+// are delivered to the named host (to any host if the name is empty). A
+// host not attached in the pinned topology is reached by nothing.
 func (a *Analyzer) ReachSet(ingress int, host string) PacketSet {
-	w := a.newWalker()
-	var b predicate.AtomSetBuilder
-	a.view.Each(func(atom int32) bool {
-		if a.behavior(w, ingress, atom).Delivered(host) {
-			b.Add(atom)
-		}
-		return true
-	})
-	return a.packetSet(&b)
+	r := a.row(nil, ingress)
+	if host == "" {
+		return PacketSet{a, r.anyHost}
+	}
+	if id, ok := a.hostID[host]; ok {
+		return PacketSet{a, r.delivered[id]}
+	}
+	return PacketSet{a: a}
 }
 
 // Blackholes returns the set of packets that, entering at ingress, have
 // at least one branch dropped for lack of any matching output port.
 func (a *Analyzer) Blackholes(ingress int) PacketSet {
-	w := a.newWalker()
-	var b predicate.AtomSetBuilder
-	a.view.Each(func(atom int32) bool {
-		for _, drop := range a.behavior(w, ingress, atom).Drops {
-			if drop.Reason == network.DropNoRoute {
-				b.Add(atom)
-				break
-			}
-		}
-		return true
-	})
-	return a.packetSet(&b)
+	return PacketSet{a, a.row(nil, ingress).blackholes}
 }
 
 // Loop describes a forwarding loop: an atom that revisits a box when
@@ -218,48 +304,26 @@ type Loop struct {
 
 // LoopSet returns the set of packets that loop when entering at ingress.
 func (a *Analyzer) LoopSet(ingress int) PacketSet {
-	w := a.newWalker()
-	var b predicate.AtomSetBuilder
-	a.view.Each(func(atom int32) bool {
-		if loops(a.behavior(w, ingress, atom)) {
-			b.Add(atom)
-		}
-		return true
-	})
-	return a.packetSet(&b)
-}
-
-func loops(b *network.Behavior) bool {
-	for _, drop := range b.Drops {
-		if drop.Reason == network.DropLoop {
-			return true
-		}
-	}
-	return false
+	return PacketSet{a, a.row(nil, ingress).loops}
 }
 
 // Loops sweeps every (ingress, atom) pair — in parallel, one worker per
-// CPU — and reports every forwarding loop with an example header.
+// CPU — and reports every forwarding loop with an example header, by
+// ingress then atom. The rows it builds stay with the analyzer, so the
+// queries that follow a sweep walk nothing.
 func (a *Analyzer) Loops() []Loop {
+	a.sweep()
 	view := a.snap.View()
-	perIngress := make([][]Loop, len(a.net.Boxes))
-	a.sweep(func(w *network.Walker, ingress int) {
-		var out []Loop
-		a.view.Each(func(atom int32) bool {
-			if loops(w.BehaviorPinned(a.snap, ingress, nil, a.view.Leaf(atom))) {
-				out = append(out, Loop{
-					Ingress: ingress,
-					AtomID:  atom,
-					Example: view.AnySat(a.view.BDD(atom)),
-				})
-			}
+	var out []Loop
+	for ingress := range a.rows {
+		a.row(nil, ingress).loops.Each(func(atom int32) bool {
+			out = append(out, Loop{
+				Ingress: ingress,
+				AtomID:  atom,
+				Example: view.AnySat(a.view.BDD(atom)),
+			})
 			return true
 		})
-		perIngress[ingress] = out
-	})
-	var out []Loop
-	for _, l := range perIngress {
-		out = append(out, l...)
 	}
 	return out
 }
@@ -269,114 +333,53 @@ func (a *Analyzer) Loops() []Loop {
 // check of §I ("HTTP traffic should be forwarded through firewall, IDS,
 // proxy"). An empty result means the waypoint property holds.
 func (a *Analyzer) WaypointViolations(ingress int, host string, waypoint int) PacketSet {
-	w := a.newWalker()
-	var b predicate.AtomSetBuilder
-	a.view.Each(func(atom int32) bool {
-		beh := a.behavior(w, ingress, atom)
-		if beh.Delivered(host) && !beh.Traverses(waypoint) {
-			b.Add(atom)
-		}
-		return true
-	})
-	return a.packetSet(&b)
+	return PacketSet{a, a.ReachSet(ingress, host).set.Diff(a.row(nil, ingress).traverses[waypoint])}
 }
 
 // CanReach returns the set of packets that, entering at box from,
 // traverse box to (the VLAN-isolation check of §I asks for this to be
-// empty between tenants).
+// empty between tenants). Every packet traverses its own ingress.
 func (a *Analyzer) CanReach(from, to int) PacketSet {
-	if from == to {
-		return PacketSet{a: a, set: a.view.IDs()}
-	}
-	w := a.newWalker()
-	var b predicate.AtomSetBuilder
-	a.view.Each(func(atom int32) bool {
-		if a.behavior(w, from, atom).Traverses(to) {
-			b.Add(atom)
-		}
-		return true
-	})
-	return a.packetSet(&b)
+	return PacketSet{a, a.row(nil, from).traverses[to]}
 }
 
 // Isolated reports whether no packet entering at from can traverse to.
 func (a *Analyzer) Isolated(from, to int) bool {
-	if from == to {
-		return false
-	}
-	w := a.newWalker()
-	isolated := true
-	a.view.Each(func(atom int32) bool {
-		if a.behavior(w, from, atom).Traverses(to) {
-			isolated = false
-			return false
-		}
-		return true
-	})
-	return isolated
+	return a.CanReach(from, to).Empty()
 }
 
 // ReachabilityMatrix computes, for every ordered box pair (i, j), how
 // many atoms entering at i traverse j — a compact network-wide
 // connectivity summary (the diagonal counts atoms that do anything at all
-// at i). Rows are computed in parallel.
+// at i). Rows are built in parallel and stay with the analyzer.
 func (a *Analyzer) ReachabilityMatrix() [][]int {
-	n := len(a.net.Boxes)
-	m := make([][]int, n)
-	a.sweep(func(w *network.Walker, ingress int) {
-		row := make([]int, n)
-		// stamp marks the boxes one behavior traverses; stamping with a
-		// per-behavior token avoids clearing it between atoms.
-		stamp := make([]int32, n)
-		token := int32(0)
-		a.view.Each(func(atom int32) bool {
-			b := w.BehaviorPinned(a.snap, ingress, nil, a.view.Leaf(atom))
-			token++
-			mark := func(box int) {
-				if stamp[box] != token {
-					stamp[box] = token
-					row[box]++
-				}
-			}
-			if len(b.Edges) > 0 || len(b.Deliveries) > 0 || len(b.Drops) > 0 {
-				mark(ingress)
-			}
-			for _, e := range b.Edges {
-				mark(e.Box)
-				if e.To.Kind == network.DestBox {
-					mark(e.To.Box)
-				}
-			}
-			return true
-		})
-		m[ingress] = row
-	})
+	a.sweep()
+	m := make([][]int, len(a.rows))
+	for i := range m {
+		m[i] = make([]int, len(a.rows))
+		for j, set := range a.row(nil, i).traverses {
+			m[i][j] = set.Len()
+		}
+	}
 	return m
 }
 
-// sweep runs fn once per ingress box across GOMAXPROCS workers, each with
-// its own Walker. fn must only write state owned by its ingress.
-func (a *Analyzer) sweep(fn func(w *network.Walker, ingress int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(a.net.Boxes) {
-		workers = len(a.net.Boxes)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+// sweep builds every row not built yet, across GOMAXPROCS workers, each
+// with its own Walker.
+func (a *Analyzer) sweep() {
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			w := a.newWalker()
 			for ingress := range next {
-				fn(w, ingress)
+				a.row(w, ingress)
 			}
 		}()
 	}
-	for ingress := range a.net.Boxes {
+	for ingress := range a.rows {
 		next <- ingress
 	}
 	close(next)
@@ -389,13 +392,7 @@ func (a *Analyzer) Describe(ps PacketSet) string {
 	if ps.Empty() {
 		return "(empty)"
 	}
-	pkt := a.layout.NewPacket()
-	for i, v := range ps.Example() {
-		if v == 1 {
-			pkt[i/8] |= 0x80 >> uint(i%8)
-		}
-	}
-	return fmt.Sprintf("%.4g%% of header space, e.g. %s", ps.Fraction()*100, a.layout.String(pkt))
+	return describe(a.layout, ps.Fraction(), ps.Example())
 }
 
 // DescribeRef renders a BDD packet set against a live DD the same way
@@ -405,9 +402,12 @@ func DescribeRef(d *bdd.DD, layout *header.Layout, set bdd.Ref) string {
 	if set == bdd.False {
 		return "(empty)"
 	}
-	frac := d.SatCount(set) / d.SatCount(bdd.True)
+	return describe(layout, d.SatCount(set)/d.SatCount(bdd.True), d.AnySat(set))
+}
+
+func describe(layout *header.Layout, frac float64, example []int8) string {
 	pkt := layout.NewPacket()
-	for i, v := range d.AnySat(set) {
+	for i, v := range example {
 		if v == 1 {
 			pkt[i/8] |= 0x80 >> uint(i%8)
 		}
