@@ -48,7 +48,7 @@ FUZZ_TIME ?= 5s
 # small scale, short enough for CI.
 FLAT_DUR := 100ms
 
-.PHONY: build test vet lint race apdebug bench-smoke bench-gate bench-flat cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke check
+.PHONY: build test vet lint race apdebug bench-smoke bench-gate bench-flat cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke no-orphans check
 
 build:
 	$(GO) build ./...
@@ -137,5 +137,17 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit !(t+0 >= f+0) }' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
+# Nothing outlives the gate: fail if a process started from the checkout —
+# a smoke still writing under $(SMOKE_DIR), a bench/run.sh worker, the
+# cluster smoke's real apserver/aprouter — is alive once the gates are
+# done. pgrep -f matches whole command lines; the bracketed first letters
+# keep the pattern from matching the shell that runs it.
+ORPHAN_PATTERN := [a]pc-checkpoint-smoke|[.]bench_build/bench|[a]pserver|[a]prouter
+no-orphans:
+	@if pgrep -fa '$(ORPHAN_PATTERN)'; then \
+		echo "the processes above outlived the gates that started them"; exit 1; \
+	fi
+
 check: build vet test lint race apdebug bench-smoke bench-gate bench-flat checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke cover
+	@$(MAKE) --no-print-directory no-orphans
 	@echo "all gates passed"

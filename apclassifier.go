@@ -404,8 +404,7 @@ func (c *Classifier) AddFwdRule(box int, r rule.FwdRule) {
 
 // RemoveFwdRule removes a forwarding rule (by exact prefix) from a box and
 // updates the AP Tree in real time via the delta pipeline; the atoms the
-// rule's predicates refined are merged back immediately rather than
-// tombstoned until the next Reconstruct.
+// rule's predicates refined are merged back in the same epoch.
 func (c *Classifier) RemoveFwdRule(box int, p rule.Prefix) bool {
 	removed := false
 	for _, r := range c.Dataset.Boxes[box].Fwd.Rules {

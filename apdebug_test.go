@@ -55,7 +55,7 @@ func TestApdebugCacheEpochCheck(t *testing.T) {
 }
 
 // TestApdebugDeltaPartition drives the delta pipeline with the leaf
-// partition sanitizer armed: under -tags apdebug every ApplyDelta and
+// partition sanitizer armed: under -tags apdebug every AddPredicate and
 // RemovePredicate self-checks inside the transaction, and this test
 // additionally audits the published tree after each batch — the
 // incrementally split/merged leaves must remain a disjoint, exhaustive
@@ -102,4 +102,42 @@ func TestApdebugDeltaPartition(t *testing.T) {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
 	}
+}
+
+// TestApdebugWiringCheck drives the assertion that replaced stage 2's
+// per-hop liveness probe: every ID wired into the topology is live in the
+// published epoch. ApplyRuleDeltas and restore keep that by construction
+// (both run the check and stay silent); a removal that forgets to unwire
+// its ID must trip it.
+func TestApdebugWiringCheck(t *testing.T) {
+	ds := netgen.Internet2Like(netgen.Config{Seed: 54, RuleScale: 0.01})
+	c, err := New(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetInACL(0, &rule.ACL{Default: rule.Deny}) // a live bdd.False slot is fine
+	c.SetInACL(0, nil)
+	c.debugCheckWiring()
+
+	var victim int32 = -1
+	for _, id := range c.PortPred[0] {
+		if id >= 0 {
+			victim = id
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("box 0 forwards nowhere")
+	}
+	c.Manager.RemovePredicate(victim) // left dangling in c.Net and c.PortPred
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("a port wired to a removed predicate must panic under apdebug")
+		}
+		if !strings.Contains(r.(string), "apdebug") || !strings.Contains(r.(string), "dead predicate") {
+			t.Fatalf("unexpected panic: %v", r)
+		}
+	}()
+	c.debugCheckWiring()
 }

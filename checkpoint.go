@@ -110,6 +110,7 @@ func NewFromRestored(res *checkpoint.Restored) (*Classifier, error) {
 	// Resume the firehose cursor: sequenced /rules/batch deliveries the
 	// checkpointed classifier already applied stay acknowledged-only.
 	c.deltaSeq.Store(res.DeltaSeq)
+	c.debugCheckWiring()
 	return c, nil
 }
 

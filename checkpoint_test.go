@@ -3,9 +3,11 @@ package apclassifier
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"apclassifier/internal/checkpoint"
+	"apclassifier/internal/network"
 	"apclassifier/internal/rule"
 )
 
@@ -18,7 +20,7 @@ func sortedIDs(ids []int32) []int32 {
 
 // TestCheckpointRestoreMatchesLive is the warm-restart differential
 // satellite: on every netgen dataset it mutates a live classifier (so
-// the checkpoint carries tombstones and post-build predicates), saves
+// the checkpoint carries dead slots and post-build predicates), saves
 // it through the managed directory, restores a second classifier from
 // disk, and checks the two are behaviorally indistinguishable on
 // boundary and random headers — same leaf atom, same membership bits,
@@ -33,7 +35,7 @@ func TestCheckpointRestoreMatchesLive(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Age the classifier: rule updates tombstone predicates and
+			// Age the classifier: rule updates remove predicates and
 			// add new ones, a reconstruction swaps the tree. The
 			// checkpoint must capture this post-update epoch, not the
 			// cold-build state.
@@ -137,6 +139,76 @@ func TestCheckpointRestoreMatchesLive(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCheckpointRestoresDenyAllACL: an all-deny ACL converts to the empty
+// predicate, which the facade registers like any other — a live slot
+// holding bdd.False. A checkpoint taken in that state must restore (it
+// used to be refused as "live predicate N has false BDD", so a running
+// server kept replacing good checkpoints with unrestorable ones), answer
+// like the live classifier, and keep taking updates on exactly those
+// slots.
+func TestCheckpointRestoresDenyAllACL(t *testing.T) {
+	ds := diffDatasets()["internet2"]
+	c, err := New(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	denyAll := &rule.ACL{Default: rule.Deny}
+	c.SetInACL(0, denyAll)
+	c.SetPortACL(1, 0, denyAll)
+
+	dir, err := checkpoint.Open(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dir.Save(c.CheckpointSource()); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := RestoreDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.NumPredicates() != c.NumPredicates() {
+		t.Fatalf("restored %d predicates, live %d", rc.NumPredicates(), c.NumPredicates())
+	}
+
+	rng := rand.New(rand.NewSource(47))
+	probes := boundaryFields(ds, rng, 3)
+	for i := 0; i < 150; i++ {
+		probes = append(probes, ds.RandomFields(rng))
+	}
+	same := func(phase string, a, b *Classifier) {
+		t.Helper()
+		inDenied, outDenied := false, false
+		for i, f := range probes {
+			pkt := ds.PacketFromFields(f)
+			for ingress := range ds.Boxes {
+				ba, bb := a.Behavior(ingress, pkt).String(), b.Behavior(ingress, pkt).String()
+				if ba != bb {
+					t.Fatalf("%s probe %d from box %d:\n %s\n %s", phase, i, ingress, ba, bb)
+				}
+				inDenied = inDenied || strings.Contains(ba, string(network.DropInACL))
+				outDenied = outDenied || strings.Contains(ba, string(network.DropOutACL))
+			}
+		}
+		if phase == "restore" && !(inDenied && outDenied) {
+			t.Fatal("probes did not meet both deny-all ACLs: the regression is not exercised")
+		}
+	}
+	same("restore", c, rc)
+
+	// Replace one deny-all ACL and clear the other on the restored
+	// classifier: both updates remove a live bdd.False slot.
+	deny := rule.MatchAll()
+	deny.Dst = rule.P(0x80000000, 1)
+	rc.SetInACL(0, &rule.ACL{Rules: []rule.ACLRule{{Match: deny, Action: rule.Deny}}, Default: rule.Permit})
+	rc.SetPortACL(1, 0, nil)
+	cold, err := New(rc.Dataset, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("post-update", rc, cold)
 }
 
 // TestCheckpointResumesDeltaSeq is the firehose-idempotency satellite: the

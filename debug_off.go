@@ -9,3 +9,6 @@ import (
 
 // debugCheckCacheEpoch is free in release builds; see debug_on.go.
 func debugCheckCacheEpoch(*network.BehaviorCache, *aptree.Snapshot) {}
+
+// debugCheckWiring is free in release builds; see debug_on.go.
+func (c *Classifier) debugCheckWiring() {}

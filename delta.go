@@ -89,9 +89,10 @@ func (c *Classifier) validateDelta(dl RuleDelta) error {
 // registry and the live tree by the atom-merge/split delta path (Tx.Remove
 // + Tx.Add), and the topology is rewired, all under a single
 // Manager.Update: queries observe either the pre-batch or the post-batch
-// epoch, never an intermediate state. Like the individual mutators, callers
-// must externally synchronize with each other (the server holds its write
-// lock); queries need no synchronization.
+// epoch, never an intermediate state, and no slot is left naming a removed
+// ID (stage 2 probes no liveness; the apdebug build asserts it). Like the
+// individual mutators, callers must externally synchronize with each other
+// (the server holds its write lock); queries need no synchronization.
 func (c *Classifier) ApplyRuleDeltas(deltas []RuleDelta) error {
 	for i, dl := range deltas {
 		if err := c.validateDelta(dl); err != nil {
@@ -186,6 +187,7 @@ func (c *Classifier) ApplyRuleDeltas(deltas []RuleDelta) error {
 			*slot = id
 		}
 	})
+	c.debugCheckWiring()
 	return nil
 }
 

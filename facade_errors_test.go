@@ -3,6 +3,7 @@ package apclassifier
 import (
 	"testing"
 
+	"apclassifier/internal/bdd"
 	"apclassifier/internal/header"
 	"apclassifier/internal/netgen"
 	"apclassifier/internal/rule"
@@ -33,10 +34,10 @@ func TestTreeInputReflectsDeletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A predicate wired to no box, so removing it leaves nothing dangling.
+	id := c.Manager.AddPredicate(func(d *bdd.DD) bdd.Ref { return d.FromPrefix(0, 0x0A000000, 8, ds.Layout.Bits()) })
 	before := len(c.TreeInput().Live)
-	// Tombstone one live predicate via the manager.
-	ids := c.Manager.LiveIDs()
-	c.Manager.DeletePredicate(ids[0])
+	c.Manager.RemovePredicate(id)
 	after := len(c.TreeInput().Live)
 	if after != before-1 {
 		t.Fatalf("TreeInput live count %d -> %d, want -1", before, after)

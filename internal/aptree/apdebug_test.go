@@ -47,7 +47,7 @@ func TestApdebugPartitionSurvivesLiveUpdates(t *testing.T) {
 	if err := m.Tree().CheckLeafPartition(); err != nil {
 		t.Fatal(err)
 	}
-	m.DeletePredicate(ids[3])
+	m.RemovePredicate(ids[3])
 	m.Reconstruct(false)
 	if err := m.Tree().CheckLeafPartition(); err != nil {
 		t.Fatalf("after reconstruct: %v", err)

@@ -17,40 +17,8 @@ type DeltaStats struct {
 	Merges        uint64
 }
 
-func (s *DeltaStats) add(o DeltaStats) {
-	s.TouchedLeaves += o.TouchedLeaves
-	s.Splits += o.Splits
-	s.Merges += o.Merges
-}
-
 // zero reports whether the transaction did no structural delta work.
 func (s DeltaStats) zero() bool { return s == DeltaStats{} }
-
-// PredAdd names one predicate addition of a delta batch.
-type PredAdd struct {
-	ID int32
-	P  bdd.Ref
-}
-
-// ApplyDelta applies a batch of predicate removals followed by additions as
-// one persistent copy-on-write derivation, returning the new tree version
-// and the structural work done. Only leaves whose label intersects the
-// delta region are copied; everything else is shared by pointer with the
-// receiver, exactly like AddPredicate, so pinned snapshots of older
-// versions keep classifying untouched. Removals run first so an old/new
-// predicate swap (the delta form of an LPM change) never doubles the
-// refinement in between.
-func (t *Tree) ApplyDelta(removals []int32, adds []PredAdd) (*Tree, DeltaStats) {
-	var st DeltaStats
-	nt := t
-	for _, id := range removals {
-		nt = nt.removePredicate(id, &st)
-	}
-	for _, a := range adds {
-		nt = nt.addPredicate(a.ID, a.P, &st)
-	}
-	return nt, st
-}
 
 // RemovePredicate physically removes predicate id from the tree — the dual
 // of AddPredicate: every node routing on id is eliminated and the sibling

@@ -8,17 +8,22 @@ import (
 	"apclassifier/internal/predicate"
 )
 
-// freshRefinement builds a tree from scratch over the given live predicate
-// set and returns its leaf count — the size of the full refinement.
-func freshRefinement(d *bdd.DD, preds []bdd.Ref, live []int32) int {
+// liveAtoms computes from scratch the atoms of the live subset of the
+// ID-indexed preds.
+func liveAtoms(d *bdd.DD, preds []bdd.Ref, live []int32) *predicate.Atoms {
 	liveRefs := make([]bdd.Ref, 0, len(live))
 	ids := make([]int, 0, len(live))
 	for _, id := range live {
 		liveRefs = append(liveRefs, preds[id])
 		ids = append(ids, int(id))
 	}
-	atoms := predicate.ComputeMapped(d, liveRefs, ids, len(preds))
-	return atoms.N()
+	return predicate.ComputeMapped(d, liveRefs, ids, len(preds))
+}
+
+// freshRefinement returns the size of the full refinement of the live
+// predicate set — the leaf count a correct tree over it must have.
+func freshRefinement(d *bdd.DD, preds []bdd.Ref, live []int32) int {
+	return liveAtoms(d, preds, live).N()
 }
 
 func TestRemovePredicateMergesToFullRefinement(t *testing.T) {
@@ -93,39 +98,52 @@ func TestRemovePredicateAbsentIDIsNoop(t *testing.T) {
 	}
 }
 
-func TestApplyDeltaBatch(t *testing.T) {
+// TestUpdateBatchRemoveAdd drives the path the product runs: one
+// Manager.Update carrying Tx.Remove calls followed by Tx.Add calls — the
+// delta form of an LPM change — must land on the full refinement of the
+// surviving predicate set, whatever the batch.
+func TestUpdateBatchRemoveAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	d := bdd.New(16)
 	preds := randomPrefixPreds(d, 10, 16, rng)
 	in := buildInput(d, preds, rng)
-	tree := Build(in, MethodOAPT)
+	reg := NewRegistry() // issues the IDs buildInput assumed: 0..len(preds)-1
+	for _, p := range preds {
+		reg.Add(p)
+	}
+	m := NewManagerWith(d, reg, Build(in, MethodOAPT), MethodOAPT)
 	live := append([]int32(nil), in.Live...)
 
 	allPreds := append([]bdd.Ref(nil), preds...)
 	for round := 0; round < 10; round++ {
 		// Remove up to two random live predicates, add up to two fresh ones,
-		// in one batch.
+		// in one transaction. Removals run first so an old/new swap never
+		// doubles the refinement in between.
 		var removals []int32
 		for k := 0; k < 2 && len(live) > 1; k++ {
 			i := rng.Intn(len(live))
 			removals = append(removals, live[i])
 			live = append(live[:i], live[i+1:]...)
 		}
-		var adds []PredAdd
-		for k := 0; k < 1+rng.Intn(2); k++ {
-			p := d.Retain(d.FromPrefix(0, uint64(rng.Uint32()>>16), 1+rng.Intn(8), 16))
-			id := int32(len(allPreds))
-			allPreds = append(allPreds, p)
-			live = append(live, id)
-			adds = append(adds, PredAdd{ID: id, P: p})
-		}
-		var st DeltaStats
-		tree, st = tree.ApplyDelta(removals, adds)
-		if len(removals) > 0 && st.Merges == 0 && st.TouchedLeaves == 0 && st.Splits == 0 {
-			// Possible only if the removed predicates never refined anything;
-			// with random prefixes over 16 bits this is overwhelmingly
-			// unlikely but not an error.
-			t.Logf("round %d: delta batch did no structural work", round)
+		nAdds := 1 + rng.Intn(2)
+		before := m.Snapshot()
+		m.Update(func(tx *Tx) {
+			for _, id := range removals {
+				tx.Remove(id)
+			}
+			for k := 0; k < nAdds; k++ {
+				p := tx.DD().FromPrefix(0, uint64(rng.Uint32()>>16), 1+rng.Intn(8), 16)
+				id := tx.Add(p)
+				if int(id) != len(allPreds) {
+					t.Fatalf("round %d: Add issued ID %d, want %d", round, id, len(allPreds))
+				}
+				allPreds = append(allPreds, p)
+				live = append(live, id)
+			}
+		})
+		tree := m.Tree()
+		if tree == before.Tree() {
+			t.Fatalf("round %d: update published the previous tree version", round)
 		}
 		if err := tree.Validate(live); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -133,26 +151,53 @@ func TestApplyDeltaBatch(t *testing.T) {
 		if want := freshRefinement(d, allPreds, live); tree.NumLeaves() != want {
 			t.Fatalf("round %d: %d leaves, full refinement has %d", round, tree.NumLeaves(), want)
 		}
+		for _, id := range removals {
+			if m.Ref(id) != bdd.False || tree.Pred(id) != bdd.False {
+				t.Fatalf("round %d: removed predicate %d keeps a ref (registry %v, tree %v)",
+					round, id, m.Ref(id), tree.Pred(id))
+			}
+		}
 		checkClassification(t, tree, d, allPreds, live, 2, rng, 50)
 	}
 }
 
+// TestDeltaStatsCounts: one Add that splits and one Remove that merges
+// tally exactly that; removing a predicate with no structural trace (the
+// empty predicate of an all-deny ACL) does no work and shares the tree
+// version; earlier versions stay untouched throughout.
 func TestDeltaStatsCounts(t *testing.T) {
-	d := bdd.New(8)
-	in := Input{D: d, Atoms: predicate.Compute(d, nil)}
-	tree := Build(in, MethodOrder) // single leaf True
-	p := d.Retain(d.FromPrefix(0, 0x80, 1, 8))
-
-	nt, st := tree.ApplyDelta(nil, []PredAdd{{ID: 0, P: p}})
+	m := NewManager(8, MethodOrder) // single leaf True
+	base := m.Tree()
+	var id, deny int32
+	var st DeltaStats
+	m.Update(func(tx *Tx) {
+		id = tx.Add(tx.DD().FromPrefix(0, 0x80, 1, 8))
+		deny = tx.Add(bdd.False)
+		st = tx.stats
+	})
 	if st.Splits != 1 || st.Merges != 0 {
 		t.Fatalf("add stats = %+v, want one split", st)
 	}
-	nt2, st2 := nt.ApplyDelta([]int32{0}, nil)
-	if st2.Merges != 1 || st2.Splits != 0 {
-		t.Fatalf("remove stats = %+v, want one merge", st2)
+	split := m.Tree()
+	m.Update(func(tx *Tx) {
+		tx.Remove(deny)
+		st = tx.stats
+	})
+	if !st.zero() || m.Tree() != split {
+		t.Fatalf("removing an empty predicate did structural work: %+v", st)
 	}
-	if nt2.NumLeaves() != 1 {
-		t.Fatalf("leaves = %d after add+remove, want 1", nt2.NumLeaves())
+	m.Update(func(tx *Tx) {
+		tx.Remove(id)
+		st = tx.stats
+	})
+	if st.Merges != 1 || st.Splits != 0 {
+		t.Fatalf("remove stats = %+v, want one merge", st)
+	}
+	if m.Tree().NumLeaves() != 1 {
+		t.Fatalf("leaves = %d after add+remove, want 1", m.Tree().NumLeaves())
+	}
+	if base.NumLeaves() != 1 || split.NumLeaves() != 2 {
+		t.Fatal("update mutated an earlier tree version")
 	}
 }
 

@@ -65,7 +65,7 @@ func TestRandomUpdateSequencesKeepTreeCorrect(t *testing.T) {
 				live = append(live, id)
 			} else {
 				k := rng.Intn(len(live))
-				m.DeletePredicate(live[k])
+				m.RemovePredicate(live[k])
 				live = append(live[:k], live[k+1:]...)
 			}
 			if rng.Intn(10) == 0 {

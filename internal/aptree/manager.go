@@ -49,7 +49,7 @@ type Manager struct {
 	rebuildMu sync.Mutex
 	journal   []journalOp // non-nil while a rebuild is in flight
 
-	// updatesSinceSwap counts Add/Delete operations applied to the live
+	// updatesSinceSwap counts Add/Remove operations applied to the live
 	// tree since the last reconstruction; the auto-reconstruction policy
 	// triggers on it (§VI-B: "the number of updates on the current AP
 	// Tree is higher than a threshold").
@@ -73,10 +73,9 @@ type Manager struct {
 }
 
 type journalOp struct {
-	del  bool
-	hard bool // physical removal (atom merge), not a tombstone
-	id   int32
-	ref  bdd.Ref // in the DD that was live when the op was journaled
+	del bool // Remove (atom merge); otherwise Add
+	id  int32
+	ref bdd.Ref // in the DD that was live when the op was journaled
 }
 
 // NewManager returns a manager over an empty predicate set (every packet
@@ -110,12 +109,6 @@ func NewManagerWith(d *bdd.DD, reg *Registry, tree *Tree, method Method) *Manage
 // fresh immutable Snapshot and stores it for the lock-free query path.
 // Callers must hold m.mu (or be a constructor with exclusive access).
 func (m *Manager) publishLocked() {
-	live := predicate.NewBitset(m.reg.NumIDs())
-	for id, l := range m.reg.live {
-		if l {
-			live.Set(id, true)
-		}
-	}
 	view := m.d.Freeze()
 	if m.flatPlans == nil || m.flatPlans.d != m.d {
 		m.flatPlans = newFlatPlanner(m.d)
@@ -134,7 +127,7 @@ func (m *Manager) publishLocked() {
 		tree:    m.tree,
 		view:    view,
 		flat:    flat,
-		live:    live,
+		live:    m.reg.live, // copy-on-write: never mutated after this
 		numLive: m.reg.n,
 		version: m.version,
 		count:   m.tree.CountVisits,
@@ -219,9 +212,6 @@ func (tx *Tx) DD() *bdd.DD { return tx.m.d }
 // Ref returns the BDD of predicate id.
 func (tx *Tx) Ref(id int32) bdd.Ref { return tx.m.reg.Ref(id) }
 
-// IsLive reports whether predicate id is not tombstoned.
-func (tx *Tx) IsLive(id int32) bool { return tx.m.reg.IsLive(id) }
-
 // Add registers a predicate BDD (built in tx.DD()) and splices it into the
 // live tree in real time (§VI-A), returning its new global ID. The tree
 // update is persistent: pinned snapshots keep the previous version.
@@ -239,32 +229,24 @@ func (tx *Tx) Add(ref bdd.Ref) int32 {
 	return id
 }
 
-// Delete tombstones a predicate (§VI-A): the live tree keeps routing on
-// it, but behavior computation skips it; the next reconstruction removes
-// it physically.
-func (tx *Tx) Delete(id int32) {
-	m := tx.m
-	m.reg.Delete(id)
-	m.updatesSinceSwap++
-	if m.journal != nil {
-		m.journal = append(m.journal, journalOp{del: true, id: id})
-	}
-}
-
-// Remove physically deletes a live predicate: the registry slot dies (IDs
-// are never reused) and the live tree runs the atom-merge dual of
-// AddPredicate, so the partition coarsens immediately instead of waiting
-// for a Reconstruct to sweep tombstones. Like Add, the tree update is
-// persistent and pinned snapshots keep the previous version.
+// Remove deletes a live predicate — the only way one leaves: the registry
+// slot dies (IDs are never reused) and the live tree runs the atom-merge
+// dual of AddPredicate, so the partition is the coarsest one for the
+// current predicate set in the very epoch this update publishes. The
+// caller must unwire the ID from whatever refers to it (network port and
+// ACL slots) inside the same Update: stage 2 tests membership bits without
+// a liveness probe, and a dead ID's bit reads clear on every leaf. Like
+// Add, the tree update is persistent and pinned snapshots keep the
+// previous version.
 //
 //lint:ignore lockguard Update holds m.mu for the life of the Tx
 func (tx *Tx) Remove(id int32) {
 	m := tx.m
-	m.reg.Delete(id)
+	m.reg.Remove(id)
 	m.tree = m.tree.removePredicate(id, &tx.stats)
 	m.updatesSinceSwap++
 	if m.journal != nil {
-		m.journal = append(m.journal, journalOp{del: true, hard: true, id: id})
+		m.journal = append(m.journal, journalOp{del: true, id: id})
 	}
 }
 
@@ -299,9 +281,10 @@ func (m *Manager) AddPredicate(build func(d *bdd.DD) bdd.Ref) int32 {
 	return id
 }
 
-// DeletePredicate tombstones a predicate; see Tx.Delete.
-func (m *Manager) DeletePredicate(id int32) {
-	m.Update(func(tx *Tx) { tx.Delete(id) })
+// RemovePredicate physically removes a live predicate and merges the atoms
+// it alone separated; see Tx.Remove.
+func (m *Manager) RemovePredicate(id int32) {
+	m.Update(func(tx *Tx) { tx.Remove(id) })
 }
 
 // Ref returns the BDD of predicate id in the live DD. The ref is only
@@ -311,11 +294,6 @@ func (m *Manager) Ref(id int32) bdd.Ref {
 	defer m.mu.RUnlock()
 	return m.reg.Ref(id)
 }
-
-// IsLive reports whether predicate id is live in the published epoch.
-// Like Classify it is lock-free, so Manager satisfies network.Source
-// without reintroducing a mutex on the stage-2 hot path.
-func (m *Manager) IsLive(id int32) bool { return m.snap.Load().IsLive(id) }
 
 // LiveIDs returns the live predicate IDs.
 func (m *Manager) LiveIDs() []int32 {
@@ -328,7 +306,7 @@ func (m *Manager) LiveIDs() []int32 {
 // and swaps it in (§VI-B). If weighted is true, per-leaf visit counters of
 // the old tree are carried over as atom weights so frequently queried atoms
 // end up closer to the root (§V-D). Reconstruct is safe to run concurrently
-// with Classify/AddPredicate/DeletePredicate; concurrent Reconstruct calls
+// with Classify/AddPredicate/RemovePredicate; concurrent Reconstruct calls
 // serialize.
 func (m *Manager) Reconstruct(weighted bool) {
 	start := time.Now()
@@ -408,12 +386,9 @@ func (m *Manager) Reconstruct(weighted bool) {
 	m.mu.Lock()
 	for _, op := range m.journal {
 		if op.del {
-			if !op.hard {
-				continue // tombstone: the rebuilt tree keeps routing on it
-			}
-			// Hard removal journaled mid-rebuild. The new tree placed this
-			// predicate (it was live at the phase-1 snapshot, or added by an
-			// earlier journal entry), so replay the atom merge too.
+			// The new tree placed this predicate (it was live at the
+			// phase-1 snapshot, or added by an earlier journal entry), so
+			// replay the atom merge too.
 			newTree = newTree.RemovePredicate(op.id)
 			newRefs[op.id] = bdd.False
 			continue
@@ -426,14 +401,10 @@ func (m *Manager) Reconstruct(weighted bool) {
 		newRefs[op.id] = ref
 		newTree = newTree.AddPredicate(op.id, ref)
 	}
-	// Point every live registry entry at the new DD; tombstoned slots die.
-	for id := range m.reg.refs {
-		if m.reg.live[id] {
-			m.reg.refs[id] = newRefs[id]
-		} else {
-			m.reg.refs[id] = bdd.False
-		}
-	}
+	// Point the registry at the new DD. Every ID issued since phase 1 was
+	// journaled, so newRefs covers the whole ID space; dead slots are
+	// bdd.False on both sides.
+	copy(m.reg.refs, newRefs)
 	// Retire the old epoch's counters: flush the abandoned DD's work
 	// stats one last time and bank the old lineage's visit total.
 	m.d.PublishStats()

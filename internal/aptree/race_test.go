@@ -37,8 +37,9 @@ func TestManagerConcurrentClassifyUpdateReconstruct(t *testing.T) {
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 
-	// Writer: a stream of adds and deletes racing the readers and the
-	// reconstruction goroutine.
+	// Writer: a stream of adds and removals racing the readers and the
+	// reconstruction goroutine, so removals land in every phase of a
+	// rebuild — including its journal, whose merge replay runs at the swap.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -48,7 +49,7 @@ func TestManagerConcurrentClassifyUpdateReconstruct(t *testing.T) {
 		for i := 0; i < updates; i++ {
 			if len(ids) > 4 && rng.Intn(3) == 0 {
 				k := rng.Intn(len(ids))
-				m.DeletePredicate(ids[k])
+				m.RemovePredicate(ids[k])
 				ids = append(ids[:k], ids[k+1:]...)
 			} else {
 				length := 1 + rng.Intn(numVars/2)
@@ -86,11 +87,24 @@ func TestManagerConcurrentClassifyUpdateReconstruct(t *testing.T) {
 		}(int64(100 + r))
 	}
 	wg.Wait()
+	stop()
 
-	// The surviving tree must still be a coherent classifier.
-	if err := m.Tree().Validate(m.LiveIDs()); err != nil {
+	// The surviving tree must still be a coherent classifier, and the same
+	// one a cold build over the surviving IDs yields.
+	live := m.LiveIDs()
+	if err := m.Tree().Validate(live); err != nil {
 		t.Fatal(err)
 	}
+	if err := SemanticallyEqual(m.Tree(), coldBuild(m), live); err != nil {
+		t.Fatalf("tree after racing removals and swaps differs from a cold build: %v", err)
+	}
+}
+
+// coldBuild builds a fresh tree over m's live predicates in m's own DD.
+// The manager must be quiescent.
+func coldBuild(m *Manager) *Tree {
+	d, preds, live := m.DD(), m.reg.Refs(), m.LiveIDs()
+	return Build(Input{D: d, Preds: preds, Live: live, Atoms: liveAtoms(d, preds, live)}, MethodQuick)
 }
 
 // TestManagerConcurrentReaders checks the read-side accessors that back

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"apclassifier/internal/bdd"
+	"apclassifier/internal/predicate"
 )
 
 // This file is the warm-restart half of the package: constructors that
@@ -16,22 +17,21 @@ import (
 // published epoch snapshot.
 
 // RestoreRegistry rebuilds a predicate registry from an ID-indexed ref
-// slice and liveness flags, as decoded from a checkpoint. Slots with
-// live[id] false are tombstones: their refs may still route in a
-// restored tree, exactly as they did in the checkpointed epoch.
+// slice and liveness flags, as decoded from a checkpoint. The caller
+// guarantees a dead slot (live[id] false) carries bdd.False, as removal
+// leaves it; a live slot may too — an all-deny ACL registers the empty
+// predicate, which no leaf implies and no node routes on.
 func RestoreRegistry(refs []bdd.Ref, live []bool) (*Registry, error) {
 	if len(refs) != len(live) {
 		return nil, fmt.Errorf("aptree: registry restore: %d refs but %d liveness flags", len(refs), len(live))
 	}
 	r := &Registry{
 		refs: append([]bdd.Ref(nil), refs...),
-		live: append([]bool(nil), live...),
+		live: predicate.NewBitset(len(live)),
 	}
-	for id, l := range r.live {
+	for id, l := range live {
 		if l {
-			if r.refs[id] == bdd.False {
-				return nil, fmt.Errorf("aptree: registry restore: live predicate %d has false BDD", id)
-			}
+			r.live.Set(id, true)
 			r.n++
 		}
 	}

@@ -40,9 +40,11 @@ func TestRestoreRoundTrip(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		ids = append(ids, addRandomPredicate(m, rng))
 	}
-	// Tombstones that still route in the live tree.
-	m.DeletePredicate(ids[2])
-	m.DeletePredicate(ids[25])
+	// Dead slots (one from before the rebuild, one from after) and a live
+	// slot holding the empty predicate, as an all-deny ACL registers.
+	m.RemovePredicate(ids[2])
+	m.RemovePredicate(ids[25])
+	ids = append(ids, m.AddPredicate(func(*bdd.DD) bdd.Ref { return bdd.False }))
 
 	snap := m.Snapshot()
 	tree := snap.Tree()
@@ -110,9 +112,6 @@ func TestRestoreRoundTrip(t *testing.T) {
 			a, _ := m.Classify(pkt)
 			b, _ := m2.Classify(pkt)
 			for _, id := range ids {
-				if !m.IsLive(id) {
-					continue
-				}
 				if a.Member.Get(int(id)) != b.Member.Get(int(id)) {
 					t.Fatalf("membership bit %d differs for packet %x", id, pkt)
 				}
@@ -125,7 +124,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 	// with version numbers continuing past the restored epoch.
 	v := m2.Version()
 	id := addRandomPredicate(m2, rng)
-	if !m2.IsLive(id) {
+	if !m2.Snapshot().IsLive(id) {
 		t.Fatal("predicate added after restore is not live")
 	}
 	m2.Reconstruct(true)
@@ -181,14 +180,12 @@ func TestRestoreRegistryRejects(t *testing.T) {
 	if _, err := RestoreRegistry([]bdd.Ref{bdd.True}, []bool{true, false}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := RestoreRegistry([]bdd.Ref{bdd.False}, []bool{true}); err == nil {
-		t.Fatal("live slot with false BDD accepted")
-	}
-	r, err := RestoreRegistry([]bdd.Ref{bdd.True, bdd.False, bdd.True}, []bool{true, false, false})
+	// A live slot may hold the empty predicate (an all-deny ACL).
+	r, err := RestoreRegistry([]bdd.Ref{bdd.True, bdd.False, bdd.False}, []bool{true, false, true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumLive() != 1 || r.NumIDs() != 3 || !r.IsLive(0) || r.IsLive(1) || r.IsLive(2) {
+	if r.NumLive() != 2 || r.NumIDs() != 3 || !r.IsLive(0) || r.IsLive(1) || !r.IsLive(2) {
 		t.Fatal("restored registry counts wrong")
 	}
 }

@@ -9,18 +9,18 @@ import (
 
 // Snapshot is one immutable epoch of classifier state: an AP Tree, a
 // frozen evaluation view of the BDD it labels its nodes with, and the
-// predicate-liveness set, all captured together under the manager's
+// set of live predicate slots, all captured together under the manager's
 // write lock and published through a single atomic pointer.
 //
 // Everything reachable from a Snapshot is immutable, so any number of
 // goroutines may Classify through one concurrently — with updates, with
 // reconstructions, and with each other — without any lock. A query that
 // loads the snapshot pointer once is pinned to that epoch: stage 1 and
-// stage 2 see one consistent tree, DD and liveness set even if the
-// manager swaps several times mid-query. A retained Snapshot stays
-// valid across swaps indefinitely; its DD view is never garbage
-// collected (the manager abandons a retired DD wholesale instead of
-// reclaiming nodes from it — see bdd.View on the GC-at-swap rule).
+// stage 2 see one consistent tree and DD even if the manager swaps
+// several times mid-query. A retained Snapshot stays valid across swaps
+// indefinitely; its DD view is never garbage collected (the manager
+// abandons a retired DD wholesale instead of reclaiming nodes from it —
+// see bdd.View on the GC-at-swap rule).
 //
 // Visit counters are the one deliberate exception to immutability:
 // Classify increments the per-atom counter store shared with the live
@@ -33,9 +33,10 @@ type Snapshot struct {
 	// publish time: the stage-1 engine. The pointer tree is the build and
 	// update structure and the reference the flat form is tested against.
 	flat *Flat
-	// live has bit id set iff predicate id was not tombstoned at capture
-	// time. Out-of-range IDs (added after the capture) read as dead,
-	// which keeps stage 2 consistent with the pinned tree.
+	// live has bit id set iff slot id held a predicate at capture time
+	// (IDs issued later read as dead). No query consults it — a removed
+	// ID is unwired in the update that removes it — it is what tells a
+	// checkpoint a live all-deny slot (bdd.False) from a dead one.
 	live    predicate.Bitset
 	numLive int
 	version uint64
@@ -83,7 +84,8 @@ func (s *Snapshot) ClassifyPointer(pkt []byte) (*Node, uint64) {
 // Flat returns the epoch's compiled flat classify core.
 func (s *Snapshot) Flat() *Flat { return s.flat }
 
-// IsLive reports whether predicate id was live in this epoch.
+// IsLive reports whether predicate id was live in this epoch; the
+// checkpoint encoder serialises it.
 func (s *Snapshot) IsLive(id int32) bool { return s.live.Get(int(id)) }
 
 // Version reports the reconstruction epoch this snapshot belongs to.

@@ -44,8 +44,8 @@ func TestApdebugRetainedSnapshotSurvivesTwoSwaps(t *testing.T) {
 		})
 	}
 	m.Reconstruct(false)
-	// Swap 2: a delete, then a weighted rebuild.
-	m.DeletePredicate(ids[0])
+	// Swap 2: a removal, then a weighted rebuild.
+	m.RemovePredicate(ids[0])
 	m.Reconstruct(true)
 
 	if got := m.Version(); got != v0+2 {

@@ -50,7 +50,7 @@ func TestSnapshotPinnedEpochUnderChurn(t *testing.T) {
 		for i := 0; i < updates; i++ {
 			if len(ids) > 3 && wrng.Intn(3) == 0 {
 				k := wrng.Intn(len(ids))
-				m.DeletePredicate(ids[k])
+				m.RemovePredicate(ids[k])
 				ids = append(ids[:k], ids[k+1:]...)
 			} else {
 				bits := uint64(wrng.Uint32()) >> 16
@@ -116,15 +116,20 @@ func TestSnapshotPinnedEpochUnderChurn(t *testing.T) {
 	// operations on the live diagram and must not race a background swap.
 	stop()
 
-	if err := m.Tree().Validate(m.LiveIDs()); err != nil {
+	live := m.LiveIDs()
+	if err := m.Tree().Validate(live); err != nil {
 		t.Fatal(err)
+	}
+	if err := SemanticallyEqual(m.Tree(), coldBuild(m), live); err != nil {
+		t.Fatalf("tree after racing removals and swaps differs from a cold build: %v", err)
 	}
 }
 
 // TestSnapshotIsLiveConsistentWithEpoch checks the liveness bitset riding
-// in each snapshot: a predicate tombstoned after the snapshot was pinned
-// must still read live in the old epoch while reading dead through the
-// manager (and the next snapshot).
+// in each snapshot (shared copy-on-write with the registry): a predicate
+// removed after the snapshot was pinned must still read live — and keep
+// its BDD and its routing — in the old epoch while reading dead in the
+// next one.
 func TestSnapshotIsLiveConsistentWithEpoch(t *testing.T) {
 	m := NewManager(16, MethodQuick)
 	rng := rand.New(rand.NewSource(31))
@@ -139,14 +144,15 @@ func TestSnapshotIsLiveConsistentWithEpoch(t *testing.T) {
 	if !old.IsLive(ids[2]) {
 		t.Fatal("freshly added predicate not live in pinned snapshot")
 	}
-	m.DeletePredicate(ids[2])
-	if !old.IsLive(ids[2]) {
-		t.Fatal("tombstone leaked into the already-pinned epoch")
+	m.RemovePredicate(ids[2])
+	if !old.IsLive(ids[2]) || old.Tree().Pred(ids[2]) == bdd.False {
+		t.Fatal("removal leaked into the already-pinned epoch")
 	}
-	if m.IsLive(ids[2]) {
-		t.Fatal("manager still reports a tombstoned predicate live")
+	if now := m.Snapshot(); now.IsLive(ids[2]) || now.Tree().Pred(ids[2]) != bdd.False {
+		t.Fatal("new epoch still reports a removed predicate live")
 	}
-	if m.Snapshot().IsLive(ids[2]) {
-		t.Fatal("new epoch still reports a tombstoned predicate live")
+	id := addRandomPredicate(m, rng)
+	if old.IsLive(id) || !m.Snapshot().IsLive(id) {
+		t.Fatal("a later add must be live in the new epoch only")
 	}
 }

@@ -73,7 +73,7 @@ type Tree struct {
 	D    *bdd.DD
 	root *Node
 	// preds maps predicate ID -> BDD for every predicate placed in the
-	// tree or added later (including tombstoned ones, which still route).
+	// tree or added later; a removed ID's slot reads bdd.False.
 	preds []bdd.Ref
 
 	numLeaves int

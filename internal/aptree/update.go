@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"apclassifier/internal/bdd"
+	"apclassifier/internal/predicate"
 )
 
 // AddPredicate installs a new predicate with the given global ID per
@@ -98,12 +99,16 @@ func (t *Tree) addRec(n *Node, id int32, p bdd.Ref, st *DeltaStats) *Node {
 	return &Node{Pred: id, Depth: n.Depth, T: tLeaf, F: fLeaf}
 }
 
-// Registry assigns stable global IDs to predicate BDDs and tracks
-// tombstones. IDs are never reused: a deleted predicate's slot stays dead
-// so membership vectors and network references remain unambiguous.
+// Registry assigns stable global IDs to predicate BDDs. IDs are never
+// reused: a removed predicate's slot stays dead — its ref cleared, exactly
+// as the tree clears Pred(id) — so membership vectors and network
+// references remain unambiguous.
 type Registry struct {
 	refs []bdd.Ref
-	live []bool
+	// live has bit id set iff slot id is not dead. It is copy-on-write:
+	// published snapshots and Clone share it, so Add and Remove replace
+	// it instead of mutating it.
+	live predicate.Bitset
 	n    int // live count
 }
 
@@ -112,29 +117,32 @@ func NewRegistry() *Registry { return &Registry{} }
 
 // Add registers a predicate BDD and returns its new global ID.
 func (r *Registry) Add(ref bdd.Ref) int32 {
+	id := len(r.refs)
 	r.refs = append(r.refs, ref)
-	r.live = append(r.live, true)
+	r.live = r.live.Clone(len(r.refs))
+	r.live.Set(id, true)
 	r.n++
-	return int32(len(r.refs) - 1)
+	return int32(id)
 }
 
-// Delete tombstones an ID per §VI-A. The predicate may keep routing inside
-// existing AP Trees, but behavior computation must ignore it.
-func (r *Registry) Delete(id int32) {
-	if !r.live[id] {
-		panic(fmt.Sprintf("aptree: double delete of predicate %d", id))
+// Remove kills slot id and clears its ref.
+func (r *Registry) Remove(id int32) {
+	if !r.IsLive(id) {
+		panic(fmt.Sprintf("aptree: double removal of predicate %d", id))
 	}
-	r.live[id] = false
+	r.refs[id] = bdd.False
+	r.live = r.live.Clone(len(r.refs))
+	r.live.Set(int(id), false)
 	r.n--
 }
 
-// Ref returns the BDD of predicate id (valid even if tombstoned).
+// Ref returns the BDD of predicate id (bdd.False for a dead slot).
 func (r *Registry) Ref(id int32) bdd.Ref { return r.refs[id] }
 
-// IsLive reports whether id has not been deleted.
-func (r *Registry) IsLive(id int32) bool { return r.live[id] }
+// IsLive reports whether id has not been removed.
+func (r *Registry) IsLive(id int32) bool { return r.live.Get(int(id)) }
 
-// NumIDs reports the size of the ID space (live + tombstoned).
+// NumIDs reports the size of the ID space (live + dead).
 func (r *Registry) NumIDs() int { return len(r.refs) }
 
 // NumLive reports the number of live predicates.
@@ -143,22 +151,22 @@ func (r *Registry) NumLive() int { return r.n }
 // LiveIDs returns the live IDs in increasing order.
 func (r *Registry) LiveIDs() []int32 {
 	ids := make([]int32, 0, r.n)
-	for i, l := range r.live {
-		if l {
-			ids = append(ids, int32(i))
+	for id := range r.refs {
+		if r.live.Get(id) {
+			ids = append(ids, int32(id))
 		}
 	}
 	return ids
 }
 
-// Refs returns the full ID-indexed BDD slice (tombstoned slots included).
+// Refs returns the full ID-indexed BDD slice (dead slots included).
 func (r *Registry) Refs() []bdd.Ref { return r.refs }
 
 // Clone returns an independent copy (used to snapshot for reconstruction).
 func (r *Registry) Clone() *Registry {
 	return &Registry{
 		refs: append([]bdd.Ref(nil), r.refs...),
-		live: append([]bool(nil), r.live...),
+		live: r.live,
 		n:    r.n,
 	}
 }

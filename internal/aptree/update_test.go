@@ -86,28 +86,31 @@ func TestRegistry(t *testing.T) {
 	if r.NumLive() != 3 || r.NumIDs() != 3 {
 		t.Fatal("counts wrong")
 	}
-	r.Delete(b)
+	r.Remove(b)
 	if r.IsLive(b) || !r.IsLive(a) {
-		t.Fatal("tombstone wrong")
+		t.Fatal("liveness wrong after removal")
+	}
+	if r.Ref(b) != bdd.False || r.Ref(a) != d.Var(0) {
+		t.Fatal("removal must clear exactly the dead slot's ref")
 	}
 	if r.NumLive() != 2 {
-		t.Fatal("live count wrong after delete")
+		t.Fatal("live count wrong after removal")
 	}
 	ids := r.LiveIDs()
 	if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
 		t.Fatalf("LiveIDs = %v", ids)
 	}
 	cl := r.Clone()
-	cl.Delete(a)
-	if !r.IsLive(a) {
+	cl.Remove(a)
+	if !r.IsLive(a) || r.Ref(a) != d.Var(0) {
 		t.Fatal("Clone must not alias")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("double delete must panic")
+			t.Fatal("double removal must panic")
 		}
 	}()
-	r.Delete(b)
+	r.Remove(b)
 }
 
 func addRandomPredicate(m *Manager, rng *rand.Rand) int32 {
@@ -147,19 +150,19 @@ func TestManagerBasicFlow(t *testing.T) {
 	}
 	checkManager()
 
-	m.DeletePredicate(ids[3])
-	m.DeletePredicate(ids[7])
+	m.RemovePredicate(ids[3])
+	m.RemovePredicate(ids[7])
 	if m.NumLive() != 18 {
-		t.Fatalf("live = %d after deletes", m.NumLive())
+		t.Fatalf("live = %d after removals", m.NumLive())
 	}
+	checkManager()
 	v0 := m.Version()
 	m.Reconstruct(false)
 	if m.Version() != v0+1 {
 		t.Fatal("version must bump at swap")
 	}
 	checkManager()
-	// After reconstruction the tombstoned predicates are physically gone:
-	// the new tree was built from live predicates only.
+	// The rebuilt tree is built from live predicates only.
 	if got := m.Tree().NumLeaves(); got < 2 {
 		t.Fatalf("suspicious leaf count %d", got)
 	}
@@ -217,12 +220,11 @@ func TestManagerReconstructWithConcurrentTraffic(t *testing.T) {
 			mu.Unlock()
 			if i%5 == 4 {
 				mu.Lock()
-				victim := added[r.Intn(len(added))]
-				added = append(added[:0], added...)
+				k := r.Intn(len(added))
+				victim := added[k]
+				added = append(added[:k], added[k+1:]...)
 				mu.Unlock()
-				if m.IsLive(victim) {
-					m.DeletePredicate(victim)
-				}
+				m.RemovePredicate(victim)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -286,7 +288,7 @@ func TestUpdatesSinceSwapAccounting(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ids = append(ids, addRandomPredicate(m, rng))
 	}
-	m.DeletePredicate(ids[0])
+	m.RemovePredicate(ids[0])
 	if got := m.UpdatesSinceSwap(); got != 6 {
 		t.Fatalf("UpdatesSinceSwap = %d, want 6", got)
 	}

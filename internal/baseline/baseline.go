@@ -67,8 +67,6 @@ type FwdSim struct {
 	Net *network.Network
 	// Ref maps a predicate ID to its BDD.
 	Ref func(id int32) bdd.Ref
-	// IsLive reports tombstones (nil = all live).
-	IsLive func(id int32) bool
 }
 
 // SimResult mirrors network.Behavior's essentials plus the work metric.
@@ -92,10 +90,6 @@ func (r *SimResult) DeliveredTo(name string) bool {
 	return false
 }
 
-func (s *FwdSim) live(id int32) bool {
-	return s.IsLive == nil || s.IsLive(id)
-}
-
 // Behavior computes the packet's forwarding behavior by per-box linear
 // predicate evaluation.
 func (s *FwdSim) Behavior(ingress int, pkt []byte) SimResult {
@@ -112,7 +106,7 @@ func (s *FwdSim) Behavior(ingress int, pkt []byte) SimResult {
 		visited[bi] = true
 		box := s.Net.Boxes[bi]
 
-		if box.InACL != network.NoPred && s.live(box.InACL) {
+		if box.InACL != network.NoPred {
 			res.PredChecks++
 			if !s.D.EvalBits(s.Ref(box.InACL), pkt) {
 				res.DropBoxes = append(res.DropBoxes, bi)
@@ -122,14 +116,14 @@ func (s *FwdSim) Behavior(ingress int, pkt []byte) SimResult {
 		forwarded := false
 		for pi := range box.Ports {
 			port := &box.Ports[pi]
-			if port.Fwd == network.NoPred || !s.live(port.Fwd) {
+			if port.Fwd == network.NoPred {
 				continue
 			}
 			res.PredChecks++
 			if !s.D.EvalBits(s.Ref(port.Fwd), pkt) {
 				continue
 			}
-			if port.OutACL != network.NoPred && s.live(port.OutACL) {
+			if port.OutACL != network.NoPred {
 				res.PredChecks++
 				if !s.D.EvalBits(s.Ref(port.OutACL), pkt) {
 					res.DropBoxes = append(res.DropBoxes, bi)
@@ -160,9 +154,8 @@ func (s *FwdSim) Behavior(ingress int, pkt []byte) SimResult {
 func ManagerEnv(m *aptree.Manager, net *network.Network) *FwdSim {
 	d := m.DD()
 	return &FwdSim{
-		D:      d,
-		Net:    net,
-		Ref:    func(id int32) bdd.Ref { return m.Ref(id) },
-		IsLive: m.IsLive,
+		D:   d,
+		Net: net,
+		Ref: func(id int32) bdd.Ref { return m.Ref(id) },
 	}
 }

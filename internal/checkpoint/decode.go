@@ -141,12 +141,18 @@ func decode(r io.Reader) (*Restored, error) {
 			ErrMalformed, len(roots), numPreds, numLeaves)
 	}
 	preds := roots[:numPreds]
+	for id, p := range preds {
+		if !live[id] && p != bdd.False {
+			return nil, fmt.Errorf("%w: dead predicate slot %d still carries a BDD: tombstoned (lazily deleted) predicates are no longer supported",
+				ErrMalformed, id)
+		}
+	}
 	for i, leaf := range leafAt {
 		leaf.BDD = roots[numPreds+i]
 	}
 
 	// TOPO
-	wiring, err := decodeTopo(payloads["TOPO"], ds, numPreds)
+	wiring, err := decodeTopo(payloads["TOPO"], ds, live)
 	if err != nil {
 		return nil, err
 	}
@@ -308,8 +314,9 @@ func decodeTree(payload []byte) (root *aptree.Node, numLeaves int, leafAt []*apt
 
 // decodeTopo parses the TOPO section and validates it against the
 // decoded dataset (box and port counts must match) and the predicate ID
-// space (-1 or a valid slot).
-func decodeTopo(payload []byte, ds *netgen.Dataset, numPreds int) ([]BoxWiring, error) {
+// space (-1 or a live slot: stage 2 tests a wired ID's membership bit
+// without asking whether the slot is dead).
+func decodeTopo(payload []byte, ds *netgen.Dataset, live []bool) ([]BoxWiring, error) {
 	c := &cursor{section: "TOPO", b: payload}
 	boxesU, err := c.u32()
 	if err != nil {
@@ -319,8 +326,11 @@ func decodeTopo(payload []byte, ds *netgen.Dataset, numPreds int) ([]BoxWiring, 
 		return nil, fmt.Errorf("%w: TOPO wires %d boxes, dataset has %d", ErrMalformed, boxesU, len(ds.Boxes))
 	}
 	checkID := func(what string, box int, id int32) error {
-		if id < -1 || int(id) >= numPreds {
-			return fmt.Errorf("%w: TOPO box %d: %s predicate %d out of range [-1,%d)", ErrMalformed, box, what, id, numPreds)
+		if id < -1 || int(id) >= len(live) {
+			return fmt.Errorf("%w: TOPO box %d: %s predicate %d out of range [-1,%d)", ErrMalformed, box, what, id, len(live))
+		}
+		if id >= 0 && !live[id] {
+			return fmt.Errorf("%w: TOPO box %d: %s wired to dead predicate %d", ErrMalformed, box, what, id)
 		}
 		return nil
 	}
@@ -366,8 +376,9 @@ func decodeTopo(payload []byte, ds *netgen.Dataset, numPreds int) ([]BoxWiring, 
 // SelfCheck cross-validates the restored classifier state against
 // itself: for n random headers, the leaf found by tree search must
 // carry membership bits that agree with direct BDD evaluation of every
-// live predicate. It is the semantic half of `apstate verify` — the
-// structural half being that Decode succeeded at all.
+// predicate slot (a dead slot is bdd.False and its bit clear). It is the
+// semantic half of `apstate verify` — the structural half being that
+// Decode succeeded at all.
 func (r *Restored) SelfCheck(n int, seed int64) error {
 	snap := r.Manager.Snapshot()
 	view := snap.View()
@@ -380,9 +391,6 @@ func (r *Restored) SelfCheck(n int, seed int64) error {
 		}
 		leaf, _ := snap.Classify(pkt)
 		for id := int32(0); id < int32(tree.NumPreds()); id++ {
-			if !snap.IsLive(id) {
-				continue
-			}
 			if leaf.Member.Get(int(id)) != view.EvalBits(tree.Pred(id), pkt) {
 				return fmt.Errorf("checkpoint: self-check: packet %x: leaf membership bit %d disagrees with predicate BDD", pkt, id)
 			}

@@ -2,9 +2,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"apclassifier/internal/aptree"
@@ -12,8 +15,9 @@ import (
 	"apclassifier/internal/netgen"
 )
 
-// testSource builds a manager with live and tombstoned predicates over a
-// small real dataset, plus wiring shaped to the dataset's boxes. The
+// testSource builds a manager with live and dead predicate slots (and one
+// live slot holding the empty predicate, as an all-deny ACL registers) over
+// a small real dataset, plus wiring shaped to the dataset's boxes. The
 // predicates are synthetic (the codec never cross-checks them against
 // the dataset's rules; the facade-level differential test covers that),
 // which keeps this unit test fast.
@@ -38,21 +42,22 @@ func testSource(t testing.TB, seed int64) (*aptree.Manager, *Source) {
 			return d.FromPrefix(0, v, l, 32)
 		}))
 	}
-	m.DeletePredicate(ids[1])
-	m.DeletePredicate(ids[19])
+	m.RemovePredicate(ids[1])
+	m.RemovePredicate(ids[19])
+	m.AddPredicate(func(*bdd.DD) bdd.Ref { return bdd.False })
 
 	snap := m.Snapshot()
-	numPreds := snap.Tree().NumPreds()
+	live := m.LiveIDs() // wiring names live IDs only, as the facade guarantees
 	wiring := make([]BoxWiring, len(ds.Boxes))
 	for b := range wiring {
 		ports := ds.Boxes[b].NumPorts
 		w := BoxWiring{InACL: -1, Fwd: make([]int32, ports), OutACL: make([]int32, ports)}
 		for p := 0; p < ports; p++ {
-			w.Fwd[p] = int32((b*7 + p) % numPreds)
+			w.Fwd[p] = live[(b*7+p)%len(live)]
 			w.OutACL[p] = -1
 		}
 		if b%3 == 0 {
-			w.InACL = int32(b % numPreds)
+			w.InACL = live[b%len(live)]
 		}
 		wiring[b] = w
 	}
@@ -108,9 +113,6 @@ func TestRoundTrip(t *testing.T) {
 		a, _ := m.Classify(pkt)
 		b, _ := res.Manager.Classify(pkt)
 		for id := int32(0); id < int32(src.Snap.Tree().NumPreds()); id++ {
-			if !m.IsLive(id) {
-				continue
-			}
 			if a.Member.Get(int(id)) != b.Member.Get(int(id)) {
 				t.Fatalf("packet %x: membership bit %d differs", pkt, id)
 			}
@@ -175,6 +177,42 @@ func TestCorruptionRejected(t *testing.T) {
 	}
 	if got := mCorrupt.Value() - before; got != uint64(flips) {
 		t.Fatalf("corruption counter moved by %d for %d rejections", got, flips)
+	}
+}
+
+// TestTombstonedSlotRejected forges what a pre-removal build could write:
+// a well-formed file (every CRC valid) whose PRED section marks a slot
+// dead while BDDS still carries its predicate and TREE still routes on
+// it. The decoder must say it no longer speaks that, not restore a tree
+// stage 2 would misread.
+func TestTombstonedSlotRejected(t *testing.T) {
+	_, src := testSource(t, 19)
+	raw := encodeToBytes(t, src)
+	at := bytes.Index(raw, []byte("PRED"))
+	if at < 0 {
+		t.Fatal("no PRED section")
+	}
+	n := int(binary.LittleEndian.Uint32(raw[at+4:]))
+	payload := raw[at+8 : at+8+n]
+	if payload[0]&1 == 0 {
+		t.Fatal("fixture changed: predicate 0 is expected live")
+	}
+	payload[0] &^= 1 // predicate 0: live -> dead, BDD and routing kept
+	crc := crc32.Update(crc32.ChecksumIEEE([]byte("PRED")), crc32.IEEETable, payload)
+	binary.LittleEndian.PutUint32(raw[at+8+n:], crc)
+
+	_, err := Decode(bytes.NewReader(raw))
+	if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "tombstone") {
+		t.Fatalf("tombstoned slot: %v, want ErrMalformed naming tombstones", err)
+	}
+
+	// The other half of the same contract: a port wired to a properly dead
+	// slot (stage 2 would read it as "matches nothing") is refused too.
+	_, src = testSource(t, 19)
+	src.Wiring[0].Fwd[0] = 1 // testSource removed predicate 1
+	_, err = Decode(bytes.NewReader(encodeToBytes(t, src)))
+	if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "dead predicate 1") {
+		t.Fatalf("port wired to a dead slot: %v, want ErrMalformed", err)
 	}
 }
 

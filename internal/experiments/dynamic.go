@@ -190,7 +190,7 @@ func (e *Env) Fig14(updatesPerSec int, duration, bucket, reconEvery time.Duratio
 		go runQuery(sLin, func(p []byte) { base.classify(p) })
 		go runQuery(sPS, func(p []byte) { pscan.scan(p) })
 
-		// Update process: Poisson arrivals, alternating add/delete.
+		// Update process: Poisson arrivals, alternating add/remove.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -219,9 +219,7 @@ func (e *Env) Fig14(updatesPerSec int, duration, bucket, reconEvery time.Duratio
 					k := urng.Intn(len(deletable))
 					id := deletable[k]
 					deletable = append(deletable[:k], deletable[k+1:]...)
-					if m.IsLive(id) {
-						m.DeletePredicate(id)
-					}
+					m.RemovePredicate(id)
 					pscan.mu.Lock()
 					delete(pscan.refs, id)
 					pscan.mu.Unlock()
@@ -229,25 +227,14 @@ func (e *Env) Fig14(updatesPerSec int, duration, bucket, reconEvery time.Duratio
 			}
 		}()
 
-		// Reconstruction process: periodic rebuilds.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(reconEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					m.Reconstruct(false)
-				}
-			}
-		}()
+		// Reconstruction process (§VI-B): rebuild every reconEvery whenever
+		// the live tree took an update since the last swap.
+		stopRecon := m.AutoReconstruct(1, reconEvery, false)
 
 		time.Sleep(duration)
 		close(stop)
 		wg.Wait()
+		stopRecon()
 
 		t := &Table{
 			Title: fmt.Sprintf("Fig 14 (%s) — throughput under %d updates/s, reconstruction every %v",

@@ -38,7 +38,7 @@ var EpochPin = &Analyzer{
 // managerLiveReads are aptree.Manager methods that answer from the live
 // published epoch (each performs its own atomic load internally).
 var managerLiveReads = map[string]bool{
-	"Classify": true, "IsLive": true, "Version": true, "NumLive": true,
+	"Classify": true, "Version": true, "NumLive": true,
 	"Tree": true, "DD": true, "Ref": true, "LiveIDs": true,
 	"UpdatesSinceSwap": true, "TotalClassifications": true,
 }

@@ -80,7 +80,7 @@ func (m *Middlebox) CacheLen() int {
 func (m *Middlebox) process(env *Env, b *Behavior, w workItem) ([]workItem, bool) {
 	for ei := range m.Entries {
 		e := &m.Entries[ei]
-		if !member(env, w.leaf, e.Match) {
+		if !member(w.leaf, e.Match) {
 			continue
 		}
 		if e.Type != MBDeterministic {

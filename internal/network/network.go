@@ -119,8 +119,11 @@ func (n *Network) BoxByName(name string) int {
 }
 
 // Source supplies stage 2 with the classifier state it depends on: atom
-// lookup for rewritten headers, predicate liveness for tombstones
-// (§VI-A), and the epoch that keys middlebox flow-table caches.
+// lookup for rewritten headers and the epoch that keys middlebox
+// flow-table caches. It carries no liveness probe: whoever removes a
+// predicate unwires its ID (NoPred or the successor) from every port and
+// ACL slot in the same aptree.Manager.Update, so a walk only ever tests
+// IDs that are live in the epoch it is pinned to.
 //
 // Both *aptree.Manager (the live, self-updating classifier) and
 // *aptree.Snapshot (one immutable epoch) implement Source. Pinning a
@@ -131,8 +134,6 @@ type Source interface {
 	// Classify maps a (possibly rewritten) header to its AP Tree leaf
 	// and reports the classifier epoch the result came from.
 	Classify(pkt []byte) (*aptree.Node, uint64)
-	// IsLive reports whether a predicate ID is not tombstoned.
-	IsLive(id int32) bool
 	// Version reports the classifier epoch; middlebox flow-table caches
 	// are invalidated when it changes.
 	Version() uint64
@@ -140,9 +141,9 @@ type Source interface {
 
 // Env provides stage 2 with the classifier state it depends on.
 type Env struct {
-	// Source is the classifier behind the traversal. A nil Source treats
-	// every predicate as live and supports no header-rewriting
-	// middleboxes; it serves static tests over a fixed tree.
+	// Source is the classifier behind the traversal. A nil Source
+	// supports no header-rewriting middleboxes; it serves static tests
+	// over a fixed tree.
 	Source Source
 	// MaxHops bounds traversal (0 means 4×boxes+16).
 	MaxHops int
@@ -287,27 +288,15 @@ func (b *Behavior) String() string {
 	return s.String()
 }
 
-// member tests a predicate bit, treating tombstoned predicates as absent.
-func member(env *Env, leaf *aptree.Node, id int32) bool {
-	if id == NoPred {
-		return false
-	}
-	if env.Source != nil && !env.Source.IsLive(id) {
-		return false
-	}
-	return leaf.Member.Get(int(id))
+// member tests a predicate bit; an unwired slot matches nothing.
+func member(leaf *aptree.Node, id int32) bool {
+	return id != NoPred && leaf.Member.Get(int(id))
 }
 
-// aclPasses evaluates an optional ACL predicate: absent or tombstoned ACLs
-// pass everything.
-func aclPasses(env *Env, leaf *aptree.Node, id int32) bool {
-	if id == NoPred {
-		return true
-	}
-	if env.Source != nil && !env.Source.IsLive(id) {
-		return true
-	}
-	return leaf.Member.Get(int(id))
+// aclPasses evaluates an optional ACL predicate: an absent ACL passes
+// everything.
+func aclPasses(leaf *aptree.Node, id int32) bool {
+	return id == NoPred || leaf.Member.Get(int(id))
 }
 
 // workItem is one traversal branch head.
@@ -424,7 +413,7 @@ func (n *Network) behaviorInto(env *Env, ingress int, pkt []byte, leaf *aptree.N
 		visited = append(visited, vk)
 		box := n.Boxes[w.box]
 
-		if !aclPasses(env, w.leaf, box.InACL) {
+		if !aclPasses(w.leaf, box.InACL) {
 			b.Drops = append(b.Drops, DropEvent{w.box, DropInACL})
 			continue
 		}
@@ -444,10 +433,10 @@ func (n *Network) behaviorInto(env *Env, ingress int, pkt []byte, leaf *aptree.N
 			forwarded := false
 			for pi := range box.Ports {
 				port := &box.Ports[pi]
-				if !member(env, h.leaf, port.Fwd) {
+				if !member(h.leaf, port.Fwd) {
 					continue
 				}
-				if !aclPasses(env, h.leaf, port.OutACL) {
+				if !aclPasses(h.leaf, port.OutACL) {
 					b.Drops = append(b.Drops, DropEvent{w.box, DropOutACL})
 					forwarded = true
 					continue

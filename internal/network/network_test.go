@@ -84,14 +84,27 @@ func TestPaperFig3ForwardingPath(t *testing.T) {
 	}
 }
 
-func TestTombstonedPredicateIsIgnored(t *testing.T) {
+// TestRemovedPredicateIsUnwired holds stage 2 to the removal contract:
+// whoever removes a predicate unwires its ID in the same Update, and a
+// walk — which probes no liveness — then drops at the unwired port.
+func TestRemovedPredicateIsUnwired(t *testing.T) {
 	n, m, env, preds := fig1Net(t)
 	b1 := n.BoxByName("b1")
-	pkt := []byte{0b10000001}   // a4: normally b1→b2→h2
-	m.DeletePredicate(preds[1]) // delete p2 (b1→b2)
-	b := n.Behavior(env, b1, pkt, classify(m, pkt))
+	pkt := []byte{0b10000001} // a4: normally b1→b2→h2
+	if b := n.Behavior(env, b1, pkt, classify(m, pkt)); !b.Delivered("h2") {
+		t.Fatalf("a4 packet must reach h2 before the removal: %v", b)
+	}
+	m.Update(func(tx *aptree.Tx) { // remove p2 (b1→b2)
+		tx.Remove(preds[1])
+		n.Boxes[b1].Ports[1].Fwd = NoPred
+	})
+	leaf := classify(m, pkt)
+	if leaf.Member.Get(int(preds[1])) {
+		t.Fatal("a removed predicate's membership bit must read clear")
+	}
+	b := n.Behavior(env, b1, pkt, leaf)
 	if b.Delivered("") {
-		t.Fatalf("packet must drop once its forwarding predicate is deleted: %v", b)
+		t.Fatalf("packet must drop once its forwarding predicate is removed: %v", b)
 	}
 	if len(b.Drops) != 1 || b.Drops[0].Reason != DropNoRoute {
 		t.Fatalf("drops = %v", b.Drops)
@@ -138,11 +151,15 @@ func TestIngressAndEgressACLs(t *testing.T) {
 		t.Fatalf("expected ingress-ACL drop at b2: %v", b.Drops)
 	}
 
-	// A tombstoned ACL passes everything.
-	m.DeletePredicate(aclDeny)
+	// Clearing the ACL — remove the predicate, unwire the slot — passes
+	// everything again.
+	m.Update(func(tx *aptree.Tx) {
+		tx.Remove(aclDeny)
+		n.Boxes[b2].InACL = NoPred
+	})
 	b = n.Behavior(env, b1, pkt, classify(m, pkt))
 	if !b.Delivered("h2") {
-		t.Fatalf("tombstoned ACL must pass: %v", b)
+		t.Fatalf("cleared ACL must pass: %v", b)
 	}
 }
 

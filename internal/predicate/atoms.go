@@ -72,8 +72,8 @@ func Compute(d *bdd.DD, preds []bdd.Ref) *Atoms {
 // ComputeMapped is Compute with an explicit predicate-ID mapping:
 // membership bit ids[j] records implication of preds[j], and vectors are
 // sized for capBits predicate IDs. The AP Classifier uses it to keep
-// predicate IDs stable while tombstoned predicates are excluded from a
-// rebuild.
+// predicate IDs stable while dead slots (removed predicates, whose IDs
+// are never reused) are excluded from a rebuild.
 func ComputeMapped(d *bdd.DD, preds []bdd.Ref, ids []int, capBits int) *Atoms {
 	if len(ids) != len(preds) {
 		panic("predicate: ids and preds length mismatch")

@@ -31,7 +31,7 @@ func (c *Classifier) RegisterMetrics(reg *obs.Registry) {
 		"Atomic predicates (leaves) in the published AP Tree.",
 		func() float64 { return float64(m.Snapshot().Tree().NumLeaves()) })
 	reg.GaugeFunc("apc_aptree_predicates_live",
-		"Live (non-tombstoned) predicates in the published epoch.",
+		"Live predicates in the published epoch.",
 		func() float64 { return float64(m.NumLive()) })
 	reg.GaugeFunc("apc_aptree_avg_depth",
 		"Mean leaf depth of the published AP Tree.",

@@ -48,7 +48,7 @@ func TestBehaviorUnderManagerChurn(t *testing.T) {
 	done := make(chan struct{})
 
 	// Writer: churn the predicate set through the manager. The added
-	// predicates belong to no box, so deleting them again is always safe.
+	// predicates belong to no box, so removing them again is always safe.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -58,7 +58,7 @@ func TestBehaviorUnderManagerChurn(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			if len(ids) > 3 && wrng.Intn(3) == 0 {
 				k := wrng.Intn(len(ids))
-				c.Manager.DeletePredicate(ids[k])
+				c.Manager.RemovePredicate(ids[k])
 				ids = append(ids[:k], ids[k+1:]...)
 			} else {
 				bits := uint64(wrng.Uint32())
