@@ -48,7 +48,7 @@ FUZZ_TIME ?= 5s
 # small scale, short enough for CI.
 FLAT_DUR := 100ms
 
-.PHONY: build test vet lint race apdebug bench-smoke bench-gate bench-flat cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke no-orphans check
+.PHONY: build test vet lint race apdebug bench-smoke bench-gate bench-flat cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke no-orphans check
 
 build:
 	$(GO) build ./...
@@ -130,6 +130,12 @@ verify-smoke:
 	$(GO) run ./cmd/apverify reach -net fattree -preset small -all
 	$(GO) run ./cmd/apverify blackholes -net fattree -preset small -all
 
+# Soak smoke: cmd/apsoak's four-engine differential (classifier, rule-table
+# oracle, HSA, trie) under rule churn and reconstructions, briefly. It
+# exits 1 on any divergence or refused rule update.
+soak-smoke:
+	$(GO) run ./cmd/apsoak -seconds 3
+
 cover:
 	$(GO) test -coverprofile=$(COVER_OUT) $(COVER_PKG)
 	@total=$$($(GO) tool cover -func=$(COVER_OUT) | awk '/^total:/ { gsub("%","",$$3); print $$3 }'); \
@@ -139,15 +145,15 @@ cover:
 
 # Nothing outlives the gate: fail if a process started from the checkout —
 # a smoke still writing under $(SMOKE_DIR), a bench/run.sh worker, the
-# cluster smoke's real apserver/aprouter — is alive once the gates are
+# cluster smoke's real apserver/aprouter, a soak — is alive once the gates are
 # done. pgrep -f matches whole command lines; the bracketed first letters
 # keep the pattern from matching the shell that runs it.
-ORPHAN_PATTERN := [a]pc-checkpoint-smoke|[.]bench_build/bench|[a]pserver|[a]prouter
+ORPHAN_PATTERN := [a]pc-checkpoint-smoke|[.]bench_build/bench|[a]pserver|[a]prouter|[a]psoak
 no-orphans:
 	@if pgrep -fa '$(ORPHAN_PATTERN)'; then \
 		echo "the processes above outlived the gates that started them"; exit 1; \
 	fi
 
-check: build vet test lint race apdebug bench-smoke bench-gate bench-flat checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke cover
+check: build vet test lint race apdebug bench-smoke bench-gate bench-flat checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke cover
 	@$(MAKE) --no-print-directory no-orphans
 	@echo "all gates passed"

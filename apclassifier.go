@@ -38,7 +38,6 @@ import (
 	"apclassifier/internal/network"
 	"apclassifier/internal/obs"
 	"apclassifier/internal/predicate"
-	"apclassifier/internal/rule"
 )
 
 // Method re-exports the AP Tree construction methods.
@@ -61,7 +60,7 @@ type Options struct {
 	Method Method
 	// Weights, if non-nil, holds per-atom query weights for the
 	// distribution-aware construction (§V-D). Most callers instead query
-	// for a while and call ReconstructWeighted.
+	// for a while and call Reconstruct(true).
 	// (Weights indexes atoms of the initial build; advanced use only.)
 	Weights []float64
 	// SkipGC keeps intermediate BDD nodes after construction. Default
@@ -216,8 +215,9 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 	return c, nil
 }
 
-// Env returns the stage-2 environment (classification, liveness); useful
-// for driving network.Behavior directly or attaching middleboxes.
+// Env returns the stage-2 environment (classification of rewritten
+// headers, the epoch middlebox caches key on); useful for driving
+// network.Behavior directly or attaching middleboxes.
 func (c *Classifier) Env() *network.Env { return c.env }
 
 // TreeInput recomputes the atomic predicates of the live predicate set and
@@ -389,52 +389,3 @@ func (c *Classifier) MemBytes() int {
 // Reconstruct rebuilds the AP Tree (optionally distribution-aware) and
 // swaps it in; safe concurrently with queries and updates.
 func (c *Classifier) Reconstruct(weighted bool) { c.Manager.Reconstruct(weighted) }
-
-// AddFwdRule installs a forwarding rule on a box and updates the AP Tree
-// in real time through the delta pipeline: the table mutation reports its
-// LPM cone, only the port predicates whose covering set changed are
-// recomputed (and only inside the cone region), and each swap runs the
-// atom split/merge path — the rule-update-to-predicate-change conversion
-// of §VI-A made incremental end to end. See ApplyRuleDeltas for batches.
-func (c *Classifier) AddFwdRule(box int, r rule.FwdRule) {
-	if err := c.ApplyRuleDeltas([]RuleDelta{{Op: OpAddFwdRule, Box: box, Rule: r}}); err != nil {
-		panic(err)
-	}
-}
-
-// RemoveFwdRule removes a forwarding rule (by exact prefix) from a box and
-// updates the AP Tree in real time via the delta pipeline; the atoms the
-// rule's predicates refined are merged back in the same epoch.
-func (c *Classifier) RemoveFwdRule(box int, p rule.Prefix) bool {
-	removed := false
-	for _, r := range c.Dataset.Boxes[box].Fwd.Rules {
-		if r.Prefix == p {
-			removed = true
-			break
-		}
-	}
-	if !removed {
-		return false
-	}
-	if err := c.ApplyRuleDeltas([]RuleDelta{{Op: OpRemoveFwdRule, Box: box, Prefix: p}}); err != nil {
-		panic(err)
-	}
-	return true
-}
-
-// SetPortACL installs, replaces, or (with nil) removes the egress ACL of a
-// port, converting it to a predicate and updating the AP Tree in real time.
-// Like the rule-level updates, callers must externally synchronize with
-// Behavior.
-func (c *Classifier) SetPortACL(box, port int, acl *rule.ACL) {
-	if err := c.ApplyRuleDeltas([]RuleDelta{{Op: OpSetPortACL, Box: box, Port: port, ACL: acl}}); err != nil {
-		panic(err)
-	}
-}
-
-// SetInACL installs, replaces, or (with nil) removes a box's ingress ACL.
-func (c *Classifier) SetInACL(box int, acl *rule.ACL) {
-	if err := c.ApplyRuleDeltas([]RuleDelta{{Op: OpSetInACL, Box: box, ACL: acl}}); err != nil {
-		panic(err)
-	}
-}

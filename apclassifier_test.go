@@ -9,6 +9,14 @@ import (
 	"apclassifier/internal/rule"
 )
 
+// mustApply applies one rule-delta batch, failing the test on error.
+func mustApply(t testing.TB, c *Classifier, deltas ...RuleDelta) {
+	t.Helper()
+	if err := c.ApplyRuleDeltas(deltas); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // behaviorMatchesOracle compares the two-stage AP Classifier pipeline with
 // the direct rule-table simulator on random traffic — the end-to-end
 // correctness property of the whole system.
@@ -119,7 +127,7 @@ func TestRuleLevelUpdates(t *testing.T) {
 	newPrefix := rule.P(0xF0000000, 12) // 240/12 is outside generator bases
 	for b := range ds.Boxes {
 		if b == target.Box {
-			c.AddFwdRule(b, rule.FwdRule{Prefix: newPrefix, Port: target.Port})
+			mustApply(t, c, RuleDelta{Op: OpAddFwdRule, Box: b, Rule: rule.FwdRule{Prefix: newPrefix, Port: target.Port}})
 		}
 	}
 	// Boxes other than target have no route to 240/12, so inject a route
@@ -136,9 +144,7 @@ func TestRuleLevelUpdates(t *testing.T) {
 
 	// Remove it again: the packet must now drop, per both oracle and
 	// classifier.
-	if !c.RemoveFwdRule(target.Box, newPrefix) {
-		t.Fatal("RemoveFwdRule reported nothing removed")
-	}
+	mustApply(t, c, RuleDelta{Op: OpRemoveFwdRule, Box: target.Box, Prefix: newPrefix})
 	want = ds.Simulate(target.Box, f)
 	got = c.Behavior(target.Box, ds.PacketFromFields(f))
 	if len(want.Delivered) != 0 || got.Delivered("") {
@@ -180,7 +186,7 @@ func TestACLLevelUpdates(t *testing.T) {
 	// Installing a deny-all egress ACL on the delivery port must drop it
 	// (both per classifier and per oracle).
 	denyAll := &rule.ACL{Default: rule.Deny}
-	c.SetPortACL(dbox, dport, denyAll)
+	mustApply(t, c, RuleDelta{Op: OpSetPortACL, Box: dbox, Port: dport, ACL: denyAll})
 	if c.Behavior(0, ds.PacketFromFields(f)).Delivered("") {
 		t.Fatal("deny-all egress ACL not applied")
 	}
@@ -189,24 +195,24 @@ func TestACLLevelUpdates(t *testing.T) {
 	}
 
 	// Replace with a permit-all ACL: flow restored.
-	c.SetPortACL(dbox, dport, &rule.ACL{Default: rule.Permit})
+	mustApply(t, c, RuleDelta{Op: OpSetPortACL, Box: dbox, Port: dport, ACL: &rule.ACL{Default: rule.Permit}})
 	if !c.Behavior(0, ds.PacketFromFields(f)).Delivered("") {
 		t.Fatal("permit-all egress ACL should restore delivery")
 	}
 
 	// Remove entirely: still delivered.
-	c.SetPortACL(dbox, dport, nil)
+	mustApply(t, c, RuleDelta{Op: OpSetPortACL, Box: dbox, Port: dport})
 	if !c.Behavior(0, ds.PacketFromFields(f)).Delivered("") {
 		t.Fatal("removing the ACL should keep delivery")
 	}
 
 	// Ingress ACL on the ingress box drops everything entering there.
-	c.SetInACL(0, denyAll)
+	mustApply(t, c, RuleDelta{Op: OpSetInACL, Box: 0, ACL: denyAll})
 	b := c.Behavior(0, ds.PacketFromFields(f))
 	if b.Delivered("") {
 		t.Fatal("deny-all ingress ACL not applied")
 	}
-	c.SetInACL(0, nil)
+	mustApply(t, c, RuleDelta{Op: OpSetInACL, Box: 0})
 	if !c.Behavior(0, ds.PacketFromFields(f)).Delivered("") {
 		t.Fatal("removing ingress ACL should restore delivery")
 	}

@@ -115,8 +115,8 @@ func TestApdebugWiringCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetInACL(0, &rule.ACL{Default: rule.Deny}) // a live bdd.False slot is fine
-	c.SetInACL(0, nil)
+	mustApply(t, c, RuleDelta{Op: OpSetInACL, ACL: &rule.ACL{Default: rule.Deny}}) // a live bdd.False slot is fine
+	mustApply(t, c, RuleDelta{Op: OpSetInACL})
 	c.debugCheckWiring()
 
 	var victim int32 = -1

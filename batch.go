@@ -107,11 +107,3 @@ func (s *Snapshot) BehaviorBatch(buf *BatchBuffer, ingress []int, pkts [][]byte)
 	leaves := s.ClassifyBatch(buf, pkts)
 	return s.BehaviorBatchFrom(buf, ingress, pkts, leaves)
 }
-
-// BehaviorBatch pins the current epoch and answers the whole batch
-// against it; see Snapshot.BehaviorBatch. Like the single-packet path it
-// acquires no lock and runs safely concurrent with updates and
-// reconstructions — the batch is atomic with respect to epoch swaps.
-func (c *Classifier) BehaviorBatch(buf *BatchBuffer, ingress []int, pkts [][]byte) []*network.Behavior {
-	return c.Snapshot().BehaviorBatch(buf, ingress, pkts)
-}

@@ -125,7 +125,7 @@ func TestBatchBypassesCacheForPayloadMiddlebox(t *testing.T) {
 	ingress := []int{0, 0, 0, 0, 0, 0}
 	buf := c.NewBatchBuffer()
 	for round := 0; round < 2; round++ { // round 2 re-tests against a warm cache
-		got := c.BehaviorBatch(buf, ingress, pkts)
+		got := c.Snapshot().BehaviorBatch(buf, ingress, pkts)
 		for i, b := range got {
 			want := wantEven
 			if i%2 == 1 {
@@ -190,7 +190,7 @@ func TestBatchUnderManagerChurn(t *testing.T) {
 			defer wg.Done()
 			buf := c.NewBatchBuffer()
 			for i := 0; i < 200; i++ {
-				got := c.BehaviorBatch(buf, ingress, pkts)
+				got := c.Snapshot().BehaviorBatch(buf, ingress, pkts)
 				for k, b := range got {
 					if b.String() != want[k] {
 						t.Errorf("batch element %d drifted under churn:\n got %q\nwant %q",

@@ -160,7 +160,7 @@ func BenchmarkBehaviorBatch(b *testing.B) {
 				if pos+size > len(trace) {
 					pos = 0
 				}
-				c.BehaviorBatch(buf, ing[pos:pos+size], trace[pos:pos+size])
+				c.Snapshot().BehaviorBatch(buf, ing[pos:pos+size], trace[pos:pos+size])
 				pos += size
 			}
 		})

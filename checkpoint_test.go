@@ -39,19 +39,19 @@ func TestCheckpointRestoreMatchesLive(t *testing.T) {
 			// add new ones, a reconstruction swaps the tree. The
 			// checkpoint must capture this post-update epoch, not the
 			// cold-build state.
-			c.AddFwdRule(0, rule.FwdRule{Prefix: rule.P(0x0A000000, 8), Port: 0})
+			mustApply(t, c, RuleDelta{Op: OpAddFwdRule, Rule: rule.FwdRule{Prefix: rule.P(0x0A000000, 8), Port: 0}})
 			for b := range ds.Boxes {
 				if len(ds.Boxes[b].Fwd.Rules) > 0 {
-					c.RemoveFwdRule(b, ds.Boxes[b].Fwd.Rules[0].Prefix)
+					mustApply(t, c, RuleDelta{Op: OpRemoveFwdRule, Box: b, Prefix: ds.Boxes[b].Fwd.Rules[0].Prefix})
 					break
 				}
 			}
 			deny := rule.MatchAll()
 			deny.Dst = rule.P(0x80000000, 1)
-			c.SetInACL(len(ds.Boxes)-1, &rule.ACL{
+			mustApply(t, c, RuleDelta{Op: OpSetInACL, Box: len(ds.Boxes) - 1, ACL: &rule.ACL{
 				Rules:   []rule.ACLRule{{Match: deny, Action: rule.Deny}},
 				Default: rule.Permit,
-			})
+			}})
 			c.Reconstruct(false)
 
 			dir, err := checkpoint.Open(t.TempDir(), 2)
@@ -119,13 +119,13 @@ func TestCheckpointRestoreMatchesLive(t *testing.T) {
 			// fed the same updates: a forwarding-rule change (exercising
 			// the round-tripped rule tables) and a fresh ingress ACL.
 			fr := rule.FwdRule{Prefix: rule.P(0xC0A80000, 16), Port: 0}
-			c.AddFwdRule(0, fr)
-			rc.AddFwdRule(0, fr)
+			mustApply(t, c, RuleDelta{Op: OpAddFwdRule, Rule: fr})
+			mustApply(t, rc, RuleDelta{Op: OpAddFwdRule, Rule: fr})
 			deny2 := rule.MatchAll()
 			deny2.Dst = rule.P(0xC0000000, 2)
 			acl := &rule.ACL{Rules: []rule.ACLRule{{Match: deny2, Action: rule.Deny}}, Default: rule.Permit}
-			c.SetInACL(0, acl)
-			rc.SetInACL(0, acl)
+			mustApply(t, c, RuleDelta{Op: OpSetInACL, ACL: acl})
+			mustApply(t, rc, RuleDelta{Op: OpSetInACL, ACL: acl})
 			liveIDs = c.Manager.LiveIDs()
 			compare(probes[:40], "post-update")
 
@@ -155,8 +155,7 @@ func TestCheckpointRestoresDenyAllACL(t *testing.T) {
 		t.Fatal(err)
 	}
 	denyAll := &rule.ACL{Default: rule.Deny}
-	c.SetInACL(0, denyAll)
-	c.SetPortACL(1, 0, denyAll)
+	mustApply(t, c, RuleDelta{Op: OpSetInACL, ACL: denyAll}, RuleDelta{Op: OpSetPortACL, Box: 1, ACL: denyAll})
 
 	dir, err := checkpoint.Open(t.TempDir(), 2)
 	if err != nil {
@@ -202,8 +201,8 @@ func TestCheckpointRestoresDenyAllACL(t *testing.T) {
 	// classifier: both updates remove a live bdd.False slot.
 	deny := rule.MatchAll()
 	deny.Dst = rule.P(0x80000000, 1)
-	rc.SetInACL(0, &rule.ACL{Rules: []rule.ACLRule{{Match: deny, Action: rule.Deny}}, Default: rule.Permit})
-	rc.SetPortACL(1, 0, nil)
+	mustApply(t, rc, RuleDelta{Op: OpSetInACL, ACL: &rule.ACL{Rules: []rule.ACLRule{{Match: deny, Action: rule.Deny}}, Default: rule.Permit}})
+	mustApply(t, rc, RuleDelta{Op: OpSetPortACL, Box: 1})
 	cold, err := New(rc.Dataset, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func main() {
 					}
 				}
 				if !dup {
-					c.AddFwdRule(box, rule.FwdRule{Prefix: np, Port: parent.Port})
+					apply(c, apclassifier.RuleDelta{Op: apclassifier.OpAddFwdRule, Box: box, Rule: rule.FwdRule{Prefix: np, Port: parent.Port}})
 					installed = append(installed, struct {
 						box int
 						p   rule.Prefix
@@ -83,7 +83,7 @@ func main() {
 		case 1:
 			if len(installed) > 0 {
 				k := rng.Intn(len(installed))
-				c.RemoveFwdRule(installed[k].box, installed[k].p)
+				apply(c, apclassifier.RuleDelta{Op: apclassifier.OpRemoveFwdRule, Box: installed[k].box, Prefix: installed[k].p})
 				installed = append(installed[:k], installed[k+1:]...)
 				churns++
 			}
@@ -127,6 +127,15 @@ func main() {
 	}
 	fmt.Printf("soak PASS: %d queries, %d rule churns, %d reconstructions, 4 engines agreed throughout\n",
 		queries, churns, rebuilds)
+}
+
+// apply applies one rule-delta batch; a refused batch ends the soak with
+// exit status 1, like a divergence.
+func apply(c *apclassifier.Classifier, deltas ...apclassifier.RuleDelta) {
+	if err := c.ApplyRuleDeltas(deltas); err != nil {
+		fmt.Fprintln(os.Stderr, "rule update failed:", err)
+		os.Exit(1)
+	}
 }
 
 func delivSet(hosts []string) map[string]bool {

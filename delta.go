@@ -78,8 +78,9 @@ func (c *Classifier) validateDelta(dl RuleDelta) error {
 }
 
 // ApplyRuleDeltas applies a batch of data-plane mutations as one update
-// transaction — the delta pipeline behind AddFwdRule, RemoveFwdRule,
-// SetPortACL, SetInACL and the server's /rules/batch firehose.
+// transaction. It (with ApplyRuleDeltasSeq) is the only way to change a
+// classifier's rules: the server's /rules/batch firehose, the cluster, the
+// policy guard and cmd/apsoak all build a []RuleDelta and call it.
 //
 // The whole batch is validated before anything is touched; an error means
 // no mutation happened. The forwarding-table mutations report their LPM
@@ -90,9 +91,9 @@ func (c *Classifier) validateDelta(dl RuleDelta) error {
 // + Tx.Add), and the topology is rewired, all under a single
 // Manager.Update: queries observe either the pre-batch or the post-batch
 // epoch, never an intermediate state, and no slot is left naming a removed
-// ID (stage 2 probes no liveness; the apdebug build asserts it). Like the
-// individual mutators, callers must externally synchronize with each other
-// (the server holds its write lock); queries need no synchronization.
+// ID (stage 2 probes no liveness; the apdebug build asserts it). Callers
+// must externally synchronize with each other (the server holds its write
+// lock); queries need no synchronization.
 func (c *Classifier) ApplyRuleDeltas(deltas []RuleDelta) error {
 	for i, dl := range deltas {
 		if err := c.validateDelta(dl); err != nil {

@@ -36,9 +36,10 @@ func ExampleNew() {
 	// atoms: 3
 }
 
-// ExampleClassifier_WhatIfFwdRule previews a rule installation without
-// committing it.
-func ExampleClassifier_WhatIfFwdRule() {
+// ExampleClassifier_ApplyRuleDeltas changes the data plane with one
+// batched update, then undoes it with another; a batch that fails
+// validation changes nothing.
+func ExampleClassifier_ApplyRuleDeltas() {
 	ds := &netgen.Dataset{Name: "tiny", Layout: netgen.Internet2Like(netgen.Config{Seed: 1, RuleScale: 0.01}).Layout}
 	ds.Boxes = []netgen.BoxSpec{{Name: "a", NumPorts: 1, PortACL: map[int]*rule.ACL{}}}
 	ds.Hosts = []netgen.Host{{Box: 0, Port: 0, Name: "h1"}}
@@ -48,13 +49,35 @@ func ExampleClassifier_WhatIfFwdRule() {
 	if err != nil {
 		panic(err)
 	}
-	probe := apclassifier.FlowProbe{Ingress: 0, Fields: rule.Fields{Dst: 0x0A000001}}
-	// What if we blackholed 10.0.0.1/32?
-	changes := c.WhatIfFwdRule(0, rule.FwdRule{Prefix: rule.P(0x0A000001, 32), Port: rule.Drop},
-		[]apclassifier.FlowProbe{probe})
-	fmt.Println("flows affected:", len(changes))
-	fmt.Println("still delivered after rollback:", c.Behavior(0, ds.PacketFromFields(probe.Fields)).Delivered("h1"))
+	pkt := ds.PacketFromFields(rule.Fields{Dst: 0x0A000001}) // 10.0.0.1
+	host := rule.P(0x0A000001, 32)
+
+	// Blackhole 10.0.0.1/32.
+	if err := c.ApplyRuleDeltas([]apclassifier.RuleDelta{
+		{Op: apclassifier.OpAddFwdRule, Box: 0, Rule: rule.FwdRule{Prefix: host, Port: rule.Drop}},
+	}); err != nil {
+		panic(err)
+	}
+	fmt.Println("delivered with the drop:", c.Behavior(0, pkt).Delivered("h1"))
+
+	// A batch naming an unknown box is rejected whole.
+	err = c.ApplyRuleDeltas([]apclassifier.RuleDelta{
+		{Op: apclassifier.OpRemoveFwdRule, Box: 0, Prefix: host},
+		{Op: apclassifier.OpSetInACL, Box: 7},
+	})
+	fmt.Println("bad batch:", err)
+	fmt.Println("delivered after the bad batch:", c.Behavior(0, pkt).Delivered("h1"))
+
+	// Remove the drop.
+	if err := c.ApplyRuleDeltas([]apclassifier.RuleDelta{
+		{Op: apclassifier.OpRemoveFwdRule, Box: 0, Prefix: host},
+	}); err != nil {
+		panic(err)
+	}
+	fmt.Println("delivered once removed:", c.Behavior(0, pkt).Delivered("h1"))
 	// Output:
-	// flows affected: 1
-	// still delivered after rollback: true
+	// delivered with the drop: false
+	// bad batch: apclassifier: delta 1: unknown box 7
+	// delivered after the bad batch: false
+	// delivered once removed: true
 }

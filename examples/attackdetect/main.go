@@ -71,7 +71,11 @@ func main() {
 		}
 	}
 	fmt.Printf("ATTACK: detouring dst %s through %s...\n", ip(victim.dst), ds.Boxes[tap].Name)
-	c.AddFwdRule(victim.ingress, rule.FwdRule{Prefix: rule.P(victim.dst, 32), Port: tapPort})
+	if err := c.ApplyRuleDeltas([]apclassifier.RuleDelta{
+		{Op: apclassifier.OpAddFwdRule, Box: victim.ingress, Rule: rule.FwdRule{Prefix: rule.P(victim.dst, 32), Port: tapPort}},
+	}); err != nil {
+		log.Fatal(err)
+	}
 
 	// Phase 3 — detection sweep: re-fingerprint all monitored flows.
 	alarms := 0

@@ -45,7 +45,12 @@ func main() {
 	path := expected.Path()
 	faulty := path[rng.Intn(len(path))]
 	fmt.Printf("injecting faulty rule (blackhole %s/32) into %s...\n\n", ip(flow.Dst), ds.Boxes[faulty].Name)
-	c.AddFwdRule(faulty, rule.FwdRule{Prefix: rule.P(flow.Dst, 32), Port: rule.Drop})
+	fault := rule.P(flow.Dst, 32)
+	if err := c.ApplyRuleDeltas([]apclassifier.RuleDelta{
+		{Op: apclassifier.OpAddFwdRule, Box: faulty, Rule: rule.FwdRule{Prefix: fault, Port: rule.Drop}},
+	}); err != nil {
+		log.Fatal(err)
+	}
 
 	// Detection: the property "flow reaches host" now fails.
 	actual := c.Behavior(ingress, ds.PacketFromFields(flow))
@@ -78,7 +83,11 @@ func main() {
 	}
 
 	// Repair and verify.
-	c.RemoveFwdRule(faulty, rule.P(flow.Dst, 32))
+	if err := c.ApplyRuleDeltas([]apclassifier.RuleDelta{
+		{Op: apclassifier.OpRemoveFwdRule, Box: faulty, Prefix: fault},
+	}); err != nil {
+		log.Fatal(err)
+	}
 	if c.Behavior(ingress, ds.PacketFromFields(flow)).Delivered(host) {
 		fmt.Println("after repair: flow delivered again ✔")
 	}

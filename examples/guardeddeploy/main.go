@@ -58,7 +58,10 @@ func main() {
 
 	// Proposed change 1: a harmless blackhole for unused space.
 	r1 := rule.FwdRule{Prefix: rule.P(0xF0000000, 8), Port: rule.Drop}
-	ok, _ := g.TryFwdRule(0, r1)
+	ok, _, err := g.TryFwdRule(0, r1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("proposal 1 (drop 240.0.0.0/8 at %s): committed=%v\n", ds.Boxes[0].Name, ok)
 
 	// Proposed change 2: a typo'd host route that would blackhole a
@@ -66,7 +69,10 @@ func main() {
 	// the longest-prefix match, so this bites immediately).
 	victim := services[0]
 	r2 := rule.FwdRule{Prefix: rule.P(victim.dst, 32), Port: rule.Drop}
-	ok, violations := g.TryFwdRule(victim.dbox, r2)
+	ok, violations, err := g.TryFwdRule(victim.dbox, r2)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("proposal 2 (blackhole %s/32 at %s): committed=%v\n",
 		ipStr(victim.dst), ds.Boxes[victim.dbox].Name, ok)
 	for _, v := range violations {

@@ -63,8 +63,12 @@ func main() {
 	fmt.Println("\ninjecting a routing loop for 10.0.0.0/8 between chicago and kansascity...")
 	toKC := portToward(c, chi, kc)
 	toChi := portToward(c, kc, chi)
-	c.AddFwdRule(chi, rule.FwdRule{Prefix: rule.P(0x0A000000, 8), Port: toKC})
-	c.AddFwdRule(kc, rule.FwdRule{Prefix: rule.P(0x0A000000, 8), Port: toChi})
+	if err := c.ApplyRuleDeltas([]apclassifier.RuleDelta{
+		{Op: apclassifier.OpAddFwdRule, Box: chi, Rule: rule.FwdRule{Prefix: rule.P(0x0A000000, 8), Port: toKC}},
+		{Op: apclassifier.OpAddFwdRule, Box: kc, Rule: rule.FwdRule{Prefix: rule.P(0x0A000000, 8), Port: toChi}},
+	}); err != nil {
+		log.Fatal(err)
+	}
 
 	a2 := verify.New(c)
 	loops := a2.Loops()

@@ -50,10 +50,13 @@ func main() {
 	target := ds.Hosts[0]
 	victim := ds.Boxes[target.Box].Fwd.Rules[0]
 	fmt.Printf("installing drop rule for %v on %s...\n", victim.Prefix, ds.Boxes[target.Box].Name)
-	c.AddFwdRule(target.Box, rule.FwdRule{
-		Prefix: rule.P(victim.Prefix.Value, 32), // a /32 inside the victim prefix
-		Port:   rule.Drop,
-	})
+	if err := c.ApplyRuleDeltas([]apclassifier.RuleDelta{{
+		Op:   apclassifier.OpAddFwdRule,
+		Box:  target.Box,
+		Rule: rule.FwdRule{Prefix: rule.P(victim.Prefix.Value, 32), Port: rule.Drop}, // a /32 inside the victim prefix
+	}}); err != nil {
+		log.Fatal(err)
+	}
 	f := rule.Fields{Dst: victim.Prefix.Value}
 	b := c.Behavior(target.Box, ds.PacketFromFields(f))
 	fmt.Printf("  behavior from %s now: %s\n\n", ds.Boxes[target.Box].Name, describe(c, b))

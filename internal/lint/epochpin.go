@@ -44,12 +44,13 @@ var managerLiveReads = map[string]bool{
 }
 
 // classifierLiveReads are facade Classifier methods that pin internally
-// and answer from whatever epoch is published at call time.
+// and answer from whatever epoch is published at call time. Both tables
+// name real methods only; TestLiveReadTablesResolve checks them against
+// the method sets.
 var classifierLiveReads = map[string]bool{
 	"Classify": true, "Behavior": true, "BehaviorWith": true,
-	"ClassifyBatch": true, "BehaviorBatch": true, "BehaviorBatchFrom": true,
 	"NumPredicates": true, "NumAtoms": true, "AverageDepth": true,
-	"MemBytes": true, "LiveMemBytes": true,
+	"MemBytes": true,
 }
 
 func runEpochPin(m *Module, report Reporter) {

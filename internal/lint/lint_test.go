@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -259,6 +260,43 @@ func TestModuleIsClean(t *testing.T) {
 				}
 				return true
 			})
+		}
+	}
+}
+
+// TestLiveReadTablesResolve keeps epochpin's method tables from drifting:
+// every name must be a method of *aptree.Manager or the facade's
+// *Classifier, or the check silently stops guarding it.
+func TestLiveReadTablesResolve(t *testing.T) {
+	root := moduleRoot(t)
+	modPath, err := ModulePath(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadDir(root, root, modPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	facade := m.Pkgs[0].Types
+	var manager types.Object
+	for _, imp := range facade.Imports() {
+		if imp.Path() == modPath+"/internal/aptree" {
+			manager = imp.Scope().Lookup("Manager")
+		}
+	}
+	classifier := facade.Scope().Lookup("Classifier")
+	if manager == nil || classifier == nil {
+		t.Fatal("cannot find aptree.Manager or the facade Classifier")
+	}
+	for _, tc := range []struct {
+		obj   types.Object
+		table map[string]bool
+	}{{manager, managerLiveReads}, {classifier, classifierLiveReads}} {
+		methods := types.NewMethodSet(types.NewPointer(tc.obj.Type()))
+		for name := range tc.table {
+			if methods.Lookup(tc.obj.Pkg(), name) == nil {
+				t.Errorf("epochpin lists %s.%s, which is not a method", tc.obj.Name(), name)
+			}
 		}
 	}
 }

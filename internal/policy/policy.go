@@ -153,16 +153,31 @@ func NewGuard(c *apclassifier.Classifier, props []Property) *Guard {
 	return &Guard{c: c, props: props}
 }
 
-// TryFwdRule implements the §I pre-update verification workflow: apply the
-// rule, re-check every property, and keep the rule only if all still hold.
-// It returns whether the rule was committed and any violations found (the
-// rule is rolled back when violations exist).
-func (g *Guard) TryFwdRule(box int, r rule.FwdRule) (committed bool, violations []Violation) {
-	g.c.AddFwdRule(box, r)
-	violations = Check(g.c, g.props)
-	if len(violations) > 0 {
-		g.c.RemoveFwdRule(box, r.Prefix)
-		return false, violations
+// TryFwdRule implements the §I pre-update verification workflow: install r
+// in place of any rule with the same prefix, re-check every property, and
+// keep the change only if all still hold. On a violation the change is
+// rolled back — r removed, the displaced rules reinstalled — and the
+// violations are returned. A non-nil error means the update was refused
+// before anything changed, or that the rollback itself failed.
+func (g *Guard) TryFwdRule(box int, r rule.FwdRule) (committed bool, violations []Violation, err error) {
+	// Replace, not append: an appended rule with an existing prefix loses
+	// the LPM tie to the old one, and the check would see no change.
+	rollback := []apclassifier.RuleDelta{{Op: apclassifier.OpRemoveFwdRule, Box: box, Prefix: r.Prefix}}
+	if box >= 0 && box < len(g.c.Dataset.Boxes) {
+		for _, er := range g.c.Dataset.Boxes[box].Fwd.Rules {
+			if er.Prefix == r.Prefix {
+				rollback = append(rollback, apclassifier.RuleDelta{Op: apclassifier.OpAddFwdRule, Box: box, Rule: er})
+			}
+		}
 	}
-	return true, nil
+	if err := g.c.ApplyRuleDeltas([]apclassifier.RuleDelta{
+		{Op: apclassifier.OpRemoveFwdRule, Box: box, Prefix: r.Prefix},
+		{Op: apclassifier.OpAddFwdRule, Box: box, Rule: r},
+	}); err != nil {
+		return false, nil, err
+	}
+	if violations = Check(g.c, g.props); len(violations) == 0 {
+		return true, nil, nil
+	}
+	return false, violations, g.c.ApplyRuleDeltas(rollback)
 }

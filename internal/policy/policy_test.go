@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,14 @@ import (
 	"apclassifier/internal/netgen"
 	"apclassifier/internal/rule"
 )
+
+// mustApply applies one rule-delta batch, failing the test on error.
+func mustApply(t *testing.T, c *apclassifier.Classifier, deltas ...apclassifier.RuleDelta) {
+	t.Helper()
+	if err := c.ApplyRuleDeltas(deltas); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func testNet(t *testing.T) (*apclassifier.Classifier, *netgen.Dataset, rule.Fields, string) {
 	t.Helper()
@@ -44,18 +53,19 @@ func TestCheckDetectsBrokenReachability(t *testing.T) {
 	// Break it: blackhole the host's entire traffic at its delivery box.
 	b := c.Behavior(0, c.Dataset.PacketFromFields(flow))
 	dbox := b.Deliveries[0].Box
-	c.AddFwdRule(dbox, rule.FwdRule{Prefix: rule.P(0, 0), Port: rule.Drop})
+	mustApply(t, c, apclassifier.RuleDelta{Op: apclassifier.OpAddFwdRule, Box: dbox, Rule: rule.FwdRule{Prefix: rule.P(0, 0), Port: rule.Drop}})
 	// The /0 drop shadows everything shorter... LPM: /0 is the shortest,
 	// so it only catches previously-unmatched packets. Use per-host /32s
 	// won't cover "reachable by any packet": instead drop the flow dst.
-	c.AddFwdRule(dbox, rule.FwdRule{Prefix: rule.P(flow.Dst, 32), Port: rule.Drop})
+	mustApply(t, c, apclassifier.RuleDelta{Op: apclassifier.OpAddFwdRule, Box: dbox, Rule: rule.FwdRule{Prefix: rule.P(flow.Dst, 32), Port: rule.Drop}})
 	v := Check(c, props)
 	// Reachability may survive via other packets; assert NotReachable
 	// detection instead on a stronger break below if this held.
 	_ = v
 
 	// Full break: deny-all egress ACL on the delivery port.
-	c.SetPortACL(dbox, b.Deliveries[0].Port, &rule.ACL{Default: rule.Deny})
+	mustApply(t, c, apclassifier.RuleDelta{Op: apclassifier.OpSetPortACL, Box: dbox, Port: b.Deliveries[0].Port,
+		ACL: &rule.ACL{Default: rule.Deny}})
 	v = Check(c, props)
 	if len(v) != 1 || v[0].Property.Kind != Reachable {
 		t.Fatalf("broken reachability not detected: %v", v)
@@ -107,12 +117,18 @@ func TestGuardRejectsViolatingRule(t *testing.T) {
 	// A /9+/9 pair would be needed to fully cover /8 with longer
 	// prefixes; the guard must reject the update that kills the last
 	// reachable packets. First half: still committed (10.128/9 remains).
-	committed, _ := g.TryFwdRule(0, rule.FwdRule{Prefix: rule.P(0x0A000000, 9), Port: rule.Drop})
+	committed, _, err := g.TryFwdRule(0, rule.FwdRule{Prefix: rule.P(0x0A000000, 9), Port: rule.Drop})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !committed {
 		t.Fatal("half-drop leaves reachability; must commit")
 	}
 	// Second half: would blackhole everything — must be rejected.
-	committed, violations := g.TryFwdRule(0, rule.FwdRule{Prefix: rule.P(0x0A800000, 9), Port: rule.Drop})
+	committed, violations, err := g.TryFwdRule(0, rule.FwdRule{Prefix: rule.P(0x0A800000, 9), Port: rule.Drop})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if committed {
 		t.Fatal("reachability-killing rule must be rejected")
 	}
@@ -130,14 +146,72 @@ func TestGuardRejectsViolatingRule(t *testing.T) {
 	}
 }
 
+// TestGuardSamePrefixRule: a proposed rule whose prefix is already in the
+// table is checked as the replacement it is. Appended beside the old rule
+// it would lose the LPM tie, and the guard would approve a data plane it
+// never saw. A rejection must leave the table byte-for-byte as it was.
+func TestGuardSamePrefixRule(t *testing.T) {
+	layout := netgen.Internet2Like(netgen.Config{Seed: 1, RuleScale: 0.01}).Layout
+	ds := &netgen.Dataset{Name: "tiny", Layout: layout}
+	ds.Boxes = []netgen.BoxSpec{{Name: "a", NumPorts: 2, PortACL: map[int]*rule.ACL{}}}
+	ds.Hosts = []netgen.Host{{Box: 0, Port: 0, Name: "h1"}, {Box: 0, Port: 1, Name: "h2"}}
+	p10 := rule.P(0x0A000000, 8)
+	ds.Boxes[0].Fwd.Add(rule.FwdRule{Prefix: p10, Port: 0}) // the only route
+	c, err := apclassifier.New(ds, apclassifier.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before bytes.Buffer
+	if err := ds.Write(&before); err != nil {
+		t.Fatal(err)
+	}
+	pkt := ds.PacketFromFields(rule.Fields{Dst: 0x0A000001})
+
+	// Dropping 10/8 kills every packet h1 receives: rejected.
+	g := NewGuard(c, []Property{{Kind: Reachable, From: 0, Host: "h1"}})
+	committed, violations, err := g.TryFwdRule(0, rule.FwdRule{Prefix: p10, Port: rule.Drop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if committed {
+		t.Fatal("a same-prefix drop of the only route must be rejected")
+	}
+	if len(violations) != 1 || violations[0].Property.Kind != Reachable {
+		t.Fatalf("violations = %v", violations)
+	}
+	var after bytes.Buffer
+	if err := ds.Write(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatalf("rollback changed the dataset:\nbefore:\n%s\nafter:\n%s", before.Bytes(), after.Bytes())
+	}
+	if !c.Behavior(0, pkt).Delivered("h1") {
+		t.Fatal("rollback did not restore delivery to h1")
+	}
+
+	// Rerouting 10/8 to h2 keeps the data plane loop-free: committed, and
+	// the new rule is the only 10/8 route left.
+	committed, violations, err = NewGuard(c, []Property{{Kind: LoopFree}}).TryFwdRule(0, rule.FwdRule{Prefix: p10, Port: 1})
+	if !committed || err != nil {
+		t.Fatalf("loop-free reroute rejected: %v, %v", violations, err)
+	}
+	if rules := ds.Boxes[0].Fwd.Rules; len(rules) != 1 || rules[0] != (rule.FwdRule{Prefix: p10, Port: 1}) {
+		t.Fatalf("table after replacement = %v", rules)
+	}
+	if !c.Behavior(0, pkt).Delivered("h2") {
+		t.Fatal("committed replacement not in effect")
+	}
+}
+
 func TestGuardCommitsSafeRule(t *testing.T) {
 	c, _, _, host := testNet(t)
 	g := NewGuard(c, []Property{{Kind: Reachable, From: 0, Host: host}, {Kind: LoopFree}})
 	// A rule in unused space (240/8) cannot affect the properties.
 	safe := rule.FwdRule{Prefix: rule.P(0xF0000000, 8), Port: rule.Drop}
-	committed, violations := g.TryFwdRule(0, safe)
-	if !committed || len(violations) != 0 {
-		t.Fatalf("safe rule rejected: %v", violations)
+	committed, violations, err := g.TryFwdRule(0, safe)
+	if !committed || len(violations) != 0 || err != nil {
+		t.Fatalf("safe rule rejected: %v, %v", violations, err)
 	}
 	// And it is actually installed.
 	found := false
@@ -176,7 +250,7 @@ func TestIsolatedProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2.AddFwdRule(0, rule.FwdRule{Prefix: rule.P(0x0B000000, 8), Port: 1})
+	mustApply(t, c2, apclassifier.RuleDelta{Op: apclassifier.OpAddFwdRule, Box: 0, Rule: rule.FwdRule{Prefix: rule.P(0x0B000000, 8), Port: 1}})
 	if v := Check(c2, props); len(v) != 1 || v[0].Witness == bdd.False {
 		t.Fatalf("bridged boxes must violate isolation with a witness: %v", v)
 	}
@@ -207,7 +281,7 @@ func TestWaypointProperty(t *testing.T) {
 		t.Fatalf("waypoint should hold: %v", v)
 	}
 	// Reroute half of 10/8 over the bypass link (port 2 of a).
-	c.AddFwdRule(0, rule.FwdRule{Prefix: rule.P(0x0A000000, 9), Port: 2})
+	mustApply(t, c, apclassifier.RuleDelta{Op: apclassifier.OpAddFwdRule, Box: 0, Rule: rule.FwdRule{Prefix: rule.P(0x0A000000, 9), Port: 2}})
 	v := Check(c, props)
 	if len(v) != 1 || v[0].Witness == bdd.False {
 		t.Fatalf("bypass must violate the waypoint with a witness: %v", v)

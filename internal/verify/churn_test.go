@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"apclassifier"
 	"apclassifier/internal/netgen"
 	"apclassifier/internal/predicate"
 	"apclassifier/internal/rule"
@@ -62,14 +63,14 @@ func TestAnalyzerStableUnderChurn(t *testing.T) {
 			length := parent.Prefix.Length + 1 + rng.Intn(31-parent.Prefix.Length)
 			child := rule.P(parent.Prefix.Value|rng.Uint32()&^(^uint32(0)<<uint(32-parent.Prefix.Length)), length)
 			port := (parent.Port + 1) % ds.Boxes[box].NumPorts
-			c.AddFwdRule(box, rule.FwdRule{Prefix: child, Port: port})
+			apply(t, c, apclassifier.RuleDelta{Op: apclassifier.OpAddFwdRule, Box: box, Rule: rule.FwdRule{Prefix: child, Port: port}})
 			installed = append(installed, struct {
 				box int
 				p   rule.Prefix
 			}{box, child})
 		}
 		for _, in := range installed {
-			c.RemoveFwdRule(in.box, in.p)
+			apply(t, c, apclassifier.RuleDelta{Op: apclassifier.OpRemoveFwdRule, Box: in.box, Prefix: in.p})
 		}
 		close(stop)
 	}()
@@ -150,7 +151,8 @@ func TestFreshAnalyzersDuringChurn(t *testing.T) {
 			}
 			length := parent.Prefix.Length + 1 + rng.Intn(31-parent.Prefix.Length)
 			child := rule.P(parent.Prefix.Value|rng.Uint32()&^(^uint32(0)<<uint(32-parent.Prefix.Length)), length)
-			c.AddFwdRule(box, rule.FwdRule{Prefix: child, Port: (parent.Port + 1) % ds.Boxes[box].NumPorts})
+			apply(t, c, apclassifier.RuleDelta{Op: apclassifier.OpAddFwdRule, Box: box,
+				Rule: rule.FwdRule{Prefix: child, Port: (parent.Port + 1) % ds.Boxes[box].NumPorts}})
 		}
 		close(stop)
 	}()

@@ -19,6 +19,15 @@ func compile(t *testing.T, ds *netgen.Dataset) *apclassifier.Classifier {
 	return c
 }
 
+// apply applies one rule-delta batch, reporting a refusal with t.Error so
+// churn goroutines may call it.
+func apply(t *testing.T, c *apclassifier.Classifier, deltas ...apclassifier.RuleDelta) {
+	t.Helper()
+	if err := c.ApplyRuleDeltas(deltas); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestReachSetMatchesSampledBehavior(t *testing.T) {
 	ds := netgen.Internet2Like(netgen.Config{Seed: 51, RuleScale: 0.01})
 	c := compile(t, ds)

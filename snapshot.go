@@ -13,9 +13,8 @@ import (
 // classifier absorbs afterwards, and none of them takes a lock.
 //
 // Use a Snapshot when a batch of queries must be mutually consistent
-// (an invariant sweep, a what-if analysis, a /stats report), or simply
-// to amortize the one atomic load per query that Classifier.Behavior
-// performs. Snapshots are safe for concurrent use by any number of
+// (an invariant sweep, a /stats report), or simply to amortize the one
+// atomic load per query that Classifier.Behavior performs. Snapshots are safe for concurrent use by any number of
 // goroutines and may be retained indefinitely; an old epoch's memory is
 // reclaimed by Go's GC once the last snapshot referencing it is
 // dropped.
@@ -40,16 +39,6 @@ func (s *Snapshot) Version() uint64 { return s.s.Version() }
 func (s *Snapshot) Classify(pkt header.Packet) *aptree.Node {
 	leaf, _ := s.s.Classify(pkt)
 	return leaf
-}
-
-// Behavior runs both stages against the pinned epoch. Like
-// Classifier.Behavior it consults the epoch's behavior cache (when the
-// pinned epoch is still the published one) and memoizes deterministic
-// walks; the result may be that shared cached value and must be treated
-// as read-only.
-func (s *Snapshot) Behavior(ingress int, pkt header.Packet) *network.Behavior {
-	leaf, _ := s.s.Classify(pkt)
-	return s.c.behaviorVia(s.c.cacheFor(s.s), nil, s.s, ingress, pkt, leaf, false)
 }
 
 // BehaviorFrom runs stage 2 only, from a leaf the caller already

@@ -87,7 +87,7 @@ func TestBehaviorUnderManagerChurn(t *testing.T) {
 			ingress[i] = q.ingress
 		}
 		for i := 0; i < 400; i++ {
-			for k, b := range c.BehaviorBatch(buf, ingress, pkts) {
+			for k, b := range c.Snapshot().BehaviorBatch(buf, ingress, pkts) {
 				if got := b.String(); got != queries[k].want {
 					t.Errorf("BehaviorBatch drifted under churn:\n got %q\nwant %q", got, queries[k].want)
 					return
@@ -123,8 +123,8 @@ func TestBehaviorUnderManagerChurn(t *testing.T) {
 				v := s.Version()
 				for k := 0; k < 4; k++ {
 					b := queries[(i+k)%len(queries)]
-					if got := s.Behavior(b.ingress, b.pkt).String(); got != b.want {
-						t.Errorf("snapshot Behavior drifted under churn:\n got %q\nwant %q", got, b.want)
+					if got := s.BehaviorFrom(b.ingress, b.pkt, s.Classify(b.pkt)).String(); got != b.want {
+						t.Errorf("snapshot BehaviorFrom drifted under churn:\n got %q\nwant %q", got, b.want)
 						return
 					}
 				}
