@@ -145,10 +145,13 @@ cover:
 
 # Nothing outlives the gate: fail if a process started from the checkout —
 # a smoke still writing under $(SMOKE_DIR), a bench/run.sh worker, the
-# cluster smoke's real apserver/aprouter, a soak — is alive once the gates are
-# done. pgrep -f matches whole command lines; the bracketed first letters
-# keep the pattern from matching the shell that runs it.
-ORPHAN_PATTERN := [a]pc-checkpoint-smoke|[.]bench_build/bench|[a]pserver|[a]prouter|[a]psoak
+# cluster smoke's real apserver/aprouter, a soak, a test binary (`go test`
+# runs pkg.test from its build temp dir) or any `go run` executable (built
+# as go-buildNNN/bNNN/exe/<name>) — is alive once the gates are done.
+# pgrep -f matches whole command lines; the bracketed first characters keep
+# the pattern from matching the shell that runs it, whose own command line
+# holds the pattern's text.
+ORPHAN_PATTERN := [a]pc-checkpoint-smoke|[.]bench_build/bench|[a]pserver|[a]prouter|[a]psoak|[.]test( |$$)|[g]o-build[0-9]+/b[0-9]+/exe/
 no-orphans:
 	@if pgrep -fa '$(ORPHAN_PATTERN)'; then \
 		echo "the processes above outlived the gates that started them"; exit 1; \

@@ -38,6 +38,7 @@ import (
 	"apclassifier/internal/network"
 	"apclassifier/internal/obs"
 	"apclassifier/internal/predicate"
+	"apclassifier/internal/rule"
 )
 
 // Method re-exports the AP Tree construction methods.
@@ -111,6 +112,13 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 	}
 	if err := ds.Validate(); err != nil {
 		return nil, fmt.Errorf("apclassifier: invalid dataset: %w", err)
+	}
+	for bi := range ds.Boxes {
+		if ds.Boxes[bi].PortACL == nil {
+			// The classifier owns the dataset's rule tables from here on,
+			// and ApplyRuleDeltas writes port ACLs into this map.
+			ds.Boxes[bi].PortACL = map[int]*rule.ACL{}
+		}
 	}
 	c := &Classifier{Layout: ds.Layout, Dataset: ds}
 	d := bdd.New(ds.Layout.Bits())

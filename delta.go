@@ -70,6 +70,11 @@ func (c *Classifier) validateDelta(dl RuleDelta) error {
 		if dl.Port < 0 || dl.Port >= spec.NumPorts {
 			return fmt.Errorf("port %d out of range [0,%d)", dl.Port, spec.NumPorts)
 		}
+		if spec.PortACL == nil {
+			// New gives every box a map; only a spec edited behind the
+			// classifier's back lacks one.
+			return fmt.Errorf("box %d has a nil PortACL map", dl.Box)
+		}
 	case OpSetInACL:
 	default:
 		return fmt.Errorf("unknown op %d", int(dl.Op))
@@ -82,18 +87,21 @@ func (c *Classifier) validateDelta(dl RuleDelta) error {
 // classifier's rules: the server's /rules/batch firehose, the cluster, the
 // policy guard and cmd/apsoak all build a []RuleDelta and call it.
 //
-// The whole batch is validated before anything is touched; an error means
-// no mutation happened. The forwarding-table mutations report their LPM
-// cones (rule.Cone), so only the port predicates whose covering set
-// actually changed are recomputed — and only inside the cone regions
-// (predicate.DeltaPortPredicates). Each changed predicate is swapped in the
-// registry and the live tree by the atom-merge/split delta path (Tx.Remove
-// + Tx.Add), and the topology is rewired, all under a single
-// Manager.Update: queries observe either the pre-batch or the post-batch
-// epoch, never an intermediate state, and no slot is left naming a removed
-// ID (stage 2 probes no liveness; the apdebug build asserts it). Callers
-// must externally synchronize with each other (the server holds its write
-// lock); queries need no synchronization.
+// Everything that can fail — the whole batch's validation against the
+// dataset — runs before anything is touched; an error means no mutation
+// happened. The forwarding-table mutations report their LPM cones
+// (rule.Cone), so only the port predicates whose covering set actually
+// changed are recomputed, from the rules overlapping the cones alone
+// (predicate.DeltaPortPredicates). A changed predicate keeps its ID: the
+// tree re-cuts only the leaves that meet the box's cone region
+// (Tx.Replace), and a port is rewired only when it starts or stops
+// forwarding (Tx.Add, Tx.Remove). An ACL change is a Replace over old ⊕
+// new. It all runs under a single Manager.Update: queries observe either
+// the pre-batch or the post-batch epoch, never an intermediate state, and
+// no slot is left naming a removed ID (stage 2 probes no liveness; the
+// apdebug build asserts it). Callers must externally synchronize with each
+// other (the server holds its write lock); queries need no
+// synchronization.
 func (c *Classifier) ApplyRuleDeltas(deltas []RuleDelta) error {
 	for i, dl := range deltas {
 		if err := c.validateDelta(dl); err != nil {
@@ -143,25 +151,31 @@ func (c *Classifier) ApplyRuleDeltas(deltas []RuleDelta) error {
 	sort.Ints(boxes)
 
 	c.Manager.Update(func(tx *aptree.Tx) {
+		d := tx.DD()
 		for _, box := range boxes {
 			spec := &c.Dataset.Boxes[box]
-			pd := predicate.DeltaPortPredicates(tx.DD(), c.Layout, "dstIP", &spec.Fwd,
+			pd := predicate.DeltaPortPredicates(d, c.Layout, "dstIP", &spec.Fwd,
 				cones[box], spec.NumPorts, func(port int) bdd.Ref {
 					if id := c.PortPred[box][port]; id != network.NoPred {
 						return tx.Ref(id)
 					}
 					return bdd.False
 				})
+			region := predicate.ConeRegion(d, c.Layout, "dstIP", cones[box])
 			for _, dp := range pd {
-				if oldID := c.PortPred[box][dp.Port]; oldID != network.NoPred {
-					tx.Remove(oldID)
+				id := c.PortPred[box][dp.Port]
+				switch {
+				case id == network.NoPred:
+					id = tx.Add(dp.New)
+				case dp.New == bdd.False:
+					tx.Remove(id)
+					id = network.NoPred
+				default:
+					tx.Replace(id, dp.New, region)
+					continue
 				}
-				newID := network.NoPred
-				if dp.New != bdd.False {
-					newID = tx.Add(dp.New)
-				}
-				c.PortPred[box][dp.Port] = newID
-				c.Net.Boxes[box].Ports[dp.Port].Fwd = newID
+				c.PortPred[box][dp.Port] = id
+				c.Net.Boxes[box].Ports[dp.Port].Fwd = id
 			}
 		}
 		for _, op := range aclOps {
@@ -171,21 +185,19 @@ func (c *Classifier) ApplyRuleDeltas(deltas []RuleDelta) error {
 			} else {
 				slot = &c.Net.Boxes[op.box].Ports[op.port].OutACL
 			}
-			newRef := bdd.False
-			if op.acl != nil {
-				newRef = predicate.ACLPredicate(tx.DD(), c.Layout, op.acl)
-			}
-			if old := *slot; old != network.NoPred {
-				if op.acl != nil && tx.Ref(old) == newRef {
-					continue // identical predicate: no structural change
+			switch {
+			case *slot == network.NoPred && op.acl == nil:
+			case *slot == network.NoPred:
+				*slot = tx.Add(predicate.ACLPredicate(d, c.Layout, op.acl))
+			case op.acl == nil:
+				tx.Remove(*slot)
+				*slot = network.NoPred
+			default:
+				old, next := tx.Ref(*slot), predicate.ACLPredicate(d, c.Layout, op.acl)
+				if next != old {
+					tx.Replace(*slot, next, d.Xor(old, next))
 				}
-				tx.Remove(old)
 			}
-			id := network.NoPred
-			if op.acl != nil {
-				id = tx.Add(newRef)
-			}
-			*slot = id
 		}
 	})
 	c.debugCheckWiring()

@@ -22,5 +22,5 @@ func Example() {
 	// installing drop rule for 74.32.152.0/22 on seattle...
 	//   behavior from seattle now: ingress=0 edges=0 drop@0(no matching output port)
 	//
-	// reconstructed AP Tree: avg depth 11.8 -> 10.7
+	// reconstructed AP Tree: avg depth 10.7 -> 10.7
 }

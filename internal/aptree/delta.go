@@ -8,9 +8,10 @@ import (
 )
 
 // DeltaStats tallies the structural work of one delta transaction: leaves
-// copied or created (the touched set), atom splits (AddPredicate on a
-// straddling leaf) and atom merges (RemovePredicate joining two sibling
-// regions into one atom). They feed the apc_delta_* counters.
+// copied or created (the touched set), atom splits (a leaf straddling an
+// added or replaced predicate) and atom merges (a removed or replaced
+// predicate no longer separating two regions). They feed the apc_delta_*
+// counters.
 type DeltaStats struct {
 	TouchedLeaves uint64
 	Splits        uint64
@@ -41,14 +42,7 @@ func (t *Tree) removePredicate(id int32, st *DeltaStats) *Tree {
 		// so removal is structurally a no-op and the version is shared.
 		return t
 	}
-	nt := &Tree{
-		D:           t.D,
-		preds:       append([]bdd.Ref(nil), t.preds...),
-		numLeaves:   t.numLeaves,
-		nextAtom:    t.nextAtom,
-		CountVisits: t.CountVisits,
-		visits:      t.visits,
-	}
+	nt := t.successor(id)
 	nt.preds[id] = bdd.False
 	nt.root = nt.removeRec(t.root, id, st)
 	nt.visits.grow(int(nt.nextAtom))
@@ -79,6 +73,110 @@ func (t *Tree) removeRec(n *Node, id int32, st *DeltaStats) *Node {
 	// bit id) cover complementary halves of the region reaching n and are
 	// merged into one subtree at n's depth.
 	return t.merge(t.removeRec(n.T, id, st), t.removeRec(n.F, id, st), n.Depth, st)
+}
+
+// ReplacePredicate swaps predicate id's BDD for p in place, keeping the ID,
+// given a region that holds every header whose membership in id changes
+// (old ⊕ p ⊆ region). It is the local form of RemovePredicate followed by
+// AddPredicate: the descent enters only subtrees whose header space meets
+// the region, so a leaf disjoint from it keeps its bit and stays shared by
+// pointer; a leaf that meets it is re-tested against p and sets its bit,
+// clears it, or splits; and a router on id with a changed leaf below
+// regroups its sides by p through merge, which fuses the leaves id alone
+// used to separate, so the partition stays the coarsest. An old predicate of bdd.False places
+// p as AddPredicate would, and p = bdd.False unplaces id as RemovePredicate
+// would. The update is persistent like both.
+func (t *Tree) ReplacePredicate(id int32, p, region bdd.Ref) *Tree {
+	var st DeltaStats
+	return t.replacePredicate(id, p, region, &st)
+}
+
+func (t *Tree) replacePredicate(id int32, p, region bdd.Ref, st *DeltaStats) *Tree {
+	nt := t.successor(id)
+	old := nt.preds[id]
+	nt.preds[id] = p
+	nt.root = nt.replaceRec(t.root, id, old, p, region, region, st)
+	nt.visits.grow(int(nt.nextAtom))
+	nt.debugCheckPartition()
+	return nt
+}
+
+// replaceRec returns the updated version of n. r over-approximates the part
+// of the region that reaches n: the region restricted by the true-side
+// turns on the way down. The false side of a router gets its parent's r
+// unrestricted — computing r ∧ ¬q would negate a large predicate — so a
+// router's sides are pruned exactly but the leaf test decides: a leaf
+// implies every true-side turn, so leaf ∧ r = leaf ∧ region.
+func (t *Tree) replaceRec(n *Node, id int32, old, p, region, r bdd.Ref, st *DeltaStats) *Node {
+	d := t.D
+	if n.IsLeaf() {
+		lr := d.And(n.BDD, r)
+		if lr == bdd.False {
+			return n
+		}
+		// Outside the region the leaf keeps its old relation to id, which
+		// is its bit (leaves never straddle a placed predicate).
+		in, whole := n.Member.Get(int(id)), lr == n.BDD
+		lp, lq := d.And(lr, p), d.Diff(lr, p)
+		switch {
+		case lq == bdd.False && (in || whole):
+			return t.setBit(n, id, true, st)
+		case lp == bdd.False && (!in || whole):
+			return t.setBit(n, id, false, st)
+		}
+		// Straddles p: split exactly as AddPredicate does.
+		lo := d.Diff(n.BDD, region)
+		tr, fr := lp, lq
+		if in {
+			tr = d.Or(lo, lp)
+		} else {
+			fr = d.Or(lo, lq)
+		}
+		return t.split(n, id, tr, fr, st)
+	}
+	q := t.preds[n.Pred]
+	if n.Pred == id {
+		q = old
+	}
+	rt := d.And(r, q)
+	nT, nF := n.T, n.F
+	if rt != bdd.False {
+		nT = t.replaceRec(n.T, id, old, p, region, rt, st)
+	}
+	if rt != r {
+		nF = t.replaceRec(n.F, id, old, p, region, r, st)
+	}
+	switch {
+	case nT == n.T && nF == n.F:
+		return n
+	case n.Pred == id:
+		// Leaves crossed the router: regroup both sides by p. Merging the
+		// halves fuses the leaves that only the old predicate separated.
+		tIn, tOut := restrict(nT, id)
+		fIn, fOut := restrict(nF, id)
+		switch {
+		case tIn == nil && fIn == nil:
+			return t.mergeHalf(tOut, fOut, n.Depth, st)
+		case tOut == nil && fOut == nil:
+			return t.mergeHalf(tIn, fIn, n.Depth, st)
+		}
+		return &Node{Pred: id, Depth: n.Depth,
+			T: t.mergeHalf(tIn, fIn, n.Depth+1, st),
+			F: t.mergeHalf(tOut, fOut, n.Depth+1, st)}
+	}
+	return &Node{Pred: n.Pred, Depth: n.Depth, T: nT, F: nF}
+}
+
+// setBit returns leaf n with membership bit id set to v, shared when the
+// bit already reads v.
+func (t *Tree) setBit(n *Node, id int32, v bool, st *DeltaStats) *Node {
+	if n.Member.Get(int(id)) == v {
+		return n
+	}
+	m := n.Member.Clone(len(t.preds))
+	m.Set(int(id), v)
+	st.TouchedLeaves++
+	return &Node{Pred: -1, Depth: n.Depth, AtomID: n.AtomID, BDD: n.BDD, Member: m}
 }
 
 // merge combines two subtrees over disjoint header regions into one correct
@@ -170,6 +268,12 @@ func restrict(n *Node, q int32) (inside, outside *Node) {
 	}
 	tIn, tOut := restrict(n.T, q)
 	fIn, fOut := restrict(n.F, q)
+	switch {
+	case tOut == nil && fOut == nil:
+		return n, nil
+	case tIn == nil && fIn == nil:
+		return nil, n
+	}
 	return joinHalves(n.Pred, tIn, fIn), joinHalves(n.Pred, tOut, fOut)
 }
 

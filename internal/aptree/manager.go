@@ -49,8 +49,8 @@ type Manager struct {
 	rebuildMu sync.Mutex
 	journal   []journalOp // non-nil while a rebuild is in flight
 
-	// updatesSinceSwap counts Add/Remove operations applied to the live
-	// tree since the last reconstruction; the auto-reconstruction policy
+	// updatesSinceSwap counts Add/Remove/Replace operations applied to the
+	// live tree since the last reconstruction; the auto-reconstruction policy
 	// triggers on it (§VI-B: "the number of updates on the current AP
 	// Tree is higher than a threshold").
 	updatesSinceSwap int
@@ -73,10 +73,18 @@ type Manager struct {
 }
 
 type journalOp struct {
-	del bool // Remove (atom merge); otherwise Add
-	id  int32
-	ref bdd.Ref // in the DD that was live when the op was journaled
+	kind journalKind
+	id   int32
+	ref  bdd.Ref // in the DD that was live when the op was journaled
 }
+
+type journalKind uint8
+
+const (
+	journalAdd journalKind = iota
+	journalRemove
+	journalReplace
+)
 
 // NewManager returns a manager over an empty predicate set (every packet
 // classifies to the single atom True).
@@ -200,7 +208,8 @@ func (m *Manager) Classify(pkt []byte) (*Node, uint64) {
 type Tx struct {
 	m *Manager
 	// stats accumulates the structural delta work of the transaction's
-	// Add/Remove calls; Update flushes it into the apc_delta_* metrics.
+	// Add/Remove/Replace calls; Update flushes it into the apc_delta_*
+	// metrics.
 	stats DeltaStats
 }
 
@@ -224,7 +233,7 @@ func (tx *Tx) Add(ref bdd.Ref) int32 {
 	m.tree = m.tree.addPredicate(id, ref, &tx.stats)
 	m.updatesSinceSwap++
 	if m.journal != nil {
-		m.journal = append(m.journal, journalOp{id: id, ref: ref})
+		m.journal = append(m.journal, journalOp{kind: journalAdd, id: id, ref: ref})
 	}
 	return id
 }
@@ -246,7 +255,27 @@ func (tx *Tx) Remove(id int32) {
 	m.tree = m.tree.removePredicate(id, &tx.stats)
 	m.updatesSinceSwap++
 	if m.journal != nil {
-		m.journal = append(m.journal, journalOp{del: true, id: id})
+		m.journal = append(m.journal, journalOp{kind: journalRemove, id: id})
+	}
+}
+
+// Replace swaps live predicate id's BDD for ref (built in tx.DD()) and
+// keeps the ID, so nothing wired to it needs rewiring. region must hold
+// every header whose membership in id changes (old ⊕ ref ⊆ region); the
+// tree re-cuts only the leaves that meet it (Tree.ReplacePredicate), which
+// for a rule change is the LPM cone rather than the whole header space.
+// Like Add and Remove, the update is persistent and pinned snapshots keep
+// the previous version.
+//
+//lint:ignore lockguard Update holds m.mu for the life of the Tx
+func (tx *Tx) Replace(id int32, ref, region bdd.Ref) {
+	m := tx.m
+	m.d.Retain(ref)
+	m.reg.Replace(id, ref)
+	m.tree = m.tree.replacePredicate(id, ref, region, &tx.stats)
+	m.updatesSinceSwap++
+	if m.journal != nil {
+		m.journal = append(m.journal, journalOp{kind: journalReplace, id: id, ref: ref})
 	}
 }
 
@@ -385,7 +414,7 @@ func (m *Manager) Reconstruct(weighted bool) {
 	// Phase 4: replay updates that arrived during the rebuild, then swap.
 	m.mu.Lock()
 	for _, op := range m.journal {
-		if op.del {
+		if op.kind == journalRemove {
 			// The new tree placed this predicate (it was live at the
 			// phase-1 snapshot, or added by an earlier journal entry), so
 			// replay the atom merge too.
@@ -398,8 +427,13 @@ func (m *Manager) Reconstruct(weighted bool) {
 		for int32(len(newRefs)) <= op.id {
 			newRefs = append(newRefs, bdd.False)
 		}
+		if op.kind == journalReplace {
+			// The journal keeps no region; old ⊕ new is the exact one.
+			newTree = newTree.ReplacePredicate(op.id, ref, newD.Xor(newRefs[op.id], ref))
+		} else {
+			newTree = newTree.AddPredicate(op.id, ref)
+		}
 		newRefs[op.id] = ref
-		newTree = newTree.AddPredicate(op.id, ref)
 	}
 	// Point the registry at the new DD. Every ID issued since phase 1 was
 	// journaled, so newRefs covers the whole ID space; dead slots are

@@ -38,22 +38,30 @@ func (t *Tree) addPredicate(id int32, p bdd.Ref, st *DeltaStats) *Tree {
 	if int(id) < len(t.preds) && t.preds[id] != bdd.False {
 		panic(fmt.Sprintf("aptree: predicate ID %d already present", id))
 	}
-	nt := &Tree{
-		D:           t.D,
-		preds:       append([]bdd.Ref(nil), t.preds...),
-		numLeaves:   t.numLeaves,
-		nextAtom:    t.nextAtom,
-		CountVisits: t.CountVisits,
-		visits:      t.visits,
-	}
-	for int(id) >= len(nt.preds) {
-		nt.preds = append(nt.preds, bdd.False)
-	}
+	nt := t.successor(id)
 	nt.preds[id] = p
 	nt.root = nt.addRec(t.root, id, p, st)
 	nt.visits.grow(int(nt.nextAtom))
 	nt.debugCheckPartition()
 	return nt
+}
+
+// successor returns the next persistent version's shell: counters and the
+// visit store carried over, its own copy of the predicate table grown to
+// hold id. The caller installs the new root.
+func (t *Tree) successor(id int32) *Tree {
+	preds := append([]bdd.Ref(nil), t.preds...)
+	for int(id) >= len(preds) {
+		preds = append(preds, bdd.False)
+	}
+	return &Tree{
+		D:           t.D,
+		preds:       preds,
+		numLeaves:   t.numLeaves,
+		nextAtom:    t.nextAtom,
+		CountVisits: t.CountVisits,
+		visits:      t.visits,
+	}
 }
 
 // addRec returns the updated version of n, sharing n itself whenever the
@@ -81,13 +89,19 @@ func (t *Tree) addRec(n *Node, id int32, p bdd.Ref, st *DeltaStats) *Node {
 		st.TouchedLeaves++
 		return &Node{Pred: -1, Depth: n.Depth, AtomID: n.AtomID, BDD: n.BDD, Member: m}
 	}
-	// Straddles: split into two fresh leaves. The old leaf (and its BDD
-	// reference) lives on in any pinned older tree version; see the
-	// AddPredicate doc comment for why n.BDD is not released here.
-	fr := d.Diff(n.BDD, p)
+	return t.split(n, id, tr, d.Diff(n.BDD, p), st)
+}
+
+// split replaces leaf n, which straddles predicate id, by a router on id
+// over two fresh leaves: tr inside id and fr outside. The old leaf (and
+// its BDD reference) lives on in any pinned older tree version; see the
+// AddPredicate doc comment for why n.BDD is not released here.
+func (t *Tree) split(n *Node, id int32, tr, fr bdd.Ref, st *DeltaStats) *Node {
+	d := t.D
 	mt := n.Member.Clone(len(t.preds))
 	mt.Set(int(id), true)
 	mf := n.Member.Clone(len(t.preds))
+	mf.Set(int(id), false)
 	d.Retain(tr)
 	d.Retain(fr)
 	tLeaf := &Node{Pred: -1, Depth: n.Depth + 1, AtomID: t.nextAtom, BDD: tr, Member: mt}
@@ -134,6 +148,14 @@ func (r *Registry) Remove(id int32) {
 	r.live = r.live.Clone(len(r.refs))
 	r.live.Set(int(id), false)
 	r.n--
+}
+
+// Replace swaps live slot id's ref for ref; the ID stays live.
+func (r *Registry) Replace(id int32, ref bdd.Ref) {
+	if !r.IsLive(id) {
+		panic(fmt.Sprintf("aptree: replacing dead predicate %d", id))
+	}
+	r.refs[id] = ref
 }
 
 // Ref returns the BDD of predicate id (bdd.False for a dead slot).

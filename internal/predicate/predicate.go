@@ -95,28 +95,20 @@ func DeltaPortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *r
 	if candidates.Empty() {
 		return nil
 	}
-	region := bdd.False
-	for _, c := range cones {
-		region = d.Or(region, PrefixBDD(d, layout, dstField, c.Region))
+	regions := make([]rule.Prefix, len(cones))
+	for i, c := range cones {
+		regions[i] = c.Region
 	}
+	region := ConeRegion(d, layout, dstField, cones)
 	within := make([]bdd.Ref, numPorts)
 	for i := range within {
 		within[i] = bdd.False
 	}
 	shadow := bdd.False
-	for _, ri := range t.ByDescendingLength() {
+	// A rule missing every region has match ∧ region = False, so only the
+	// overlapping rules are sorted and walked; skipping the rest is exact.
+	for _, ri := range t.OverlappingByDescendingLength(regions) {
 		r := t.Rules[ri]
-		overlaps := false
-		for _, c := range cones {
-			if r.Prefix.Overlaps(c.Region) {
-				overlaps = true
-				break
-			}
-		}
-		if !overlaps {
-			// match ∧ region would be False; skipping is exact.
-			continue
-		}
 		match := d.And(PrefixBDD(d, layout, dstField, r.Prefix), region)
 		eff := d.Diff(match, shadow)
 		if eff != bdd.False && r.Port != rule.Drop {
@@ -140,6 +132,17 @@ func DeltaPortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *r
 		return true
 	})
 	return deltas
+}
+
+// ConeRegion returns the header region the cones cover: the union of their
+// Region prefixes over dstField. Every port predicate DeltaPortPredicates
+// reports differs from its old value only inside it.
+func ConeRegion(d *bdd.DD, layout *header.Layout, dstField string, cones []rule.Cone) bdd.Ref {
+	region := bdd.False
+	for _, c := range cones {
+		region = d.Or(region, PrefixBDD(d, layout, dstField, c.Region))
+	}
+	return region
 }
 
 // Match5BDD returns the BDD of a 5-tuple match condition. The layout must

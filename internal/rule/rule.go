@@ -198,6 +198,28 @@ func (t *FwdTable) ByDescendingLength() []int {
 	for i := range idx {
 		idx[i] = i
 	}
+	return t.sortByDescendingLength(idx)
+}
+
+// OverlappingByDescendingLength is ByDescendingLength restricted to the
+// rules whose prefix overlaps one of the regions. It filters before it
+// sorts, so a cone of a few prefixes costs one scan of the table plus a
+// sort of the handful of rules that can win inside it; the tie order is
+// the same insertion order.
+func (t *FwdTable) OverlappingByDescendingLength(regions []Prefix) []int {
+	var idx []int
+	for i, r := range t.Rules {
+		for _, g := range regions {
+			if r.Prefix.Overlaps(g) {
+				idx = append(idx, i)
+				break
+			}
+		}
+	}
+	return t.sortByDescendingLength(idx)
+}
+
+func (t *FwdTable) sortByDescendingLength(idx []int) []int {
 	sort.SliceStable(idx, func(a, b int) bool {
 		return t.Rules[idx[a]].Prefix.Length > t.Rules[idx[b]].Prefix.Length
 	})

@@ -1,6 +1,7 @@
 package rule
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -353,4 +354,34 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// TestOverlappingByDescendingLength checks the pre-sort filter against the
+// full sort: the indices it returns are exactly the full order's indices of
+// the rules that overlap a region, in the same order, ties included.
+func TestOverlappingByDescendingLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var tbl FwdTable
+	for i := 0; i < 400; i++ {
+		tbl.Add(FwdRule{P(rng.Uint32()&0xFF000000, rng.Intn(9)), rng.Intn(4)})
+	}
+	for trial := 0; trial < 50; trial++ {
+		regions := []Prefix{P(rng.Uint32(), rng.Intn(12))}
+		if trial%2 == 0 {
+			regions = append(regions, P(rng.Uint32(), rng.Intn(12)))
+		}
+		var want []int
+		for _, i := range tbl.ByDescendingLength() {
+			for _, g := range regions {
+				if tbl.Rules[i].Prefix.Overlaps(g) {
+					want = append(want, i)
+					break
+				}
+			}
+		}
+		got := tbl.OverlappingByDescendingLength(regions)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("regions %v: got %v, want %v", regions, got, want)
+		}
+	}
 }
