@@ -48,7 +48,7 @@ FUZZ_TIME ?= 5s
 # small scale, short enough for CI.
 FLAT_DUR := 100ms
 
-.PHONY: build test vet lint race apdebug bench-smoke bench-gate bench-flat cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke no-orphans check
+.PHONY: build test vet lint race apdebug bench-smoke bench-gate bench-flat cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke cli-smoke no-orphans check
 
 build:
 	$(GO) build ./...
@@ -136,6 +136,15 @@ verify-smoke:
 soak-smoke:
 	$(GO) run ./cmd/apsoak -seconds 3
 
+# CLI smoke: cmd/apclassifier end to end — dataset statistics, one query
+# whose stage-1 answer must print, and a batch of random queries. aplint's
+# unreached check counts every main as a root, so every binary that keeps
+# library code alive runs in some gate.
+cli-smoke:
+	$(GO) run ./cmd/apclassifier -stats
+	$(GO) run ./cmd/apclassifier -dst 10.0.0.1 | grep 'atomic predicate'
+	$(GO) run ./cmd/apclassifier -random 100
+
 cover:
 	$(GO) test -coverprofile=$(COVER_OUT) $(COVER_PKG)
 	@total=$$($(GO) tool cover -func=$(COVER_OUT) | awk '/^total:/ { gsub("%","",$$3); print $$3 }'); \
@@ -157,6 +166,6 @@ no-orphans:
 		echo "the processes above outlived the gates that started them"; exit 1; \
 	fi
 
-check: build vet test lint race apdebug bench-smoke bench-gate bench-flat checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke cover
+check: build vet test lint race apdebug bench-smoke bench-gate bench-flat checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke cli-smoke cover
 	@$(MAKE) --no-print-directory no-orphans
 	@echo "all gates passed"

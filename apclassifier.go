@@ -58,15 +58,9 @@ type Options struct {
 	// selects MethodOAPT, the paper's optimized construction. (The plain
 	// fixed-order construction is available through TreeInput +
 	// aptree.Build for experiments, not through the facade.)
+	// Distribution-aware construction (§V-D) is Reconstruct(true) after
+	// some queries have been counted.
 	Method Method
-	// Weights, if non-nil, holds per-atom query weights for the
-	// distribution-aware construction (§V-D). Most callers instead query
-	// for a while and call Reconstruct(true).
-	// (Weights indexes atoms of the initial build; advanced use only.)
-	Weights []float64
-	// SkipGC keeps intermediate BDD nodes after construction. Default
-	// false: a mark-sweep pass reclaims conversion scratch space.
-	SkipGC bool
 }
 
 // Classifier is the compiled form of a dataset: predicates, atoms, the AP
@@ -183,18 +177,15 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 	}
 	atoms := predicate.ComputeMapped(d, refs, ids, reg.NumIDs())
 	tree := aptree.Build(aptree.Input{
-		D:       d,
-		Preds:   reg.Refs(),
-		Live:    live,
-		Atoms:   atoms,
-		Weights: opts.Weights,
+		D:     d,
+		Preds: reg.Refs(),
+		Live:  live,
+		Atoms: atoms,
 	}, opts.Method)
 	// Reclaim conversion scratch before the manager publishes its first
 	// snapshot: once a frozen view of the DD is out, the DD must never be
 	// garbage collected again (the GC-at-swap rule; see bdd.View).
-	if !opts.SkipGC {
-		d.GC()
-	}
+	d.GC()
 	c.Manager = aptree.NewManagerWith(d, reg, tree, opts.Method)
 
 	// Topology.
@@ -222,11 +213,6 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 	c.env = &network.Env{Source: c.Manager}
 	return c, nil
 }
-
-// Env returns the stage-2 environment (classification of rewritten
-// headers, the epoch middlebox caches key on); useful for driving
-// network.Behavior directly or attaching middleboxes.
-func (c *Classifier) Env() *network.Env { return c.env }
 
 // TreeInput recomputes the atomic predicates of the live predicate set and
 // returns a build input suitable for constructing additional AP Trees over

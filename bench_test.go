@@ -421,7 +421,9 @@ func BenchmarkAblation_AtomSetOps(b *testing.B) {
 	in := e.SF.TreeInput()
 	rsets := make([][]int32, 0, len(in.Live))
 	for _, id := range in.Live {
-		rsets = append(rsets, in.Atoms.R(int(id)))
+		var r []int32
+		in.Atoms.RSet(int(id)).Each(func(a int32) bool { r = append(r, a); return true })
+		rsets = append(rsets, r)
 	}
 	n := in.Atoms.N()
 	b.Run("sorted-slices", func(b *testing.B) {

@@ -116,6 +116,8 @@ func NewFromRestored(res *checkpoint.Restored) (*Classifier, error) {
 
 // RestoreFile is the one-call warm restart: decode a checkpoint file
 // and assemble the classifier around it.
+//
+//lint:ignore unreached warm-restart entry the root checkpoint suite and the server checkpoint tests restore through
 func RestoreFile(path string) (*Classifier, error) {
 	res, err := checkpoint.RestoreFile(path)
 	if err != nil {

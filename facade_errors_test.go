@@ -50,7 +50,7 @@ func TestEnvAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := c.Env()
+	env := c.env
 	if env.Source == nil {
 		t.Fatal("Env must be fully wired")
 	}

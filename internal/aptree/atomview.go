@@ -43,20 +43,9 @@ func newAtomView(s *Snapshot) *AtomView {
 // N reports the number of live atoms in the epoch.
 func (v *AtomView) N() int { return v.n }
 
-// Bound returns the exclusive upper bound on AtomIDs, suitable for
-// sizing flat per-atom tables (matches Tree.AtomIDBound).
-func (v *AtomView) Bound() int32 { return int32(len(v.leaves)) }
-
-// IDs returns the epoch's live atom IDs as an interval-coded set.
-func (v *AtomView) IDs() predicate.AtomSet { return v.ids }
-
 // BDD returns atom id's predicate (a ref into the snapshot's frozen
 // view). It panics on a retired or out-of-range ID.
 func (v *AtomView) BDD(id int32) bdd.Ref { return v.mustLeaf(id).BDD }
-
-// Member returns atom id's membership vector (bit j set iff the atom
-// implies predicate j). Read-only.
-func (v *AtomView) Member(id int32) predicate.Bitset { return v.mustLeaf(id).Member }
 
 // Leaf returns atom id's leaf node. The handle is epoch-scoped: it must
 // not be retained beyond the snapshot the view came from (the epochpin
@@ -73,19 +62,6 @@ func (v *AtomView) mustLeaf(id int32) *Node {
 // Each calls fn for every live atom in ascending AtomID order until fn
 // returns false.
 func (v *AtomView) Each(fn func(id int32) bool) { v.ids.Each(fn) }
-
-// RSet returns R(p) within this epoch — the atoms implying predicate
-// predID — as an interval-coded set.
-func (v *AtomView) RSet(predID int32) predicate.AtomSet {
-	var b predicate.AtomSetBuilder
-	v.ids.Each(func(id int32) bool {
-		if v.leaves[id].Member.Get(int(predID)) {
-			b.Add(id)
-		}
-		return true
-	})
-	return b.Set()
-}
 
 // Atoms returns the snapshot's atom view, building it on first use. The
 // view is cached on the snapshot; concurrent first calls may race to

@@ -25,9 +25,9 @@ import (
 // packet count (duplicates included), so the §V-D distribution statistics
 // are identical to classifying the batch packet by packet.
 
-// evaluator abstracts the two BDD evaluation backends a descent can run
-// against: the live DD (Tree.ClassifyBatch) and a frozen epoch view
-// (Snapshot.ClassifyBatch).
+// evaluator abstracts the BDD evaluation backend a descent runs against:
+// a frozen epoch view (Snapshot.ClassifyBatchPointerWith) or, in the
+// tree-level batch tests, the live DD.
 type evaluator interface {
 	EvalBits(f bdd.Ref, bits []byte) bool
 }
@@ -139,34 +139,6 @@ func descend(ev evaluator, preds []bdd.Ref, n *Node, pkts [][]byte, idx, tmp []i
 	if visit != nil {
 		visit(n.AtomID, w)
 	}
-}
-
-// ClassifyBatch classifies every packet of the batch, writing packet i's
-// leaf to out[i]. It is equivalent to calling Classify per packet —
-// including the per-atom visit totals — but amortizes tree-node costs
-// across the batch and classifies duplicate headers once. out must be at
-// least as long as pkts.
-func (t *Tree) ClassifyBatch(pkts [][]byte, out []*Node) {
-	t.ClassifyBatchWith(&BatchScratch{}, pkts, out)
-}
-
-// ClassifyBatchWith is ClassifyBatch with caller-owned scratch buffers,
-// for allocation-free steady-state batching.
-func (t *Tree) ClassifyBatchWith(sc *BatchScratch, pkts [][]byte, out []*Node) {
-	visit := func(atom int32, w uint64) { t.visits.addN(atom, w) }
-	if !t.CountVisits {
-		visit = nil
-	}
-	classifyBatch(sc, pkts, out, func(idx, tmp, weight []int32) {
-		descend(t.D, t.preds, t.root, pkts, idx, tmp, weight, out, visit)
-	})
-}
-
-// ClassifyBatch runs the batched stage-1 search against this epoch; see
-// Tree.ClassifyBatch. Like Classify it takes no lock; node BDDs evaluate
-// through the frozen view.
-func (s *Snapshot) ClassifyBatch(pkts [][]byte, out []*Node) {
-	s.ClassifyBatchWith(&BatchScratch{}, pkts, out)
 }
 
 // ClassifyBatchWith is the epoch-pinned batch search with caller-owned

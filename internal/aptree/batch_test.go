@@ -20,6 +20,19 @@ func batchTree(numPreds int, seed int64) (*Tree, *rand.Rand) {
 	return Build(buildInput(d, preds, rng), MethodOAPT), rng
 }
 
+// classifyTreeBatch runs the batched descent over the live pointer tree,
+// adding per-atom visit totals when the tree counts visits — the shape the
+// single-packet Tree.Classify takes, so the two can be compared directly.
+func classifyTreeBatch(t *Tree, sc *BatchScratch, pkts [][]byte, out []*Node) {
+	visit := func(atom int32, w uint64) { t.visits.view().addN(atom, w) }
+	if !t.CountVisits {
+		visit = nil
+	}
+	classifyBatch(sc, pkts, out, func(idx, tmp, weight []int32) {
+		descend(t.D, t.preds, t.root, pkts, idx, tmp, weight, out, visit)
+	})
+}
+
 // TestClassifyBatchMatchesClassify checks that the batched descent agrees
 // leaf-for-leaf with the per-packet search, for batches with and without
 // duplicate headers, and that the per-atom visit totals come out identical
@@ -54,7 +67,7 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 
 		out := make([]*Node, n)
 		sc := &BatchScratch{}
-		tree.ClassifyBatchWith(sc, pkts, out)
+		classifyTreeBatch(tree, sc, pkts, out)
 		for i := range out {
 			if out[i] != want[i] {
 				t.Fatalf("n=%d packet %d: batch leaf atom %d, single leaf atom %d",
@@ -70,7 +83,7 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 		})
 
 		// Reusing the same scratch for a second batch must still agree.
-		tree.ClassifyBatchWith(sc, pkts, out)
+		classifyTreeBatch(tree, sc, pkts, out)
 		for i := range out {
 			if out[i] != want[i] {
 				t.Fatalf("n=%d packet %d drifted on scratch reuse", n, i)
@@ -96,7 +109,7 @@ func TestClassifyBatchSnapshot(t *testing.T) {
 
 	for round := 0; round < 2; round++ {
 		s := m.Snapshot()
-		s.ClassifyBatch(pkts, out)
+		s.ClassifyBatchWith(&BatchScratch{}, pkts, out)
 		for i, p := range pkts {
 			want, _ := s.Classify(p)
 			if out[i] != want {
@@ -108,7 +121,7 @@ func TestClassifyBatchSnapshot(t *testing.T) {
 		// live tree moves on.
 		addRandomPredicate(m, rng)
 		m.Reconstruct(false)
-		s.ClassifyBatch(pkts, out)
+		s.ClassifyBatchWith(&BatchScratch{}, pkts, out)
 		for i, p := range pkts {
 			want, _ := s.Classify(p)
 			if out[i] != want {
@@ -130,7 +143,7 @@ func TestClassifyBatchShortOutputPanics(t *testing.T) {
 			t.Fatal("short output slice did not panic")
 		}
 	}()
-	tree.ClassifyBatch(pkts, make([]*Node, 2))
+	classifyTreeBatch(tree, &BatchScratch{}, pkts, make([]*Node, 2))
 }
 
 // BenchmarkBatchClassify measures the batched stage-1 search at several

@@ -1,6 +1,7 @@
 package aptree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -102,4 +103,76 @@ func TestTreeStats(t *testing.T) {
 		s.MaxDepth != tree.MaxDepth() || s.AvgDepth != tree.AverageDepth() {
 		t.Fatalf("Stats inconsistent: %+v", s)
 	}
+}
+
+// SemanticallyEqual reports whether two trees over the same DD classify
+// every packet into the same partition with the same membership bits for
+// the given predicate IDs — the correctness notion for comparing
+// construction methods and for checking reconstruction results against the
+// incremental tree.
+//
+// The check is exact (BDD-level), not sampled: it walks both leaf sets and
+// verifies each leaf of a is covered by leaves of b with identical
+// membership bits on ids, and vice versa is implied by both partitioning
+// the same space.
+func SemanticallyEqual(a, b *Tree, ids []int32) error {
+	if a.D != b.D {
+		return fmt.Errorf("aptree: trees live in different DDs")
+	}
+	d := a.D
+	var bLeaves []*Node
+	b.Leaves(func(n *Node) { bLeaves = append(bLeaves, n) })
+
+	var err error
+	a.Leaves(func(la *Node) {
+		if err != nil {
+			return
+		}
+		remaining := la.BDD
+		for _, lb := range bLeaves {
+			inter := d.And(remaining, lb.BDD)
+			if inter == bdd.False {
+				continue
+			}
+			for _, id := range ids {
+				if la.Member.Get(int(id)) != lb.Member.Get(int(id)) {
+					err = fmt.Errorf("aptree: overlapping leaves disagree on predicate %d", id)
+					return
+				}
+			}
+			remaining = d.Diff(remaining, lb.BDD)
+			if remaining == bdd.False {
+				break
+			}
+		}
+		if remaining != bdd.False {
+			err = fmt.Errorf("aptree: leaf of a not covered by b's partition")
+		}
+	})
+	return err
+}
+
+// Stats summarizes a tree for reporting.
+type Stats struct {
+	Leaves      int
+	SumDepth    int
+	AvgDepth    float64
+	MaxDepth    int
+	InternalMax int // deepest internal node chain == MaxDepth
+}
+
+// Stats computes summary statistics in one walk.
+func (t *Tree) Stats() Stats {
+	s := Stats{Leaves: t.numLeaves}
+	t.Leaves(func(n *Node) {
+		s.SumDepth += int(n.Depth)
+		if int(n.Depth) > s.MaxDepth {
+			s.MaxDepth = int(n.Depth)
+		}
+	})
+	if s.Leaves > 0 {
+		s.AvgDepth = float64(s.SumDepth) / float64(s.Leaves)
+	}
+	s.InternalMax = s.MaxDepth
+	return s
 }

@@ -88,6 +88,8 @@ const (
 
 // NewManager returns a manager over an empty predicate set (every packet
 // classifies to the single atom True).
+//
+//lint:ignore unreached test constructor: the aptree, network and checkpoint tests start managers from an empty predicate set
 func NewManager(numVars int, method Method) *Manager {
 	d := bdd.New(numVars)
 	tree := Build(Input{

@@ -19,7 +19,7 @@ func TestBuildOptimalMatchesOracle(t *testing.T) {
 		}
 		rsets := make([][]int32, len(preds))
 		for i := range rsets {
-			rsets[i] = in.Atoms.R(i)
+			rsets[i] = atomsR(in.Atoms, i)
 		}
 		all := make([]int32, in.Atoms.N())
 		for i := range all {

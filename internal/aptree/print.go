@@ -41,30 +41,3 @@ func (t *Tree) String() string {
 	t.Fprint(&b)
 	return b.String()
 }
-
-// DOT renders the tree in Graphviz format: internal nodes labeled by
-// predicate ID (true branch solid, false branch dashed), leaves as boxes
-// labeled by atom ID.
-func (t *Tree) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", name)
-	id := 0
-	var walk func(n *Node) int
-	walk = func(n *Node) int {
-		my := id
-		id++
-		if n.IsLeaf() {
-			fmt.Fprintf(&b, "  n%d [shape=box,label=\"a%d\"];\n", my, n.AtomID)
-			return my
-		}
-		fmt.Fprintf(&b, "  n%d [label=\"p%d\"];\n", my, n.Pred)
-		ti := walk(n.T)
-		fi := walk(n.F)
-		fmt.Fprintf(&b, "  n%d -> n%d;\n", my, ti)
-		fmt.Fprintf(&b, "  n%d -> n%d [style=dashed];\n", my, fi)
-		return my
-	}
-	walk(t.root)
-	b.WriteString("}\n")
-	return b.String()
-}

@@ -26,15 +26,6 @@ func TestFprintAndDOT(t *testing.T) {
 	if lines != wantLines {
 		t.Fatalf("rendered %d lines, want %d:\n%s", lines, wantLines, s)
 	}
-
-	dot := tree.DOT("fig2c")
-	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "shape=box") ||
-		!strings.Contains(dot, "style=dashed") {
-		t.Fatalf("DOT rendering incomplete:\n%s", dot)
-	}
-	if got := strings.Count(dot, "shape=box"); got != tree.NumLeaves() {
-		t.Fatalf("DOT has %d leaf boxes, want %d", got, tree.NumLeaves())
-	}
 }
 
 func TestFprintSingleLeaf(t *testing.T) {

@@ -166,13 +166,19 @@ func TestRestoreTreeRejectsBadStructure(t *testing.T) {
 			}
 		})
 	}
-	// And the well-formed version of the same shape is accepted.
-	tr, err := RestoreTree(d, &Node{Pred: 0, T: leaf(0, p), F: leaf(1, np)}, []bdd.Ref{p}, 2)
+	// And the well-formed version of the same shape is accepted: leaf 0
+	// lies inside p, so its membership bit 0 is set.
+	inside := leaf(0, p)
+	inside.Member.Set(0, true)
+	tr, err := RestoreTree(d, &Node{Pred: 0, T: inside, F: leaf(1, np)}, []bdd.Ref{p}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.NumLeaves() != 2 || tr.Root().Depth != 0 || tr.Root().T.Depth != 1 {
 		t.Fatal("restored tree shape wrong")
+	}
+	if err := tr.Validate([]int32{0}); err != nil {
+		t.Fatalf("accepted tree is not valid: %v", err)
 	}
 }
 
@@ -185,7 +191,7 @@ func TestRestoreRegistryRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumLive() != 2 || r.NumIDs() != 3 || !r.IsLive(0) || r.IsLive(1) || !r.IsLive(2) {
+	if len(r.LiveIDs()) != 2 || r.NumIDs() != 3 || !r.IsLive(0) || r.IsLive(1) || !r.IsLive(2) {
 		t.Fatal("restored registry counts wrong")
 	}
 }

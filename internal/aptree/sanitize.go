@@ -14,6 +14,8 @@ import (
 //
 // The check allocates scratch BDD nodes in t.D (the running union), so it
 // must be serialized with other DD mutations exactly like an update.
+//
+//lint:ignore unreached apdebug: debug_on.go runs it at every publish; the root churn suite and apdebug tests call it directly
 func (t *Tree) CheckLeafPartition() error {
 	d := t.D
 	union := bdd.False

@@ -404,9 +404,6 @@ func (t *Tree) DepthHistogram() []int {
 // Visits returns leaf n's query counter (the sum over counter stripes).
 func (t *Tree) Visits(n *Node) uint64 { return t.visits.count(n.AtomID) }
 
-// ResetVisits zeroes all leaf counters.
-func (t *Tree) ResetVisits() { t.visits.reset() }
-
 // Drop releases the tree's BDD retentions (leaf atoms). The tree must not
 // be used afterwards.
 func (t *Tree) Drop() {
@@ -418,6 +415,8 @@ func (t *Tree) Drop() {
 // partition its reachable set; depths are consistent; and each leaf's
 // membership vector matches BDD implication for every live predicate ID in
 // ids. It is O(n²) in BDD operations and intended for tests.
+//
+//lint:ignore unreached oracle: the aptree tests and the root apdebug_test.go check trees against exact BDD implication with it
 func (t *Tree) Validate(ids []int32) error {
 	d := t.D
 	union := bdd.False

@@ -173,6 +173,25 @@ func subtract(a, b []int32) []int32 {
 	return out
 }
 
+// setIDs lists an AtomSet's members in ascending order.
+func setIDs(s predicate.AtomSet) []int32 {
+	var ids []int32
+	s.Each(func(id int32) bool { ids = append(ids, id); return true })
+	return ids
+}
+
+// atomsR returns R(p_j), the sorted IDs of the atoms implying predicate j,
+// as the plain slice optimalSumDepth works on.
+func atomsR(a *predicate.Atoms, j int) []int32 {
+	var r []int32
+	for i, m := range a.Member {
+		if m.Get(j) {
+			r = append(r, int32(i))
+		}
+	}
+	return r
+}
+
 // optimalSumDepth is the exact recursion of equation (1), memoized — the
 // oracle the OAPT heuristic approximates.
 func optimalSumDepth(rsets [][]int32, s []int32) int {
@@ -222,7 +241,7 @@ func TestOAPTNeverBeatsExactOptimumAndIsClose(t *testing.T) {
 		in := buildInput(d, preds, rng)
 		rsets := make([][]int32, len(preds))
 		for i := range rsets {
-			rsets[i] = in.Atoms.R(i)
+			rsets[i] = atomsR(in.Atoms, i)
 		}
 		all := make([]int32, in.Atoms.N())
 		for i := range all {
@@ -349,16 +368,11 @@ func TestVisitCounters(t *testing.T) {
 	if total != q {
 		t.Fatalf("visit total %d, want %d", total, q)
 	}
-	tree.ResetVisits()
-	total = 0
-	tree.Leaves(func(n *Node) { total += tree.Visits(n) })
-	if total != 0 {
-		t.Fatal("ResetVisits left counters")
-	}
 	tree.CountVisits = false
 	tree.Classify([]byte{0, 0})
-	tree.Leaves(func(n *Node) { total += tree.Visits(n) })
-	if total != 0 {
+	var after uint64
+	tree.Leaves(func(n *Node) { after += tree.Visits(n) })
+	if after != total {
 		t.Fatal("counter incremented while disabled")
 	}
 }
@@ -379,13 +393,13 @@ func TestEmptyPredicateSet(t *testing.T) {
 func TestSetHelpers(t *testing.T) {
 	a := predicate.AtomSetOf(1, 3, 5, 7, 9)
 	b := predicate.AtomSetOf(3, 4, 5, 10)
-	if got := a.Intersect(b).Slice(); len(got) != 2 || got[0] != 3 || got[1] != 5 {
+	if got := setIDs(a.Intersect(b)); len(got) != 2 || got[0] != 3 || got[1] != 5 {
 		t.Fatalf("Intersect = %v", got)
 	}
 	if got := a.IntersectLen(b); got != 2 {
 		t.Fatalf("IntersectLen = %d", got)
 	}
-	if got := a.Diff(b).Slice(); len(got) != 3 || got[0] != 1 || got[1] != 7 || got[2] != 9 {
+	if got := setIDs(a.Diff(b)); len(got) != 3 || got[0] != 1 || got[1] != 7 || got[2] != 9 {
 		t.Fatalf("Diff = %v", got)
 	}
 	if got := predicate.EmptyAtomSet.Intersect(b); !got.Empty() {

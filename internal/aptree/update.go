@@ -167,9 +167,6 @@ func (r *Registry) IsLive(id int32) bool { return r.live.Get(int(id)) }
 // NumIDs reports the size of the ID space (live + dead).
 func (r *Registry) NumIDs() int { return len(r.refs) }
 
-// NumLive reports the number of live predicates.
-func (r *Registry) NumLive() int { return r.n }
-
 // LiveIDs returns the live IDs in increasing order.
 func (r *Registry) LiveIDs() []int32 {
 	ids := make([]int32, 0, r.n)

@@ -83,7 +83,7 @@ func TestRegistry(t *testing.T) {
 	if a != 0 || b != 1 || c != 2 {
 		t.Fatalf("ids = %d,%d,%d", a, b, c)
 	}
-	if r.NumLive() != 3 || r.NumIDs() != 3 {
+	if len(r.LiveIDs()) != 3 || r.NumIDs() != 3 {
 		t.Fatal("counts wrong")
 	}
 	r.Remove(b)
@@ -93,7 +93,7 @@ func TestRegistry(t *testing.T) {
 	if r.Ref(b) != bdd.False || r.Ref(a) != d.Var(0) {
 		t.Fatal("removal must clear exactly the dead slot's ref")
 	}
-	if r.NumLive() != 2 {
+	if len(r.LiveIDs()) != 2 {
 		t.Fatal("live count wrong after removal")
 	}
 	ids := r.LiveIDs()

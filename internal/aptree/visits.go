@@ -74,21 +74,8 @@ func (c *visitCounters) view() visitView {
 // add increments atom's counter on the calling goroutine's stripe.
 func (c *visitCounters) add(atom int32) { c.view().add(atom) }
 
-// addN adds n visits to atom's counter on the calling goroutine's stripe.
-func (c *visitCounters) addN(atom int32, n uint64) { c.view().addN(atom, n) }
-
 // count sums atom's stripes.
 func (c *visitCounters) count(atom int32) uint64 { return c.view().count(atom) }
-
-// reset zeroes every counter.
-func (c *visitCounters) reset() {
-	for _, ch := range c.chunks {
-		s := *ch
-		for i := range s {
-			atomic.StoreUint64(&s[i], 0)
-		}
-	}
-}
 
 // visitView is the snapshot-side handle: a frozen chunk-pointer slice.
 // The counters themselves are shared with the live store, so increments

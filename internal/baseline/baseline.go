@@ -24,15 +24,6 @@ type APLinear struct {
 // well-formed atom set).
 func (a *APLinear) Classify(pkt []byte) int { return a.Atoms.ClassifyLinear(pkt) }
 
-// Member returns the membership vector of the packet's atom.
-func (a *APLinear) Member(pkt []byte) predicate.Bitset {
-	i := a.Atoms.ClassifyLinear(pkt)
-	if i < 0 {
-		return nil
-	}
-	return a.Atoms.Member[i]
-}
-
 // PScan evaluates every predicate on the packet directly (the paper's
 // PScan method), producing the membership vector without atoms at all.
 type PScan struct {
@@ -78,16 +69,6 @@ type SimResult struct {
 	// 96.8 (Internet2) and 232 (Stanford) predicates checked per packet
 	// on average, versus 10.6 / 16.8 for the AP Tree.
 	PredChecks int
-}
-
-// Delivered reports whether any branch reached the named host (any if "").
-func (r *SimResult) DeliveredTo(name string) bool {
-	for _, h := range r.Delivered {
-		if name == "" || h == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Behavior computes the packet's forwarding behavior by per-box linear

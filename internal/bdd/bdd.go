@@ -13,7 +13,7 @@
 // literals and a chain of L BDD nodes.
 //
 // Concurrency: a DD is not safe for concurrent mutation. Read-only use
-// (Eval/EvalBits) is safe from multiple goroutines as long as no operation
+// (EvalBits) is safe from multiple goroutines as long as no operation
 // that can allocate nodes runs concurrently. For readers that must overlap
 // a writer, Freeze returns a View: an immutable evaluation view of the
 // store's current prefix that stays valid while the writer appends,
@@ -115,10 +115,6 @@ func (d *DD) LiveMemBytes() int {
 	return d.live*16 + d.cache.memBytes()
 }
 
-// Ops reports the cumulative number of apply steps, a machine-independent
-// work measure used by ablation benchmarks.
-func (d *DD) Ops() uint64 { return d.ops }
-
 func (d *DD) initBuckets(n int) {
 	d.buckets = make([]Ref, n)
 	for i := range d.buckets {
@@ -183,15 +179,11 @@ func (d *DD) rehash(n int) {
 }
 
 // Var returns the BDD of the single positive literal x_i.
+//
+//lint:ignore unreached oracle literal builder for the bdd tests and aptree update_test.go
 func (d *DD) Var(i int) Ref {
 	d.checkVar(i)
 	return d.mk(int32(i), False, True)
-}
-
-// NVar returns the BDD of the single negative literal ¬x_i.
-func (d *DD) NVar(i int) Ref {
-	d.checkVar(i)
-	return d.mk(int32(i), True, False)
 }
 
 func (d *DD) checkVar(i int) {
@@ -200,15 +192,6 @@ func (d *DD) checkVar(i int) {
 	}
 }
 
-// Level reports the variable index labeling node f (NumVars for terminals).
-func (d *DD) Level(f Ref) int { return int(d.nodes[f].level) }
-
-// Low returns the 0-successor of node f.
-func (d *DD) Low(f Ref) Ref { return d.nodes[f].low }
-
-// High returns the 1-successor of node f.
-func (d *DD) High(f Ref) Ref { return d.nodes[f].high }
-
 // Binary operation codes for the apply cache.
 const (
 	opAnd uint8 = iota + 1
@@ -216,7 +199,6 @@ const (
 	opXor
 	opDiff
 	opNot
-	opIte
 	opSat
 )
 
@@ -341,50 +323,6 @@ func (d *DD) apply(op uint8, f, g Ref) Ref {
 	return r
 }
 
-// Ite returns if-then-else(f, g, h) = (f ∧ g) ∨ (¬f ∧ h).
-func (d *DD) Ite(f, g, h Ref) Ref {
-	switch {
-	case f == True:
-		return g
-	case f == False:
-		return h
-	case g == h:
-		return g
-	case g == True && h == False:
-		return f
-	case g == False && h == True:
-		return d.Not(f)
-	}
-	if r, ok := d.cache.get3(opIte, f, g, h); ok {
-		d.stats.CacheHits++
-		return r
-	}
-	d.stats.CacheMisses++
-	d.ops++
-	level := d.nodes[f].level
-	if l := d.nodes[g].level; l < level {
-		level = l
-	}
-	if l := d.nodes[h].level; l < level {
-		level = l
-	}
-	cof := func(x Ref, hi bool) Ref {
-		n := d.nodes[x]
-		if n.level != level {
-			return x
-		}
-		if hi {
-			return n.high
-		}
-		return n.low
-	}
-	r := d.mk(level,
-		d.Ite(cof(f, false), cof(g, false), cof(h, false)),
-		d.Ite(cof(f, true), cof(g, true), cof(h, true)))
-	d.cache.put3(opIte, f, g, h, r)
-	return r
-}
-
 // Implies reports whether f ⇒ g, i.e. the set of packets of f is contained
 // in that of g.
 func (d *DD) Implies(f, g Ref) bool { return d.Diff(f, g) == False }
@@ -392,44 +330,6 @@ func (d *DD) Implies(f, g Ref) bool { return d.Diff(f, g) == False }
 // Disjoint reports whether f ∧ g is unsatisfiable. It short-circuits without
 // building the conjunction node set beyond what apply memoization requires.
 func (d *DD) Disjoint(f, g Ref) bool { return d.And(f, g) == False }
-
-// AndN folds And over all operands (True for none).
-func (d *DD) AndN(fs ...Ref) Ref {
-	r := True
-	for _, f := range fs {
-		r = d.And(r, f)
-		if r == False {
-			return False
-		}
-	}
-	return r
-}
-
-// OrN folds Or over all operands (False for none).
-func (d *DD) OrN(fs ...Ref) Ref {
-	r := False
-	for _, f := range fs {
-		r = d.Or(r, f)
-		if r == True {
-			return True
-		}
-	}
-	return r
-}
-
-// Eval evaluates f under the assignment provided by bit, which must return
-// the value of variable i. This is the classification hot path.
-func (d *DD) Eval(f Ref, bit func(i int) bool) bool {
-	for f > True {
-		n := d.nodes[f]
-		if bit(int(n.level)) {
-			f = n.high
-		} else {
-			f = n.low
-		}
-	}
-	return f == True
-}
 
 // EvalBits evaluates f against a packed bit vector (bit i of the header is
 // bit 7-i%8 of byte i/8, i.e. MSB-first), avoiding a closure allocation.
@@ -492,26 +392,6 @@ func (d *DD) AnySat(f Ref) []int8 {
 		}
 	}
 	return a
-}
-
-// NodeCount returns the number of distinct nodes reachable from f,
-// excluding terminals.
-func (d *DD) NodeCount(f Ref) int {
-	seen := make(map[Ref]struct{})
-	var walk func(Ref)
-	walk = func(f Ref) {
-		if f <= True {
-			return
-		}
-		if _, ok := seen[f]; ok {
-			return
-		}
-		seen[f] = struct{}{}
-		walk(d.nodes[f].low)
-		walk(d.nodes[f].high)
-	}
-	walk(f)
-	return len(seen)
 }
 
 // Retain registers f as a GC root. Each Retain must eventually be paired
@@ -581,6 +461,8 @@ func (d *DD) GC() int {
 // unique-table integrity (every live node findable through its hash
 // bucket, so mk cannot re-allocate it). It is used by tests and, under the
 // apdebug build tag, after every GC.
+//
+//lint:ignore unreached apdebug: debug_on.go runs it after every GC; the bdd tests call it directly
 func (d *DD) CheckInvariants() error {
 	type key struct {
 		level     int32
@@ -631,6 +513,8 @@ func (d *DD) CheckInvariants() error {
 // exactly the garbage and nothing survives without a justifying root.
 // Between collections the audit does not hold (construction scratch is
 // live but unrooted), so call it only immediately after GC.
+//
+//lint:ignore unreached apdebug: debug_on.go runs it after every GC; apdebug_test.go calls it directly
 func (d *DD) AuditAfterGC() error {
 	reach := make([]bool, len(d.nodes))
 	reach[False], reach[True] = true, true

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // serialization format: a little-endian binary stream
@@ -39,12 +38,6 @@ var (
 	// different variable count than the one loading it.
 	ErrVarMismatch = errors.New("bdd: variable count mismatch")
 )
-
-// Save writes the functions rooted at roots to w. The on-disk node
-// numbering is private to the stream; Load rebuilds canonical nodes.
-func (d *DD) Save(w io.Writer, roots ...Ref) error {
-	return saveNodes(d.nodes, d.numVars, w, roots)
-}
 
 // Save writes the functions rooted at roots from the frozen view. Roots
 // must have been retained (directly or transitively) when the view was
@@ -202,39 +195,4 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// DOT renders the subgraph rooted at f in Graphviz format, with solid
-// edges for the 1-branch and dashed for the 0-branch — handy for
-// documentation and debugging small predicates.
-func (d *DD) DOT(f Ref, name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", name)
-	b.WriteString("  F [shape=box,label=\"0\"];\n  T [shape=box,label=\"1\"];\n")
-	nodeID := func(r Ref) string {
-		switch r {
-		case False:
-			return "F"
-		case True:
-			return "T"
-		}
-		return fmt.Sprintf("n%d", r)
-	}
-	seen := map[Ref]bool{}
-	var walk func(Ref)
-	walk = func(f Ref) {
-		if f <= True || seen[f] {
-			return
-		}
-		seen[f] = true
-		n := d.nodes[f]
-		fmt.Fprintf(&b, "  n%d [label=\"x%d\"];\n", f, n.level)
-		fmt.Fprintf(&b, "  n%d -> %s [style=dashed];\n", f, nodeID(n.low))
-		fmt.Fprintf(&b, "  n%d -> %s;\n", f, nodeID(n.high))
-		walk(n.low)
-		walk(n.high)
-	}
-	walk(f)
-	b.WriteString("}\n")
-	return b.String()
 }

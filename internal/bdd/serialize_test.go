@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -138,5 +139,92 @@ func TestViewSaveMatchesDDSave(t *testing.T) {
 			d2.EvalBits(roots[1], bits) != d.EvalBits(b, bits) {
 			t.Fatalf("round-tripped function differs at probe %08b", probe)
 		}
+	}
+}
+
+func TestSaveLoadRoundTrip(t *testing.T) {
+	const nvars = 12
+	d := New(nvars)
+	rng := rand.New(rand.NewSource(63))
+	var roots []Ref
+	var forms []*formula
+	for i := 0; i < 10; i++ {
+		form := genFormula(rng, 6, nvars)
+		roots = append(roots, form.build(d))
+		forms = append(forms, form)
+	}
+	var buf bytes.Buffer
+	if err := d.Save(&buf, roots...); err != nil {
+		t.Fatal(err)
+	}
+
+	// Load into a fresh DD.
+	d2 := New(nvars)
+	loaded, err := d2.Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded) != len(roots) {
+		t.Fatalf("loaded %d roots, want %d", len(loaded), len(roots))
+	}
+	for i, r := range loaded {
+		for a := uint(0); a < 1<<nvars; a += 37 {
+			got := d2.Eval(r, func(j int) bool { return a&(1<<uint(j)) != 0 })
+			if got != forms[i].eval(a) {
+				t.Fatalf("root %d: loaded function differs at %012b", i, a)
+			}
+		}
+	}
+	if err := d2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Loading into the original DD must give back identical refs
+	// (canonicalization against existing nodes).
+	loaded2, err := d.Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range roots {
+		if loaded2[i] != roots[i] {
+			t.Fatalf("root %d: reload into same DD gave different ref", i)
+		}
+	}
+}
+
+func TestSaveLoadTerminals(t *testing.T) {
+	d := New(4)
+	var buf bytes.Buffer
+	if err := d.Save(&buf, True, False); err != nil {
+		t.Fatal(err)
+	}
+	roots, err := New(4).Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if roots[0] != True || roots[1] != False {
+		t.Fatalf("terminal roots = %v", roots)
+	}
+}
+
+func TestLoadRejectsGarbage(t *testing.T) {
+	d := New(4)
+	cases := [][]byte{
+		[]byte("XYZ1\x00\x00\x00\x00"),
+		[]byte("BDD1"),
+		{},
+	}
+	for i, c := range cases {
+		if _, err := d.Load(bytes.NewReader(c)); err == nil {
+			t.Errorf("case %d: expected error", i)
+		}
+	}
+	// Wrong variable count.
+	var buf bytes.Buffer
+	if err := New(8).Save(&buf, True); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Load(&buf); err == nil {
+		t.Fatal("variable-count mismatch must fail")
 	}
 }

@@ -51,10 +51,6 @@ func (d *DD) Freeze() *View {
 // NumVars reports the number of Boolean variables of the frozen DD.
 func (v *View) NumVars() int { return v.numVars }
 
-// NumNodes reports the size of the frozen node-store prefix (allocated
-// slots, including freed ones and the two terminals).
-func (v *View) NumNodes() int { return len(v.nodes) }
-
 // LiveNodes reports the number of live nodes at freeze time.
 func (v *View) LiveNodes() int { return v.live }
 
@@ -76,20 +72,6 @@ func (v *View) Node(f Ref) (level int32, low, high Ref) {
 	return n.level, n.low, n.high
 }
 
-// Eval evaluates f under the assignment provided by bit; see DD.Eval.
-func (v *View) Eval(f Ref, bit func(i int) bool) bool {
-	nodes := v.nodes
-	for f > True {
-		n := nodes[f]
-		if bit(int(n.level)) {
-			f = n.high
-		} else {
-			f = n.low
-		}
-	}
-	return f == True
-}
-
 // EvalBits evaluates f against a packed MSB-first bit vector; see
 // DD.EvalBits. This is the snapshot query path's hot loop.
 func (v *View) EvalBits(f Ref, bits []byte) bool {
@@ -106,7 +88,7 @@ func (v *View) EvalBits(f Ref, bits []byte) bool {
 }
 
 // SatCount returns the number of satisfying assignments of f over the
-// frozen DD's variables; see DD.SatCount. Like Eval it only reads the
+// frozen DD's variables; see DD.SatCount. Like EvalBits it only reads the
 // frozen node-store prefix, so the verification engine can size packet
 // sets from a pinned epoch while the live DD keeps growing.
 func (v *View) SatCount(f Ref) float64 {

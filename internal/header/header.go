@@ -11,7 +11,6 @@ package header
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 )
 
@@ -71,12 +70,6 @@ func (l *Layout) Bits() int { return l.bits }
 // Bytes reports the packet length in bytes (Bits rounded up).
 func (l *Layout) Bytes() int { return (l.bits + 7) / 8 }
 
-// NumFields reports the number of declared fields.
-func (l *Layout) NumFields() int { return len(l.fields) }
-
-// Field returns the field at index i.
-func (l *Layout) Field(i int) Field { return l.fields[i] }
-
 // FieldByName returns the named field. The second result is false if the
 // layout has no such field.
 func (l *Layout) FieldByName(name string) (Field, bool) {
@@ -114,17 +107,6 @@ func (l *Layout) Get(p Packet, name string) uint64 {
 	return GetBits(p, f.Offset, f.Width)
 }
 
-// Random returns a uniformly random packet for the layout.
-func (l *Layout) Random(rng *rand.Rand) Packet {
-	p := l.NewPacket()
-	rng.Read(p)
-	// Zero any padding bits beyond Bits so equality semantics are clean.
-	if extra := len(p)*8 - l.bits; extra > 0 {
-		p[len(p)-1] &= 0xFF << uint(extra)
-	}
-	return p
-}
-
 // String renders the packet field by field, e.g. "dstIP=0a000001".
 func (l *Layout) String(p Packet) string {
 	var b strings.Builder
@@ -136,16 +118,6 @@ func (l *Layout) String(p Packet) string {
 	}
 	return b.String()
 }
-
-// Clone returns an independent copy of p.
-func (p Packet) Clone() Packet {
-	q := make(Packet, len(p))
-	copy(q, p)
-	return q
-}
-
-// Bit reports header bit i (MSB-first within bytes).
-func (p Packet) Bit(i int) bool { return p[i/8]&(0x80>>uint(i%8)) != 0 }
 
 // SetBits writes the low `width` bits of value into p at bit offset,
 // MSB first.

@@ -10,12 +10,6 @@
 // doing ternary intersections — and reproduces here.
 package hsa
 
-import (
-	"fmt"
-	"math"
-	"math/bits"
-)
-
 // Expr is a wildcard expression over L header bits: a set of headers where
 // each bit is 0, 1 or don't-care. Bit i of the header is bit i%64 of word
 // i/64 (note: this differs from packet byte order; use FromPacket).
@@ -87,22 +81,6 @@ func (e Expr) Intersect(o Expr) (Expr, bool) {
 	return r, true
 }
 
-// Contains reports whether o ⊆ e: every bit e cares about, o must care
-// about with the same value. (Bits past nbits are stored as care-with-zero
-// on both sides, so they never disqualify.)
-func (e Expr) Contains(o Expr) bool {
-	for i := range e.val {
-		care := ^e.wild[i]
-		if care&o.wild[i] != 0 {
-			return false // e cares, o doesn't: o has headers outside e
-		}
-		if care&^o.wild[i]&(e.val[i]^o.val[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Subtract returns e ∖ o as a union of expressions — one per bit where e is
 // wild and o cares (the standard HSA complement expansion).
 func (e Expr) Subtract(o Expr) []Expr {
@@ -145,16 +123,6 @@ func cloneExpr(e Expr) Expr {
 	}
 }
 
-// Count returns the number of headers the expression matches (as float64,
-// like bdd.SatCount).
-func (e Expr) Count() float64 {
-	n := 0
-	for _, w := range e.wild {
-		n += bits.OnesCount64(w)
-	}
-	return math.Exp2(float64(n))
-}
-
 // String renders the expression as a ternary string, MSB of byte 0 first.
 func (e Expr) String() string {
 	out := make([]byte, e.nbits)
@@ -170,21 +138,4 @@ func (e Expr) String() string {
 		}
 	}
 	return string(out)
-}
-
-// ParseExpr parses a ternary string produced by String (for tests).
-func ParseExpr(s string) Expr {
-	e := All(len(s))
-	for i, c := range s {
-		switch c {
-		case '0':
-			e.setBit(i, false)
-		case '1':
-			e.setBit(i, true)
-		case '*', 'x':
-		default:
-			panic(fmt.Sprintf("hsa: bad ternary char %q", c))
-		}
-	}
-	return e
 }

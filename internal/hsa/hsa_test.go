@@ -1,6 +1,9 @@
 package hsa
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -48,21 +51,6 @@ func TestIntersect(t *testing.T) {
 		if ok && got.String() != c.want {
 			t.Fatalf("%s ∩ %s = %s, want %s", c.a, c.b, got.String(), c.want)
 		}
-	}
-}
-
-func TestContains(t *testing.T) {
-	if !ParseExpr("1***").Contains(ParseExpr("10*1")) {
-		t.Fatal("1*** must contain 10*1")
-	}
-	if ParseExpr("10*1").Contains(ParseExpr("1***")) {
-		t.Fatal("10*1 must not contain 1***")
-	}
-	if !ParseExpr("****").Contains(ParseExpr("0000")) {
-		t.Fatal("all must contain any")
-	}
-	if ParseExpr("0***").Contains(ParseExpr("1000")) {
-		t.Fatal("disjoint: no containment")
 	}
 }
 
@@ -209,4 +197,31 @@ func TestReachRuleChecksScaleWithRules(t *testing.T) {
 	if cb <= cs {
 		t.Fatalf("per-query work must grow with rule volume: %d !> %d", cb, cs)
 	}
+}
+
+// Count returns the number of headers the expression matches (as float64,
+// like bdd.SatCount).
+func (e Expr) Count() float64 {
+	n := 0
+	for _, w := range e.wild {
+		n += bits.OnesCount64(w)
+	}
+	return math.Exp2(float64(n))
+}
+
+// ParseExpr parses a ternary string produced by Expr.String.
+func ParseExpr(s string) Expr {
+	e := All(len(s))
+	for i, c := range s {
+		switch c {
+		case '0':
+			e.setBit(i, false)
+		case '1':
+			e.setBit(i, true)
+		case '*', 'x':
+		default:
+			panic(fmt.Sprintf("hsa: bad ternary char %q", c))
+		}
+	}
+	return e
 }

@@ -1,7 +1,5 @@
 package hsa
 
-import "sort"
-
 // AllResult is the outcome of whole-header-space reachability analysis:
 // for a set of headers injected at one box, the subsets that reach each
 // host, the subsets that die, and the subsets that loop.
@@ -24,6 +22,8 @@ type AllResult struct {
 // function routes hs∩match_i to rule i's port and passes hs∖match_i to the
 // next rule. Loop detection follows the HSA paper: a branch terminates
 // (and is reported) when it revisits a box on its own path.
+//
+//lint:ignore unreached oracle: reachall_test.go holds verify's whole-header-space reach sets to it, the independent HSA cross-check
 func (n *Net) ReachAll(ingress int, hs []Expr) *AllResult {
 	res := &AllResult{ToHost: map[string][]Expr{}}
 	type head struct {
@@ -143,25 +143,4 @@ func filterSet(f *Filter, hs []Expr) (permitted, denied []Expr) {
 		denied = append(denied, remaining...)
 	}
 	return permitted, denied
-}
-
-// Hosts lists the hosts an AllResult delivered to, sorted.
-func (r *AllResult) Hosts() []string {
-	out := make([]string, 0, len(r.ToHost))
-	for h := range r.ToHost {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CountTo sums the header counts delivered to one host. Because the
-// delivered pieces for one host are pairwise disjoint (each piece came
-// from a disjoint slice of the injected set), the sum is exact.
-func (r *AllResult) CountTo(host string) float64 {
-	total := 0.0
-	for _, e := range r.ToHost[host] {
-		total += e.Count()
-	}
-	return total
 }

@@ -2,6 +2,7 @@ package hsa
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"apclassifier"
@@ -138,4 +139,25 @@ func TestCountTo(t *testing.T) {
 	if len(all.Loops) != 0 {
 		t.Fatal("unexpected loops")
 	}
+}
+
+// Hosts lists the hosts an AllResult delivered to, sorted.
+func (r *AllResult) Hosts() []string {
+	out := make([]string, 0, len(r.ToHost))
+	for h := range r.ToHost {
+		out = append(out, h)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// CountTo sums the header counts delivered to one host. Because the
+// delivered pieces for one host are pairwise disjoint (each piece came
+// from a disjoint slice of the injected set), the sum is exact.
+func (r *AllResult) CountTo(host string) float64 {
+	total := 0.0
+	for _, e := range r.ToHost[host] {
+		total += e.Count()
+	}
+	return total
 }

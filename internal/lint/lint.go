@@ -64,6 +64,7 @@ func All() []*Analyzer {
 		FrozenWrite,
 		PoolPair,
 		VecBound,
+		Unreached,
 	}
 }
 

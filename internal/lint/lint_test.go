@@ -13,6 +13,32 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files from current analyzer output")
 
+// LoadDir type-checks the single package in dir under the synthetic import
+// path, resolving its imports against the module at root. It is the fixture
+// loader used by the analyzer tests.
+func LoadDir(root, dir, path string) (*Module, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
+	}
+	modPath, err := ModulePath(root)
+	if err != nil {
+		return nil, err
+	}
+	ld := newLoader(root, modPath)
+	dir, err = filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := ld.load(path, dir)
+	if err != nil {
+		return nil, err
+	}
+	// Only the fixture package itself is analyzed; its module-internal
+	// dependencies stay out of m.Pkgs so diagnostics never leak from them.
+	return &Module{Root: root, Path: modPath, Fset: ld.fset, Pkgs: []*Package{pkg}}, nil
+}
+
 // moduleRoot locates the repository root from the package directory.
 func moduleRoot(t *testing.T) string {
 	t.Helper()
@@ -100,6 +126,7 @@ var fixtureCases = []struct {
 	{PoolPair, "poolpair/clean", false},
 	{VecBound, "vecbound/bad", true},
 	{VecBound, "vecbound/clean", false},
+	{Unreached, "unreached", true},
 }
 
 func TestAnalyzerFixtures(t *testing.T) {

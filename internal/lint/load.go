@@ -34,16 +34,6 @@ type Module struct {
 	Pkgs []*Package
 }
 
-// Lookup returns the loaded package with the given import path, or nil.
-func (m *Module) Lookup(path string) *Package {
-	for _, p := range m.Pkgs {
-		if p.Path == path {
-			return p
-		}
-	}
-	return nil
-}
-
 // loader type-checks module packages from source, resolving module-internal
 // imports recursively and everything else through the compiler's export
 // data (stdlib only — the module has no external dependencies).
@@ -149,32 +139,6 @@ func LoadModule(root string) (*Module, error) {
 		}
 	}
 	return &Module{Root: root, Path: modPath, Fset: ld.fset, Pkgs: ld.order}, nil
-}
-
-// LoadDir type-checks the single package in dir under the synthetic import
-// path, resolving its imports against the module at root. It is the fixture
-// loader used by the analyzer tests.
-func LoadDir(root, dir, path string) (*Module, error) {
-	root, err := filepath.Abs(root)
-	if err != nil {
-		return nil, err
-	}
-	modPath, err := ModulePath(root)
-	if err != nil {
-		return nil, err
-	}
-	ld := newLoader(root, modPath)
-	dir, err = filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	pkg, err := ld.load(path, dir)
-	if err != nil {
-		return nil, err
-	}
-	// Only the fixture package itself is analyzed; its module-internal
-	// dependencies stay out of m.Pkgs so diagnostics never leak from them.
-	return &Module{Root: root, Path: modPath, Fset: ld.fset, Pkgs: []*Package{pkg}}, nil
 }
 
 func hasGoFiles(dir string) bool {

@@ -58,5 +58,7 @@ func flatReadOnly(s *aptree.Snapshot, pkt []byte) (int32, int) {
 // are read every which way but never written.
 func atomViewReadOnly(s *aptree.Snapshot) (int, bool) {
 	v := s.Atoms()
-	return v.N(), v.Member(v.IDs().Min()).Get(0)
+	first := int32(-1)
+	v.Each(func(id int32) bool { first = id; return false })
+	return v.N(), v.Leaf(first).Member.Get(0)
 }

@@ -36,3 +36,7 @@ func (c *counters) bump() {
 	defer c.mu.Unlock()
 	c.n++
 }
+
+// Keep every function reached so the unreached check stays out of the
+// directive-hygiene goldens.
+var _ = []any{used, stale, typo, (*counters).bump}

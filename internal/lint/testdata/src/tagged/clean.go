@@ -5,3 +5,6 @@
 package tagged
 
 func Touch() error { return nil }
+
+// Touch stays reached, so any finding at all means the tagged file leaked.
+var _ = Touch

@@ -271,15 +271,3 @@ func TestPacketFromFieldsRoundTrip(t *testing.T) {
 		t.Fatal("dst-only layout encoding broken")
 	}
 }
-
-func TestHostAt(t *testing.T) {
-	ds := Internet2Like(Config{Seed: 1, RuleScale: 0.01})
-	h := ds.Hosts[0]
-	if got := ds.HostAt(h.Box, h.Port); got != h.Name {
-		t.Fatalf("HostAt = %q, want %q", got, h.Name)
-	}
-	if got := ds.HostAt(0, 0); got != "" && got != ds.Hosts[0].Name {
-		// port 0 of box 0 is a link port in our topology
-		t.Fatalf("HostAt on link port = %q", got)
-	}
-}

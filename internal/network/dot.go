@@ -41,37 +41,3 @@ func (n *Network) DOT(name string) string {
 	b.WriteString("}\n")
 	return b.String()
 }
-
-// HighlightDOT renders the topology with a behavior's traversed edges
-// emphasized: the forwarding path/tree in bold red, drop boxes shaded.
-func (n *Network) HighlightDOT(name string, beh *Behavior) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", name)
-	drops := map[int]bool{}
-	for _, d := range beh.Drops {
-		drops[d.Box] = true
-	}
-	for i, box := range n.Boxes {
-		attrs := ""
-		switch {
-		case drops[i]:
-			attrs = ",style=filled,fillcolor=lightcoral"
-		case i == beh.Ingress:
-			attrs = ",style=filled,fillcolor=lightblue"
-		}
-		fmt.Fprintf(&b, "  b%d [label=%q%s];\n", i, box.Name, attrs)
-	}
-	hostID := 0
-	for _, e := range beh.Edges {
-		switch e.To.Kind {
-		case DestBox:
-			fmt.Fprintf(&b, "  b%d -> b%d [color=red,penwidth=2];\n", e.Box, e.To.Box)
-		case DestHost:
-			fmt.Fprintf(&b, "  h%d [shape=box,label=%q];\n", hostID, e.To.Host)
-			fmt.Fprintf(&b, "  b%d -> h%d [color=red,penwidth=2];\n", e.Box, hostID)
-			hostID++
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}

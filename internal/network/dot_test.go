@@ -6,7 +6,7 @@ import (
 )
 
 func TestDOT(t *testing.T) {
-	n, m, env, _ := fig1Net(t)
+	n, _, _, _ := fig1Net(t)
 	dot := n.DOT("fig1")
 	for _, want := range []string{"graph \"fig1\"", "b1", "b2", "h1", "h2", "--"} {
 		if !strings.Contains(dot, want) {
@@ -18,20 +18,4 @@ func TestDOT(t *testing.T) {
 		t.Fatalf("link rendered %d times", got)
 	}
 
-	pkt := []byte{0b10000001} // a4: delivered via b2, no drops
-	b := n.Behavior(env, 0, pkt, classify(m, pkt))
-	h := n.HighlightDOT("path", b)
-	for _, want := range []string{"digraph", "lightblue", "color=red", "h2"} {
-		if !strings.Contains(h, want) {
-			t.Fatalf("HighlightDOT missing %q:\n%s", want, h)
-		}
-	}
-
-	// A dropped packet shades the drop box.
-	pktDrop := []byte{0b11100001}
-	bd := n.Behavior(env, 0, pktDrop, classify(m, pktDrop))
-	hd := n.HighlightDOT("drop", bd)
-	if !strings.Contains(hd, "lightcoral") {
-		t.Fatalf("drop box not shaded:\n%s", hd)
-	}
 }

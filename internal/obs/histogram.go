@@ -101,52 +101,6 @@ func (h *Histogram) snapshot() []uint64 {
 	return out
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear
-// interpolation within the bucket containing it, the standard
-// histogram_quantile estimate. The lower edge of the first bucket is
-// taken as 0 and values in the +Inf bucket report the largest finite
-// bound. Returns NaN for an empty histogram. The estimate is monotone
-// in q for a fixed set of observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	counts := h.snapshot()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if float64(cum) >= rank {
-			if i == len(counts)-1 {
-				// +Inf bucket: the best available point estimate is the
-				// largest finite bound.
-				return h.bounds[len(h.bounds)-1]
-			}
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			upper := h.bounds[i]
-			if c == 0 {
-				return upper
-			}
-			inBucket := rank - float64(cum-c)
-			return lower + (upper-lower)*(inBucket/float64(c))
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 func (h *Histogram) metricType() string { return "histogram" }
 func (h *Histogram) metricHelp() string { return h.help }
 

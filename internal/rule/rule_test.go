@@ -97,9 +97,10 @@ func TestFwdTableFirstOfEqualLengthWins(t *testing.T) {
 func TestFwdTableReplaceRemove(t *testing.T) {
 	var tbl FwdTable
 	tbl.Add(FwdRule{P(0x0A000000, 8), 1})
-	tbl.Replace(FwdRule{P(0x0A000000, 8), 3})
+	tbl.Remove(P(0x0A000000, 8))
+	tbl.Add(FwdRule{P(0x0A000000, 8), 3})
 	if port, _ := tbl.Lookup(0x0A000001); port != 3 {
-		t.Fatalf("Replace did not take effect: port %d", port)
+		t.Fatalf("remove-then-add did not take effect: port %d", port)
 	}
 	if !tbl.Remove(P(0x0A000000, 8)) {
 		t.Fatal("Remove must report success")
@@ -290,7 +291,7 @@ func TestRemoveWithCone(t *testing.T) {
 		t.Fatalf("ports = %v, want %v", c.Ports, want)
 	}
 
-	if c, ok := tbl.RemoveWithCone(P(0x0A0B0000, 16)); ok || !c.Empty() {
+	if c, ok := tbl.RemoveWithCone(P(0x0A0B0000, 16)); ok || len(c.Ports) != 0 {
 		t.Fatalf("second removal must be an empty no-op cone, got %v ok=%v", c, ok)
 	}
 }

@@ -45,16 +45,6 @@ type Result struct {
 	RulesCollected int
 }
 
-// DeliveredTo reports whether any branch reached the named host ("" = any).
-func (r *Result) DeliveredTo(name string) bool {
-	for _, h := range r.Delivered {
-		if name == "" || h == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Behavior identifies the behavior of a 5-tuple from an ingress box.
 func (s *Sim) Behavior(ingress int, f rule.Fields) Result {
 	var res Result

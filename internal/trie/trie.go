@@ -1,17 +1,10 @@
 // Package trie implements a Veriflow-style network-wide prefix trie: all
 // forwarding rules of all boxes stored in one binary trie over the
-// destination address. It serves two purposes in this reproduction:
-//
-//  1. as the related-work baseline the paper discusses (storing all rules
-//     and simulating forwarding per query), and
-//  2. as an equivalence-class (EC) extractor: for a rule or address, the
-//     trie yields the set of overlapping rules and the disjoint address
-//     ranges (ECs) they induce — Veriflow's core primitive.
+// destination address. It is the related-work baseline the paper
+// discusses: storing all rules and simulating forwarding per query.
 package trie
 
 import (
-	"sort"
-
 	"apclassifier/internal/rule"
 )
 
@@ -84,77 +77,4 @@ func LookupBox(matches []Entry, box int) (port int, ok bool) {
 		return 0, false
 	}
 	return port, true
-}
-
-// Overlapping returns every rule whose prefix overlaps the given prefix:
-// rules on the path above it plus the entire subtree below it. This is the
-// set of rules Veriflow examines when a rule changes.
-func (t *Trie) Overlapping(p rule.Prefix) []Entry {
-	var out []Entry
-	n := &t.root
-	for i := 0; i < p.Length; i++ {
-		out = append(out, n.entries...)
-		b := (p.Value >> uint(31-i)) & 1
-		if n.children[b] == nil {
-			return out
-		}
-		n = n.children[b]
-	}
-	var walk func(*node)
-	walk = func(n *node) {
-		out = append(out, n.entries...)
-		for _, c := range n.children {
-			if c != nil {
-				walk(c)
-			}
-		}
-	}
-	walk(n)
-	return out
-}
-
-// Range is a half-open address interval [Lo, Hi].
-type Range struct {
-	Lo, Hi uint32
-}
-
-// ECs computes the equivalence classes (disjoint destination ranges) that
-// the rules overlapping p induce within p's own range: inside one range,
-// every box makes the same forwarding decision. This is Veriflow's EC
-// slicing restricted to one dimension (destination address).
-func (t *Trie) ECs(p rule.Prefix) []Range {
-	lo := p.Value
-	hi := p.Value | ^prefixMask(p.Length)
-	cuts := map[uint32]bool{lo: true}
-	for _, e := range t.Overlapping(p) {
-		rl := e.Rule.Prefix.Value
-		rh := e.Rule.Prefix.Value | ^prefixMask(e.Rule.Prefix.Length)
-		if rl > lo && rl <= hi {
-			cuts[rl] = true
-		}
-		if rh >= lo && rh < hi {
-			cuts[rh+1] = true
-		}
-	}
-	points := make([]uint32, 0, len(cuts))
-	for c := range cuts {
-		points = append(points, c)
-	}
-	sort.Slice(points, func(i, j int) bool { return points[i] < points[j] })
-	var out []Range
-	for i, c := range points {
-		end := hi
-		if i+1 < len(points) {
-			end = points[i+1] - 1
-		}
-		out = append(out, Range{c, end})
-	}
-	return out
-}
-
-func prefixMask(length int) uint32 {
-	if length == 0 {
-		return 0
-	}
-	return ^uint32(0) << uint(32-length)
 }

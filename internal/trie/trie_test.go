@@ -58,79 +58,6 @@ func TestLookupBoxAgainstFwdTable(t *testing.T) {
 	}
 }
 
-func TestOverlapping(t *testing.T) {
-	var tr Trie
-	tr.Insert(0, rule.FwdRule{Prefix: rule.P(0x0A000000, 8), Port: 1})  // above
-	tr.Insert(0, rule.FwdRule{Prefix: rule.P(0x0A0B0000, 16), Port: 2}) // the query
-	tr.Insert(0, rule.FwdRule{Prefix: rule.P(0x0A0B0C00, 24), Port: 3}) // below
-	tr.Insert(0, rule.FwdRule{Prefix: rule.P(0x0B000000, 8), Port: 4})  // unrelated
-	got := tr.Overlapping(rule.P(0x0A0B0000, 16))
-	if len(got) != 3 {
-		t.Fatalf("overlapping = %d rules, want 3 (got %v)", len(got), got)
-	}
-	for _, e := range got {
-		if e.Rule.Port == 4 {
-			t.Fatal("unrelated prefix included")
-		}
-	}
-}
-
-func TestECsPartitionAndAreUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	var tr Trie
-	tables := make([]rule.FwdTable, 3)
-	base := rule.P(0x0A000000, 8)
-	for b := range tables {
-		for i := 0; i < 60; i++ {
-			// Rules clustered inside and around the query prefix.
-			var p rule.Prefix
-			if rng.Intn(2) == 0 {
-				p = rule.P(0x0A000000|rng.Uint32()>>8, 9+rng.Intn(24))
-			} else {
-				p = rule.P(rng.Uint32(), rng.Intn(33))
-			}
-			r := rule.FwdRule{Prefix: p, Port: rng.Intn(4)}
-			tables[b].Add(r)
-			tr.Insert(b, r)
-		}
-	}
-	ecs := tr.ECs(base)
-	if len(ecs) < 2 {
-		t.Fatalf("expected several ECs, got %d", len(ecs))
-	}
-	// Partition: contiguous, non-overlapping, covering the base range.
-	lo := base.Value
-	hi := base.Value | 0x00FFFFFF
-	if ecs[0].Lo != lo || ecs[len(ecs)-1].Hi != hi {
-		t.Fatalf("ECs do not span the prefix: %v", ecs)
-	}
-	for i := 1; i < len(ecs); i++ {
-		if ecs[i].Lo != ecs[i-1].Hi+1 {
-			t.Fatalf("gap or overlap between ECs %d and %d", i-1, i)
-		}
-	}
-	// Uniformity: within one EC, every box forwards every address the
-	// same way. Probe boundaries and random interior points.
-	for _, ec := range ecs {
-		probes := []uint32{ec.Lo, ec.Hi}
-		for k := 0; k < 4; k++ {
-			if ec.Hi > ec.Lo {
-				probes = append(probes, ec.Lo+uint32(rng.Int63n(int64(ec.Hi-ec.Lo)+1)))
-			}
-		}
-		for b := range tables {
-			p0, ok0 := tables[b].Lookup(probes[0])
-			for _, ip := range probes[1:] {
-				p, ok := tables[b].Lookup(ip)
-				if ok != ok0 || (ok && p != p0) {
-					t.Fatalf("EC [%08x,%08x] not uniform at box %d: %08x differs from %08x",
-						ec.Lo, ec.Hi, b, ip, probes[0])
-				}
-			}
-		}
-	}
-}
-
 func TestTrieOnGeneratedDataset(t *testing.T) {
 	ds := netgen.Internet2Like(netgen.Config{Seed: 44, RuleScale: 0.01})
 	var tr Trie

@@ -101,6 +101,8 @@ func (a *Analyzer) Epoch() uint64 { return a.snap.Version() }
 func (a *Analyzer) NumAtoms() int { return a.view.N() }
 
 // NumBoxes reports the number of boxes in the pinned topology.
+//
+//lint:ignore unreached oracle bound: row_test.go sweeps every ingress with it
 func (a *Analyzer) NumBoxes() int { return len(a.net.Boxes) }
 
 // BoxByName resolves a box name against the pinned topology (not the live
@@ -224,6 +226,8 @@ func (ps PacketSet) Empty() bool { return ps.set.Empty() }
 func (ps PacketSet) NumAtoms() int { return ps.set.Len() }
 
 // Atoms returns the underlying interval-coded atom-ID set.
+//
+//lint:ignore unreached oracle: row_test.go, churn_test.go and verify_test.go compare packet sets by their atom sets
 func (ps PacketSet) Atoms() predicate.AtomSet { return ps.set }
 
 // Contains reports whether the concrete packet belongs to the set,
@@ -303,6 +307,8 @@ type Loop struct {
 }
 
 // LoopSet returns the set of packets that loop when entering at ingress.
+//
+//lint:ignore unreached oracle: the verify differential, row and churn tests compare loop sets per ingress
 func (a *Analyzer) LoopSet(ingress int) PacketSet {
 	return PacketSet{a, a.row(nil, ingress).loops}
 }

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"apclassifier"
+	"apclassifier/internal/aptree"
 	"apclassifier/internal/netgen"
 	"apclassifier/internal/network"
+	"apclassifier/internal/predicate"
 	"apclassifier/internal/rule"
 )
 
@@ -62,7 +64,7 @@ func TestReachSetsOfDistinctHostsAreDisjoint(t *testing.T) {
 	}
 	for i := range sets {
 		for j := i + 1; j < len(sets); j++ {
-			if sets[i].Atoms().Intersects(sets[j].Atoms()) {
+			if !sets[i].Atoms().Intersect(sets[j].Atoms()).Empty() {
 				t.Fatalf("reach sets of %s and %s overlap", names[i], names[j])
 			}
 		}
@@ -79,8 +81,8 @@ func TestBlackholesComplementDeliveries(t *testing.T) {
 	for _, h := range ds.Hosts {
 		union = union.Union(a.ReachSet(0, h.Name).Atoms())
 	}
-	if !union.Equal(a.view.IDs()) {
-		t.Fatalf("deliveries ∪ blackholes ≠ header space: %v vs %v", union, a.view.IDs())
+	if !union.Equal(liveAtoms(a.view)) {
+		t.Fatalf("deliveries ∪ blackholes ≠ header space: %v vs %v", union, liveAtoms(a.view))
 	}
 }
 
@@ -144,7 +146,7 @@ func TestWaypointViolations(t *testing.T) {
 		vb := a.WaypointViolations(ingress, h.Name, bbrb)
 		// Packets bypassing both backbones would violate the two-tier
 		// topology; the intersection must be empty.
-		if va.Atoms().Intersects(vb.Atoms()) {
+		if !va.Atoms().Intersect(vb.Atoms()).Empty() {
 			t.Fatalf("traffic to %s bypasses both backbone routers", h.Name)
 		}
 	}
@@ -241,7 +243,7 @@ func TestPacketSetCountAndFraction(t *testing.T) {
 	c := compile(t, ds)
 	a := New(c)
 	// The whole atom universe covers the header space exactly.
-	all := PacketSet{a: a, set: a.view.IDs()}
+	all := PacketSet{a: a, set: liveAtoms(a.view)}
 	if got := all.Fraction(); got != 1 {
 		t.Fatalf("Fraction(universe) = %v, want 1", got)
 	}
@@ -265,4 +267,11 @@ func TestAnalyzerRejectsMiddleboxes(t *testing.T) {
 		}
 	}()
 	New(c)
+}
+
+// liveAtoms is the epoch's whole atom universe as a set.
+func liveAtoms(v *aptree.AtomView) predicate.AtomSet {
+	var b predicate.AtomSetBuilder
+	v.Each(func(id int32) bool { b.Add(id); return true })
+	return b.Set()
 }

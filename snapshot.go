@@ -60,7 +60,3 @@ func (s *Snapshot) AverageDepth() float64 { return s.s.Tree().AverageDepth() }
 
 // LiveMemBytes reports the live BDD bytes of the epoch's frozen view.
 func (s *Snapshot) LiveMemBytes() int { return s.s.View().LiveMemBytes() }
-
-// Source exposes the pinned epoch as a stage-2 source, for driving
-// network.Behavior or middleboxes directly.
-func (s *Snapshot) Source() network.Source { return s.s }
