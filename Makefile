@@ -56,8 +56,10 @@ build:
 test:
 	$(GO) test ./...
 
+# The apdebug build has its own files (sanitizers, tagged tests); vet both.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags apdebug ./...
 
 # Project-specific static analysis; see "Static analysis & sanitizers" in
 # README.md for the checks and the //lint:ignore suppression syntax.

@@ -65,17 +65,19 @@ type Options struct {
 
 // Classifier is the compiled form of a dataset: predicates, atoms, the AP
 // Tree behind a reconstruction manager, and the topology for stage 2.
+//
+// The data plane is one published epoch: each Manager snapshot carries,
+// as its Snapshot.Data, the network.Wiring (which predicate ID every port
+// and ACL slot tests) and the delta cursor that go with its tree. Net
+// holds only what never changes after setup — names, peers, hosts and
+// middleboxes — so queries read nothing a rule update writes. Dataset's
+// rule tables are the writer's: ApplyRuleDeltas edits them in place, and
+// a reader of them must synchronize with it.
 type Classifier struct {
 	Layout  *header.Layout
 	Manager *aptree.Manager
 	Net     *network.Network
 	Dataset *netgen.Dataset
-
-	// PortPred[b][p] is the predicate ID of box b's port-p forwarding
-	// predicate, or network.NoPred when the port never forwards.
-	PortPred [][]int32
-
-	env *network.Env
 
 	// sink, when non-nil, receives per-query stage traces from Behavior
 	// and BehaviorWith; see SetTraceSink for the hook contract.
@@ -87,11 +89,6 @@ type Classifier struct {
 	// retired epoch find a mismatch and simply walk uncached, so the
 	// pointer never needs explicit invalidation.
 	bcache atomic.Pointer[network.BehaviorCache]
-
-	// deltaSeq is the sequence number of the last applied sequenced
-	// rule-delta batch (ApplyRuleDeltasSeq); checkpoints record it so a
-	// restored classifier resumes the firehose idempotently.
-	deltaSeq atomic.Uint64
 }
 
 // New compiles a dataset: converts every forwarding table and ACL to
@@ -123,28 +120,28 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 		return nil, fmt.Errorf("apclassifier: layout lacks %q field", dstField)
 	}
 
+	// Topology.
+	c.Net = network.New()
+	numPorts := make([]int, len(ds.Boxes))
+	for bi := range ds.Boxes {
+		c.Net.AddBox(ds.Boxes[bi].Name, ds.Boxes[bi].NumPorts)
+		numPorts[bi] = ds.Boxes[bi].NumPorts
+	}
+	c.linkTopology()
+
 	// Convert forwarding tables: one predicate per non-empty output port.
-	c.PortPred = make([][]int32, len(ds.Boxes))
+	wiring := network.NewWiring(numPorts)
 	for bi := range ds.Boxes {
 		box := &ds.Boxes[bi]
-		preds := predicate.PortPredicates(d, ds.Layout, dstField, &box.Fwd, box.NumPorts)
-		c.PortPred[bi] = make([]int32, box.NumPorts)
-		for pi, p := range preds {
-			if p == bdd.False {
-				c.PortPred[bi][pi] = network.NoPred
-				continue
+		for pi, p := range predicate.PortPredicates(d, ds.Layout, dstField, &box.Fwd, box.NumPorts) {
+			if p != bdd.False {
+				d.Retain(p)
+				wiring.SetFwd(bi, pi, reg.Add(p))
 			}
-			d.Retain(p)
-			c.PortPred[bi][pi] = reg.Add(p)
 		}
 	}
 
 	// Convert ACLs.
-	type aclRef struct {
-		box, port int // port == -1 for box ingress ACLs
-		id        int32
-	}
-	var aclRefs []aclRef
 	for bi := range ds.Boxes {
 		box := &ds.Boxes[bi]
 		// Sorted port order, not map order: predicate registry IDs fix the
@@ -158,12 +155,12 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 		for _, pi := range ports {
 			p := predicate.ACLPredicate(d, ds.Layout, box.PortACL[pi])
 			d.Retain(p)
-			aclRefs = append(aclRefs, aclRef{bi, pi, reg.Add(p)})
+			wiring.SetOutACL(bi, pi, reg.Add(p))
 		}
 		if box.InACL != nil {
 			p := predicate.ACLPredicate(d, ds.Layout, box.InACL)
 			d.Retain(p)
-			aclRefs = append(aclRefs, aclRef{bi, -1, reg.Add(p)})
+			wiring.SetInACL(bi, reg.Add(p))
 		}
 	}
 
@@ -186,32 +183,19 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 	// snapshot: once a frozen view of the DD is out, the DD must never be
 	// garbage collected again (the GC-at-swap rule; see bdd.View).
 	d.GC()
-	c.Manager = aptree.NewManagerWith(d, reg, tree, opts.Method)
+	c.Manager = aptree.NewManagerWith(d, reg, tree, opts.Method, wiring)
+	return c, nil
+}
 
-	// Topology.
-	c.Net = network.New()
-	for bi := range ds.Boxes {
-		c.Net.AddBox(ds.Boxes[bi].Name, ds.Boxes[bi].NumPorts)
-		for pi := 0; pi < ds.Boxes[bi].NumPorts; pi++ {
-			c.Net.Boxes[bi].Ports[pi].Fwd = c.PortPred[bi][pi]
-		}
-	}
-	for _, ar := range aclRefs {
-		if ar.port < 0 {
-			c.Net.Boxes[ar.box].InACL = ar.id
-		} else {
-			c.Net.Boxes[ar.box].Ports[ar.port].OutACL = ar.id
-		}
-	}
-	for _, l := range ds.Links {
+// linkTopology attaches the dataset's links and hosts to c.Net, whose
+// boxes are already added.
+func (c *Classifier) linkTopology() {
+	for _, l := range c.Dataset.Links {
 		c.Net.Link(l.A, l.PA, l.B, l.PB)
 	}
-	for _, h := range ds.Hosts {
+	for _, h := range c.Dataset.Hosts {
 		c.Net.AttachHost(h.Box, h.Port, h.Name)
 	}
-
-	c.env = &network.Env{Source: c.Manager}
-	return c, nil
 }
 
 // TreeInput recomputes the atomic predicates of the live predicate set and
@@ -251,8 +235,10 @@ func (c *Classifier) Classify(pkt header.Packet) *aptree.Node {
 
 // Behavior runs both stages: it classifies the packet and computes its
 // network-wide behavior from the given ingress box. The whole query is
-// pinned to one snapshot epoch and acquires no lock; it runs safely
-// concurrent with updates and reconstructions. Deterministic walks are
+// pinned to one snapshot epoch — tree, wiring and all — and acquires no
+// lock; it runs safely concurrent with rule-delta batches and
+// reconstructions, and its answer is the behavior at one published
+// state. Deterministic walks are
 // memoized per (ingress, atom) in the epoch's behavior cache, so repeated
 // queries in the same traffic class skip stage 2 entirely; the returned
 // behavior may be that shared cached value and must be treated as
@@ -306,12 +292,12 @@ func (c *Classifier) behaviorVia(bc *network.BehaviorCache, w *network.Walker, s
 	}
 	var b *network.Behavior
 	if w != nil {
-		b = w.BehaviorPinned(s, ingress, pkt, leaf)
+		b = w.Behavior(s, ingress, pkt, leaf)
 		if persist || (bc != nil && b.Deterministic()) {
 			b = b.Clone()
 		}
 	} else {
-		b = c.Net.Behavior(&network.Env{Source: s}, ingress, pkt, leaf)
+		b = c.Net.Behavior(s, ingress, pkt, leaf)
 	}
 	if bc != nil && b.Deterministic() {
 		bc.Store(ingress, leaf.AtomID, b)
@@ -319,28 +305,10 @@ func (c *Classifier) behaviorVia(bc *network.BehaviorCache, w *network.Walker, s
 	return b
 }
 
-// PinForVerify captures one consistent verification input: the published
-// epoch together with a deep copy of the topology as of that epoch.
-// Rule-delta batches mutate c.Net only inside the manager's write-locked
-// Update callback, so taking the pin and the copy under the manager's
-// read lock guarantees the pair is mutually consistent — no delta can
-// land between the snapshot load and the topology clone. The result is
-// immutable and stays valid under any amount of later churn; it is what
-// verify.New builds its Analyzer from.
-func (c *Classifier) PinForVerify() (*aptree.Snapshot, *network.Network) {
-	var snap *aptree.Snapshot
-	var net *network.Network
-	c.Manager.ReadPinned(func(s *aptree.Snapshot) {
-		snap = s
-		net = c.Net.Clone()
-	})
-	return snap, net
-}
-
 // NewWalker returns a reusable stage-2 traverser bound to this classifier,
 // for allocation-free hot query loops. One Walker per goroutine.
 func (c *Classifier) NewWalker() *network.Walker {
-	return network.NewWalker(c.Net, c.env)
+	return network.NewWalker(c.Net)
 }
 
 // BehaviorWith runs both stages using the caller's Walker, pinned to one

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"apclassifier/internal/netgen"
+	"apclassifier/internal/network"
 	"apclassifier/internal/rule"
 )
 
@@ -120,16 +121,14 @@ func TestApdebugWiringCheck(t *testing.T) {
 	c.debugCheckWiring()
 
 	var victim int32 = -1
-	for _, id := range c.PortPred[0] {
-		if id >= 0 {
-			victim = id
-			break
-		}
+	w := network.WiringOf(c.Manager.Snapshot())
+	for p := 0; p < w.NumPorts(0) && victim < 0; p++ {
+		victim = w.Fwd(0, p)
 	}
 	if victim < 0 {
 		t.Fatal("box 0 forwards nowhere")
 	}
-	c.Manager.RemovePredicate(victim) // left dangling in c.Net and c.PortPred
+	c.Manager.RemovePredicate(victim) // left dangling in the published wiring
 	defer func() {
 		r := recover()
 		if r == nil {

@@ -42,7 +42,7 @@ type BatchBuffer struct {
 // NewBatchBuffer returns batch scratch space bound to this classifier.
 func (c *Classifier) NewBatchBuffer() *BatchBuffer {
 	return &BatchBuffer{
-		w:    network.NewWalker(c.Net, c.env),
+		w:    network.NewWalker(c.Net),
 		seen: make(map[batchKey]*network.Behavior),
 	}
 }

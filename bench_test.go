@@ -359,6 +359,7 @@ func BenchmarkAblation_Stage2MemberVsBDD(b *testing.B) {
 func newFwdSimForBench(c *apclassifier.Classifier) func(int, []byte) {
 	d := c.Manager.DD()
 	net := c.Net
+	wiring := network.WiringOf(c.Manager.Snapshot())
 	return func(ingress int, pkt []byte) {
 		// Same traversal as network.Behavior but deciding each port by
 		// BDD evaluation instead of a membership bit.
@@ -373,7 +374,7 @@ func newFwdSimForBench(c *apclassifier.Classifier) func(int, []byte) {
 			visited[bi] = true
 			box := net.Boxes[bi]
 			for pi := range box.Ports {
-				id := box.Ports[pi].Fwd
+				id := wiring.Fwd(bi, pi)
 				if id < 0 {
 					continue
 				}

@@ -17,33 +17,18 @@ import (
 // already holds, so NewFromRestored only rewires the topology around
 // the restored manager.
 
-// CheckpointSource captures the classifier's published epoch plus the
-// dataset and topology wiring into an encodable Source. Callers must
-// synchronize this call with rule updates exactly as Behavior's
-// contract requires (the HTTP server takes its read lock around it);
-// the returned Source is self-contained — the snapshot pins the
-// classifier state and the rule tables are copied here — so encoding it
-// afterwards runs concurrently with queries and with updates.
+// CheckpointSource captures the classifier's published epoch — tree,
+// wiring and delta cursor, pinned together — plus a copy of the dataset's
+// rule tables into an encodable Source. The rule tables are the writer's,
+// so callers must synchronize this call with rule updates (the HTTP
+// server takes its read lock around it); the returned Source is
+// self-contained, so encoding it afterwards runs concurrently with
+// queries and with updates.
 func (c *Classifier) CheckpointSource() *checkpoint.Source {
-	wiring := make([]checkpoint.BoxWiring, len(c.Net.Boxes))
-	for b, box := range c.Net.Boxes {
-		w := checkpoint.BoxWiring{
-			InACL:  box.InACL,
-			Fwd:    make([]int32, len(box.Ports)),
-			OutACL: make([]int32, len(box.Ports)),
-		}
-		for p := range box.Ports {
-			w.Fwd[p] = box.Ports[p].Fwd
-			w.OutACL[p] = box.Ports[p].OutACL
-		}
-		wiring[b] = w
-	}
 	return &checkpoint.Source{
-		Snap:     c.Manager.Snapshot(),
-		Dataset:  copyRuleTables(c.Dataset),
-		Method:   c.Manager.Method(),
-		Wiring:   wiring,
-		DeltaSeq: c.deltaSeq.Load(),
+		Snap:    c.Manager.Snapshot(),
+		Dataset: copyRuleTables(c.Dataset),
+		Method:  c.Manager.Method(),
 	}
 }
 
@@ -69,47 +54,32 @@ func copyRuleTables(ds *netgen.Dataset) *netgen.Dataset {
 }
 
 // NewFromRestored assembles a Classifier around a decoded checkpoint:
-// the restored manager already answers queries, so all that remains is
-// rebuilding the stage-2 topology from the embedded dataset and binding
-// the checkpointed predicate IDs to it. No predicate is converted, no
-// atom computed, no tree built — that asymmetry is the point of warm
-// restart.
+// the restored manager already answers queries, and its epoch carries
+// the checkpointed wiring and delta cursor (so sequenced /rules/batch
+// deliveries the checkpointed classifier already applied stay
+// acknowledged-only). All that remains is rebuilding the stage-2
+// topology from the embedded dataset. No predicate is converted, no atom
+// computed, no tree built — that asymmetry is the point of warm restart.
 func NewFromRestored(res *checkpoint.Restored) (*Classifier, error) {
 	ds := res.Dataset
-	if len(res.Wiring) != len(ds.Boxes) {
-		return nil, fmt.Errorf("apclassifier: checkpoint wires %d boxes, dataset has %d", len(res.Wiring), len(ds.Boxes))
+	w := network.WiringOf(res.Manager.Snapshot())
+	if w == nil || w.NumBoxes() != len(ds.Boxes) {
+		return nil, fmt.Errorf("apclassifier: checkpoint wiring does not cover the dataset's %d boxes", len(ds.Boxes))
 	}
 	c := &Classifier{
 		Layout:  ds.Layout,
 		Manager: res.Manager,
 		Dataset: ds,
+		Net:     network.New(),
 	}
-	c.Net = network.New()
-	c.PortPred = make([][]int32, len(ds.Boxes))
 	for bi := range ds.Boxes {
-		c.Net.AddBox(ds.Boxes[bi].Name, ds.Boxes[bi].NumPorts)
-		w := res.Wiring[bi]
-		if len(w.Fwd) != ds.Boxes[bi].NumPorts {
+		if w.NumPorts(bi) != ds.Boxes[bi].NumPorts {
 			return nil, fmt.Errorf("apclassifier: checkpoint wires %d ports on box %q, dataset has %d",
-				len(w.Fwd), ds.Boxes[bi].Name, ds.Boxes[bi].NumPorts)
+				w.NumPorts(bi), ds.Boxes[bi].Name, ds.Boxes[bi].NumPorts)
 		}
-		c.Net.Boxes[bi].InACL = w.InACL
-		c.PortPred[bi] = append([]int32(nil), w.Fwd...)
-		for pi := 0; pi < ds.Boxes[bi].NumPorts; pi++ {
-			c.Net.Boxes[bi].Ports[pi].Fwd = w.Fwd[pi]
-			c.Net.Boxes[bi].Ports[pi].OutACL = w.OutACL[pi]
-		}
+		c.Net.AddBox(ds.Boxes[bi].Name, ds.Boxes[bi].NumPorts)
 	}
-	for _, l := range ds.Links {
-		c.Net.Link(l.A, l.PA, l.B, l.PB)
-	}
-	for _, h := range ds.Hosts {
-		c.Net.AttachHost(h.Box, h.Port, h.Name)
-	}
-	c.env = &network.Env{Source: c.Manager}
-	// Resume the firehose cursor: sequenced /rules/batch deliveries the
-	// checkpointed classifier already applied stay acknowledged-only.
-	c.deltaSeq.Store(res.DeltaSeq)
+	c.linkTopology()
 	c.debugCheckWiring()
 	return c, nil
 }

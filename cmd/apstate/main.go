@@ -23,6 +23,7 @@ import (
 	"apclassifier"
 	"apclassifier/internal/checkpoint"
 	"apclassifier/internal/netgen"
+	"apclassifier/internal/network"
 )
 
 func main() {
@@ -193,8 +194,13 @@ func cmdDump(args []string) error {
 	fmt.Printf("dataset %s: %d boxes, %d links, %d hosts, %d fwd rules, %d ACL rules\n",
 		ds.Name, len(ds.Boxes), len(ds.Links), len(ds.Hosts), ds.NumRules(), ds.NumACLRules())
 	fmt.Println("wiring (box: ingress ACL predicate, per-port fwd predicates):")
-	for b, w := range res.Wiring {
-		fmt.Printf("  %-12s in=%-3d fwd=%v\n", ds.Boxes[b].Name, w.InACL, w.Fwd)
+	w := network.WiringOf(snap)
+	for b := 0; b < w.NumBoxes(); b++ {
+		fwd := make([]int32, w.NumPorts(b))
+		for p := range fwd {
+			fwd[p] = w.Fwd(b, p)
+		}
+		fmt.Printf("  %-12s in=%-3d fwd=%v\n", ds.Boxes[b].Name, w.InACL(b), fwd)
 	}
 	return nil
 }

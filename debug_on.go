@@ -23,31 +23,26 @@ func debugCheckCacheEpoch(bc *network.BehaviorCache, s *aptree.Snapshot) {
 }
 
 // debugCheckWiring panics unless every predicate ID stage 2 can test —
-// each box's InACL, each port's Fwd and OutACL — is live in the published
-// epoch, and PortPred agrees with Net. Walks probe no liveness: a removed
-// ID must be unwired (NoPred or its successor) in the same Manager.Update,
-// and a dangling one would silently read "matches nothing" (a forwarding
-// port goes dark, an ACL denies everything). It runs once per
-// ApplyRuleDeltas and per restore, never per query.
+// each box's ingress ACL, each port's forwarding predicate and egress ACL
+// in the published epoch's wiring — is live in that same epoch. Walks
+// probe no liveness: a removed ID must be unwired (NoPred or its
+// successor) in the same Manager.Update, and a dangling one would
+// silently read "matches nothing" (a forwarding port goes dark, an ACL
+// denies everything). It runs once per ApplyRuleDeltas and per restore,
+// never per query.
 func (c *Classifier) debugCheckWiring() {
-	live := make(map[int32]bool)
-	for _, id := range c.Manager.LiveIDs() {
-		live[id] = true
-	}
+	s := c.Manager.Snapshot()
+	w := network.WiringOf(s)
 	check := func(what string, box, port int, id int32) {
-		if id != network.NoPred && !live[id] {
+		if id != network.NoPred && !s.IsLive(id) {
 			panic(fmt.Sprintf("apdebug: box %d port %d: %s wired to dead predicate %d", box, port, what, id))
 		}
 	}
-	for bi, box := range c.Net.Boxes {
-		check("ingress ACL", bi, -1, box.InACL)
-		for pi := range box.Ports {
-			check("forwarding", bi, pi, box.Ports[pi].Fwd)
-			check("egress ACL", bi, pi, box.Ports[pi].OutACL)
-			if c.PortPred[bi][pi] != box.Ports[pi].Fwd {
-				panic(fmt.Sprintf("apdebug: box %d port %d: PortPred says %d, Net forwards on %d",
-					bi, pi, c.PortPred[bi][pi], box.Ports[pi].Fwd))
-			}
+	for b := 0; b < w.NumBoxes(); b++ {
+		check("ingress ACL", b, -1, w.InACL(b))
+		for p := 0; p < w.NumPorts(b); p++ {
+			check("forwarding", b, p, w.Fwd(b, p))
+			check("egress ACL", b, p, w.OutACL(b, p))
 		}
 	}
 }

@@ -96,16 +96,38 @@ func (c *Classifier) validateDelta(dl RuleDelta) error {
 // tree re-cuts only the leaves that meet the box's cone region
 // (Tx.Replace), and a port is rewired only when it starts or stops
 // forwarding (Tx.Add, Tx.Remove). An ACL change is a Replace over old ⊕
-// new. It all runs under a single Manager.Update: queries observe either
-// the pre-batch or the post-batch epoch, never an intermediate state, and
-// no slot is left naming a removed ID (stage 2 probes no liveness; the
-// apdebug build asserts it). Callers must externally synchronize with each
-// other (the server holds its write lock); queries need no
-// synchronization.
+// new.
+//
+// It all runs under a single Manager.Update, which publishes the new
+// tree together with the next network.Wiring — a copy of the previous
+// one that owns only the rows of the boxes the batch rewires — in one
+// atomic store. A query, a verify.Analyzer or a checkpoint pins one
+// snapshot and so sees the whole pre-batch or the whole post-batch data
+// plane, never a mix, and no slot names a removed ID (stage 2 probes no
+// liveness; the apdebug build asserts it). Callers must externally
+// synchronize with each other, because the batch edits the Dataset's
+// rule tables in place (the server holds its write lock); queries need
+// no synchronization.
 func (c *Classifier) ApplyRuleDeltas(deltas []RuleDelta) error {
+	_, err := c.ApplyRuleDeltasSeq(0, deltas)
+	return err
+}
+
+// ApplyRuleDeltasSeq is ApplyRuleDeltas for a sequenced firehose: batches
+// carry monotonically increasing sequence numbers, and a batch whose seq is
+// at or below the last applied one is acknowledged without being applied
+// (applied == false), making redelivery after a reconnect or a warm restart
+// idempotent. seq 0 means unsequenced and always applies. The cursor is
+// published with the batch's epoch and recorded in checkpoints (see
+// CheckpointSource), so a restored classifier resumes rejecting
+// already-applied deltas.
+func (c *Classifier) ApplyRuleDeltasSeq(seq uint64, deltas []RuleDelta) (applied bool, err error) {
+	if seq != 0 && seq <= c.DeltaSeq() {
+		return false, nil
+	}
 	for i, dl := range deltas {
 		if err := c.validateDelta(dl); err != nil {
-			return fmt.Errorf("apclassifier: delta %d: %w", i, err)
+			return false, fmt.Errorf("apclassifier: delta %d: %w", i, err)
 		}
 	}
 
@@ -140,8 +162,8 @@ func (c *Classifier) ApplyRuleDeltas(deltas []RuleDelta) error {
 			aclOps = append(aclOps, aclOp{dl.Box, -1, dl.ACL})
 		}
 	}
-	if len(cones) == 0 && len(aclOps) == 0 {
-		return nil
+	if len(cones) == 0 && len(aclOps) == 0 && seq == 0 {
+		return true, nil
 	}
 
 	boxes := make([]int, 0, len(cones))
@@ -152,78 +174,64 @@ func (c *Classifier) ApplyRuleDeltas(deltas []RuleDelta) error {
 
 	c.Manager.Update(func(tx *aptree.Tx) {
 		d := tx.DD()
+		w := tx.Data().(*network.Wiring).Next()
+		if seq != 0 {
+			w.Seq = seq
+		}
 		for _, box := range boxes {
 			spec := &c.Dataset.Boxes[box]
 			pd := predicate.DeltaPortPredicates(d, c.Layout, "dstIP", &spec.Fwd,
 				cones[box], spec.NumPorts, func(port int) bdd.Ref {
-					if id := c.PortPred[box][port]; id != network.NoPred {
+					if id := w.Fwd(box, port); id != network.NoPred {
 						return tx.Ref(id)
 					}
 					return bdd.False
 				})
 			region := predicate.ConeRegion(d, c.Layout, "dstIP", cones[box])
 			for _, dp := range pd {
-				id := c.PortPred[box][dp.Port]
-				switch {
+				switch id := w.Fwd(box, dp.Port); {
 				case id == network.NoPred:
-					id = tx.Add(dp.New)
+					w.SetFwd(box, dp.Port, tx.Add(dp.New))
 				case dp.New == bdd.False:
 					tx.Remove(id)
-					id = network.NoPred
+					w.SetFwd(box, dp.Port, network.NoPred)
 				default:
 					tx.Replace(id, dp.New, region)
-					continue
 				}
-				c.PortPred[box][dp.Port] = id
-				c.Net.Boxes[box].Ports[dp.Port].Fwd = id
 			}
 		}
 		for _, op := range aclOps {
-			var slot *int32
-			if op.port < 0 {
-				slot = &c.Net.Boxes[op.box].InACL
-			} else {
-				slot = &c.Net.Boxes[op.box].Ports[op.port].OutACL
+			id := w.InACL(op.box)
+			if op.port >= 0 {
+				id = w.OutACL(op.box, op.port)
 			}
 			switch {
-			case *slot == network.NoPred && op.acl == nil:
-			case *slot == network.NoPred:
-				*slot = tx.Add(predicate.ACLPredicate(d, c.Layout, op.acl))
+			case id == network.NoPred && op.acl == nil:
+				continue
+			case id == network.NoPred:
+				id = tx.Add(predicate.ACLPredicate(d, c.Layout, op.acl))
 			case op.acl == nil:
-				tx.Remove(*slot)
-				*slot = network.NoPred
+				tx.Remove(id)
+				id = network.NoPred
 			default:
-				old, next := tx.Ref(*slot), predicate.ACLPredicate(d, c.Layout, op.acl)
+				old, next := tx.Ref(id), predicate.ACLPredicate(d, c.Layout, op.acl)
 				if next != old {
-					tx.Replace(*slot, next, d.Xor(old, next))
+					tx.Replace(id, next, d.Xor(old, next))
 				}
+				continue
+			}
+			if op.port < 0 {
+				w.SetInACL(op.box, id)
+			} else {
+				w.SetOutACL(op.box, op.port, id)
 			}
 		}
+		tx.SetData(w)
 	})
 	c.debugCheckWiring()
-	return nil
-}
-
-// ApplyRuleDeltasSeq is ApplyRuleDeltas for a sequenced firehose: batches
-// carry monotonically increasing sequence numbers, and a batch whose seq is
-// at or below the last applied one is acknowledged without being applied
-// (applied == false), making redelivery after a reconnect or a warm restart
-// idempotent. seq 0 means unsequenced and always applies. The cursor is
-// recorded in checkpoints (see CheckpointSource), so a restored classifier
-// resumes rejecting already-applied deltas.
-func (c *Classifier) ApplyRuleDeltasSeq(seq uint64, deltas []RuleDelta) (applied bool, err error) {
-	if seq != 0 && seq <= c.deltaSeq.Load() {
-		return false, nil
-	}
-	if err := c.ApplyRuleDeltas(deltas); err != nil {
-		return false, err
-	}
-	if seq != 0 {
-		c.deltaSeq.Store(seq)
-	}
 	return true, nil
 }
 
 // DeltaSeq reports the sequence number of the last applied sequenced
-// rule-delta batch (0 if none).
-func (c *Classifier) DeltaSeq() uint64 { return c.deltaSeq.Load() }
+// rule-delta batch (0 if none), as of the published epoch.
+func (c *Classifier) DeltaSeq() uint64 { return network.WiringOf(c.Manager.Snapshot()).Seq }

@@ -6,6 +6,7 @@ import (
 	"apclassifier/internal/bdd"
 	"apclassifier/internal/header"
 	"apclassifier/internal/netgen"
+	"apclassifier/internal/network"
 	"apclassifier/internal/rule"
 )
 
@@ -44,20 +45,36 @@ func TestTreeInputReflectsDeletes(t *testing.T) {
 	}
 }
 
-func TestEnvAccessor(t *testing.T) {
+// TestSnapshotCarriesWiring checks that New publishes its first epoch
+// with the stage-2 wiring: every box of the topology, every port, and a
+// forwarding predicate on at least one port.
+func TestSnapshotCarriesWiring(t *testing.T) {
 	ds := netgen.Internet2Like(netgen.Config{Seed: 18, RuleScale: 0.01})
 	c, err := New(ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := c.env
-	if env.Source == nil {
-		t.Fatal("Env must be fully wired")
+	w := network.WiringOf(c.Manager.Snapshot())
+	if w == nil || w.NumBoxes() != len(c.Net.Boxes) {
+		t.Fatal("the published epoch must carry a wiring for every box")
+	}
+	forwarding := 0
+	for b := range c.Net.Boxes {
+		if w.NumPorts(b) != len(c.Net.Boxes[b].Ports) {
+			t.Fatalf("box %d: wiring has %d ports, topology %d", b, w.NumPorts(b), len(c.Net.Boxes[b].Ports))
+		}
+		for p := 0; p < w.NumPorts(b); p++ {
+			if w.Fwd(b, p) != network.NoPred {
+				forwarding++
+			}
+		}
+	}
+	if forwarding == 0 {
+		t.Fatal("no port forwards anything")
 	}
 	pkt := ds.PacketFromFields(rule.Fields{Dst: 0x0A000001})
-	leaf, _ := env.Source.Classify(pkt)
-	if leaf == nil || !leaf.IsLeaf() {
-		t.Fatal("Env.Classify broken")
+	if leaf := c.Classify(pkt); leaf == nil || !leaf.IsLeaf() {
+		t.Fatal("Classify broken")
 	}
 }
 

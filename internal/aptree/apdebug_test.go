@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"apclassifier/internal/bdd"
+	"apclassifier/internal/predicate"
 )
 
 func TestApdebugPartitionAllMethods(t *testing.T) {
@@ -54,5 +55,26 @@ func TestApdebugPartitionSurvivesLiveUpdates(t *testing.T) {
 	}
 	if err := m.Tree().Validate(m.LiveIDs()); err != nil {
 		t.Fatalf("after reconstruct: %v", err)
+	}
+}
+
+// TestApdebugRestoreRejectsWrongMembership flips one membership bit of an
+// otherwise well-formed restored tree: leaf 0 lies inside p, but its bit
+// for p is clear. The structure checks RestoreTree runs in every build
+// cannot see that; the apdebug build's Tree.Validate must reject it.
+func TestApdebugRestoreRejectsWrongMembership(t *testing.T) {
+	d := bdd.New(8)
+	p := d.Retain(d.FromPrefix(0, 0x80, 1, 8))
+	np := d.Retain(d.Not(p))
+	leaf := func(atom int32, ref bdd.Ref, inP bool) *Node {
+		mb := predicate.NewBitset(1)
+		mb.Set(0, inP)
+		return &Node{Pred: -1, AtomID: atom, BDD: ref, Member: mb}
+	}
+	if _, err := RestoreTree(d, &Node{Pred: 0, T: leaf(0, p, true), F: leaf(1, np, false)}, []bdd.Ref{p}, 2); err != nil {
+		t.Fatalf("well-formed tree rejected: %v", err)
+	}
+	if _, err := RestoreTree(d, &Node{Pred: 0, T: leaf(0, p, false), F: leaf(1, np, false)}, []bdd.Ref{p}, 2); err == nil {
+		t.Fatal("RestoreTree accepted a leaf whose membership bit contradicts its predicate")
 	}
 }

@@ -10,3 +10,5 @@ const Debug = false
 func (t *Tree) debugCheckPartition() {}
 
 func (s *Snapshot) debugCheckFlat() {}
+
+func (t *Tree) debugValidateRestore() error { return nil }

@@ -2,6 +2,12 @@
 
 package aptree
 
+import (
+	"fmt"
+
+	"apclassifier/internal/bdd"
+)
+
 // Debug reports whether the apdebug runtime sanitizers are compiled in.
 const Debug = true
 
@@ -24,4 +30,21 @@ func (s *Snapshot) debugCheckFlat() {
 	if s.flat.src != s.tree.root || s.flat.view != s.view {
 		panic("aptree: apdebug flat/epoch mismatch: flat core compiled for a retired epoch")
 	}
+}
+
+// debugValidateRestore runs Tree.Validate over every non-empty predicate
+// slot of a restored tree, so a leaf whose membership bit contradicts its
+// predicate fails the restore instead of misclassifying. Only compiled
+// under -tags apdebug.
+func (t *Tree) debugValidateRestore() error {
+	var ids []int32
+	for id, p := range t.preds {
+		if p != bdd.False {
+			ids = append(ids, int32(id))
+		}
+	}
+	if err := t.Validate(ids); err != nil {
+		return fmt.Errorf("aptree: restore: %w", err)
+	}
+	return nil
 }

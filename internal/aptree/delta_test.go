@@ -111,7 +111,7 @@ func TestUpdateBatchRemoveAdd(t *testing.T) {
 	for _, p := range preds {
 		reg.Add(p)
 	}
-	m := NewManagerWith(d, reg, Build(in, MethodOAPT), MethodOAPT)
+	m := NewManagerWith(d, reg, Build(in, MethodOAPT), MethodOAPT, nil)
 	live := append([]int32(nil), in.Live...)
 
 	allPreds := append([]bdd.Ref(nil), preds...)

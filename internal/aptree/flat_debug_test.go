@@ -41,8 +41,9 @@ func TestApdebugFlatEpochMismatchPanics(t *testing.T) {
 
 	// A snapshot serving the retired epoch's flat form — the stale-compile
 	// bug debugCheckFlat exists to catch — must panic at classify time.
-	bad := *cur
-	bad.flat = old.flat
+	// Built field by field: a Snapshot holds an atomic pointer and must
+	// not be copied.
+	bad := &Snapshot{tree: cur.tree, view: cur.view, flat: old.flat, live: cur.live, numLive: cur.numLive, version: cur.version}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("classify through a stale flat form did not panic under apdebug")

@@ -66,6 +66,11 @@ type Manager struct {
 	//lint:guard mu
 	retiredVisits uint64
 
+	// data is the value every publish stores into its Snapshot: set by
+	// Tx.SetData, carried forward unchanged by every other publish.
+	//lint:guard mu
+	data any
+
 	// notify, once created by PublishNotify, receives a coalesced signal
 	// (capacity-one, non-blocking send) after every snapshot publication.
 	//lint:guard mu
@@ -98,7 +103,7 @@ func NewManager(numVars int, method Method) *Manager {
 		Live:  nil,
 		Atoms: predicate.Compute(d, nil),
 	}, MethodOrder)
-	return NewManagerWith(d, NewRegistry(), tree, method)
+	return NewManagerWith(d, NewRegistry(), tree, method, nil)
 }
 
 // NewManagerWith wraps an already-built tree, its DD and its registry in a
@@ -108,15 +113,17 @@ func NewManager(numVars int, method Method) *Manager {
 // have been built from the registry's live predicates. The DD must not be
 // garbage collected after this call: the manager publishes frozen views
 // of it, which a GC would invalidate (run any post-construction GC first).
-func NewManagerWith(d *bdd.DD, reg *Registry, tree *Tree, method Method) *Manager {
-	m := &Manager{d: d, reg: reg, tree: tree, method: method}
+// data is the first epoch's Snapshot.Data.
+func NewManagerWith(d *bdd.DD, reg *Registry, tree *Tree, method Method, data any) *Manager {
+	m := &Manager{d: d, reg: reg, tree: tree, method: method, data: data}
 	// Single-threaded until returned, so publishing without mu is sound.
 	m.publishLocked()
 	return m
 }
 
-// publishLocked captures the current tree, DD and liveness set into a
-// fresh immutable Snapshot and stores it for the lock-free query path.
+// publishLocked captures the current tree, DD, liveness set and owner
+// data into a fresh immutable Snapshot and stores it for the lock-free
+// query path.
 // Callers must hold m.mu (or be a constructor with exclusive access).
 func (m *Manager) publishLocked() {
 	view := m.d.Freeze()
@@ -140,6 +147,7 @@ func (m *Manager) publishLocked() {
 		live:    m.reg.live, // copy-on-write: never mutated after this
 		numLive: m.reg.n,
 		version: m.version,
+		data:    m.data,
 		count:   m.tree.CountVisits,
 		visits:  m.tree.visits.view(),
 	})
@@ -159,19 +167,6 @@ func (m *Manager) publishLocked() {
 // and remains valid (pinned to its epoch) across any number of later
 // updates and reconstructions.
 func (m *Manager) Snapshot() *Snapshot { return m.snap.Load() }
-
-// ReadPinned runs fn with the published epoch while holding the read
-// lock, guaranteeing no Update or Reconstruct swap lands between the pin
-// and whatever epoch-coupled state fn captures alongside it. Mutations
-// that must stay consistent with the snapshot (the facade's topology
-// tables, for instance) happen inside Update's write-locked callback, so
-// fn observes them atomically with the epoch. fn must not call back into
-// the manager and must not block on other manager users.
-func (m *Manager) ReadPinned(fn func(s *Snapshot)) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	fn(m.snap.Load())
-}
 
 // DD returns the live BDD manager. Callers must only use it inside
 // AddPredicate's build callback or while holding no expectation of
@@ -222,6 +217,20 @@ func (tx *Tx) DD() *bdd.DD { return tx.m.d }
 
 // Ref returns the BDD of predicate id.
 func (tx *Tx) Ref(id int32) bdd.Ref { return tx.m.reg.Ref(id) }
+
+// Data returns the value the previous publish carried (Snapshot.Data).
+//
+//lint:ignore lockguard Update holds m.mu for the life of the Tx
+func (tx *Tx) Data() any { return tx.m.data }
+
+// SetData replaces the per-epoch value this Update publishes with the
+// tree: the owner's state that must never be seen with another epoch's
+// tree (the facade's predicate wiring and delta cursor). The value must
+// be immutable from here on; later publishes — updates that do not set
+// it, reconstruction swaps — carry it forward unchanged.
+//
+//lint:ignore lockguard Update holds m.mu for the life of the Tx
+func (tx *Tx) SetData(v any) { tx.m.data = v }
 
 // Add registers a predicate BDD (built in tx.DD()) and splices it into the
 // live tree in real time (§VI-A), returning its new global ID. The tree
@@ -285,7 +294,8 @@ func (tx *Tx) Replace(id int32, ref, region bdd.Ref) {
 // predicate changes triggered by one data-plane event (a rule insertion
 // can alter several port predicates through LPM shadowing) should share
 // one Update so queries see them atomically: concurrent queries answer
-// from the previous epoch until the single publish at the end.
+// from the previous epoch until the single publish at the end. State the
+// owner keeps beside the tree (Tx.SetData) joins the same publish.
 func (m *Manager) Update(fn func(tx *Tx)) {
 	start := time.Now()
 	m.mu.Lock()

@@ -53,7 +53,10 @@ func RestoreRegistry(refs []bdd.Ref, live []bool) (*Registry, error) {
 // a non-false entry of preds, atom IDs must be unique and below
 // nextAtom, and no internal node may be missing a child. A checkpoint
 // that decodes but fails these checks is rejected here rather than
-// becoming a tree that misclassifies.
+// becoming a tree that misclassifies. The apdebug build also runs
+// Tree.Validate, which rejects a leaf whose membership bit contradicts
+// its predicate; that check costs O(leaves × predicates) BDD
+// implications, so the product build skips it.
 func RestoreTree(d *bdd.DD, root *Node, preds []bdd.Ref, nextAtom int32) (*Tree, error) {
 	if root == nil {
 		return nil, fmt.Errorf("aptree: restore: nil root")
@@ -102,7 +105,9 @@ func RestoreTree(d *bdd.DD, root *Node, preds []bdd.Ref, nextAtom int32) (*Tree,
 	}
 	t.root = root
 	t.visits = newVisitCounters(int(t.nextAtom))
-	t.debugCheckPartition()
+	if err := t.debugValidateRestore(); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -116,9 +121,9 @@ func (t *Tree) NextAtom() int32 { return t.nextAtom }
 // increasing across a restart instead of resetting — consumers caching
 // per-version data (middlebox flow tables, monitoring) never see the
 // clock run backwards. The same DD/registry/tree contract as
-// NewManagerWith applies.
-func NewRestoredManager(d *bdd.DD, reg *Registry, tree *Tree, method Method, version uint64) *Manager {
-	m := &Manager{d: d, reg: reg, tree: tree, method: method, version: version}
+// NewManagerWith applies, data included.
+func NewRestoredManager(d *bdd.DD, reg *Registry, tree *Tree, method Method, version uint64, data any) *Manager {
+	m := &Manager{d: d, reg: reg, tree: tree, method: method, version: version, data: data}
 	// Single-threaded until returned, so publishing without mu is sound.
 	m.publishLocked()
 	return m

@@ -90,7 +90,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewRestoredManager(d2, reg2, tree2, m.Method(), snap.Version())
+	m2 := NewRestoredManager(d2, reg2, tree2, m.Method(), snap.Version(), nil)
 	checkFlatPublished(t, "NewRestoredManager", m2.Snapshot())
 
 	if m2.Version() != snap.Version() {

@@ -40,6 +40,9 @@ type Snapshot struct {
 	live    predicate.Bitset
 	numLive int
 	version uint64
+	// data is the owner's per-epoch value (the facade's predicate
+	// wiring), published in the same store as the tree; see Tx.SetData.
+	data any
 
 	count  bool
 	visits visitView
@@ -87,6 +90,10 @@ func (s *Snapshot) Flat() *Flat { return s.flat }
 // IsLive reports whether predicate id was live in this epoch; the
 // checkpoint encoder serialises it.
 func (s *Snapshot) IsLive(id int32) bool { return s.live.Get(int(id)) }
+
+// Data returns the owner's value published with this epoch (Tx.SetData),
+// or nil if none was ever set. The tree never reads it.
+func (s *Snapshot) Data() any { return s.data }
 
 // Version reports the reconstruction epoch this snapshot belongs to.
 func (s *Snapshot) Version() uint64 { return s.version }

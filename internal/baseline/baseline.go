@@ -54,8 +54,9 @@ func (p *PScan) Member(pkt []byte) predicate.Bitset {
 // checked against the box's predicates linearly (BDD evaluation per port)
 // to find the output port, then the next box is visited, and so on.
 type FwdSim struct {
-	D   *bdd.DD
-	Net *network.Network
+	D      *bdd.DD
+	Net    *network.Network
+	Wiring *network.Wiring
 	// Ref maps a predicate ID to its BDD.
 	Ref func(id int32) bdd.Ref
 }
@@ -87,9 +88,9 @@ func (s *FwdSim) Behavior(ingress int, pkt []byte) SimResult {
 		visited[bi] = true
 		box := s.Net.Boxes[bi]
 
-		if box.InACL != network.NoPred {
+		if in := s.Wiring.InACL(bi); in != network.NoPred {
 			res.PredChecks++
-			if !s.D.EvalBits(s.Ref(box.InACL), pkt) {
+			if !s.D.EvalBits(s.Ref(in), pkt) {
 				res.DropBoxes = append(res.DropBoxes, bi)
 				continue
 			}
@@ -97,16 +98,17 @@ func (s *FwdSim) Behavior(ingress int, pkt []byte) SimResult {
 		forwarded := false
 		for pi := range box.Ports {
 			port := &box.Ports[pi]
-			if port.Fwd == network.NoPred {
+			fwd := s.Wiring.Fwd(bi, pi)
+			if fwd == network.NoPred {
 				continue
 			}
 			res.PredChecks++
-			if !s.D.EvalBits(s.Ref(port.Fwd), pkt) {
+			if !s.D.EvalBits(s.Ref(fwd), pkt) {
 				continue
 			}
-			if port.OutACL != network.NoPred {
+			if out := s.Wiring.OutACL(bi, pi); out != network.NoPred {
 				res.PredChecks++
-				if !s.D.EvalBits(s.Ref(port.OutACL), pkt) {
+				if !s.D.EvalBits(s.Ref(out), pkt) {
 					res.DropBoxes = append(res.DropBoxes, bi)
 					forwarded = true
 					continue
@@ -129,14 +131,16 @@ func (s *FwdSim) Behavior(ingress int, pkt []byte) SimResult {
 	return res
 }
 
-// ManagerEnv builds a FwdSim over a live classifier manager and topology.
-// The manager's DD must not be swapped (no Reconstruct) while the FwdSim
-// is in use; experiments use static snapshots.
+// ManagerEnv builds a FwdSim over a classifier manager and topology,
+// wired as of the manager's published epoch. The manager must not change
+// (no update, no Reconstruct) while the FwdSim is in use; experiments
+// use static classifiers.
 func ManagerEnv(m *aptree.Manager, net *network.Network) *FwdSim {
 	d := m.DD()
 	return &FwdSim{
-		D:   d,
-		Net: net,
-		Ref: func(id int32) bdd.Ref { return m.Ref(id) },
+		D:      d,
+		Net:    net,
+		Wiring: network.WiringOf(m.Snapshot()),
+		Ref:    func(id int32) bdd.Ref { return m.Ref(id) },
 	}
 }

@@ -61,43 +61,27 @@ var (
 	ErrMalformed = errors.New("checkpoint: malformed file")
 )
 
-// BoxWiring is one box's predicate-ID wiring: which registered
-// predicates implement its forwarding decisions and ACLs. IDs use -1
-// (network.NoPred) for "no predicate". The dataset names the boxes and
-// their rules; the wiring binds them to the checkpointed registry.
-type BoxWiring struct {
-	InACL  int32   // ingress ACL predicate, -1 if none
-	Fwd    []int32 // per-port forwarding predicate, -1 if the port never forwards
-	OutACL []int32 // per-port egress ACL predicate, -1 if none
-}
-
 // Source is everything Encode serializes: one immutable epoch plus the
-// dataset and wiring that give its predicate IDs meaning. The snapshot
-// pins the epoch, so encoding runs concurrently with queries and
-// updates; Dataset and Wiring are read directly, so callers must hold
-// them stable for the duration (apclassifier.CheckpointSource does so by
-// handing over copies of everything a rule update rewrites).
+// dataset that names its boxes and rules. The snapshot pins the epoch
+// together with its network.Wiring (Snapshot.Data), which binds the
+// boxes' slots to the predicate IDs and carries the /rules/batch
+// idempotency cursor, so encoding runs concurrently with queries and
+// updates. Dataset is read directly, so callers must hold it stable for
+// the duration (apclassifier.CheckpointSource hands over a copy of the
+// rule tables a rule update rewrites).
 type Source struct {
 	Snap    *aptree.Snapshot
 	Dataset *netgen.Dataset
 	Method  aptree.Method
-	Wiring  []BoxWiring
-	// DeltaSeq is the last applied rule-delta sequence number (the
-	// /rules/batch idempotency cursor); 0 if no sequenced batch was ever
-	// applied.
-	DeltaSeq uint64
 }
 
-// Restored is a decoded checkpoint: a fully published manager (its
-// Snapshot answers queries immediately) plus the dataset and wiring
-// needed to rebuild the stage-2 topology around it.
+// Restored is a decoded checkpoint: a fully published manager — its
+// Snapshot answers queries immediately and carries the restored
+// network.Wiring and delta cursor as its Data — plus the dataset needed
+// to rebuild the stage-2 topology around it.
 type Restored struct {
 	Manager *aptree.Manager
 	Dataset *netgen.Dataset
 	Method  aptree.Method
-	Wiring  []BoxWiring
 	Epoch   uint64
-	// DeltaSeq restores the /rules/batch idempotency cursor: a sequenced
-	// batch at or below it was already applied before the checkpoint.
-	DeltaSeq uint64
 }

@@ -13,6 +13,7 @@ import (
 	"apclassifier/internal/aptree"
 	"apclassifier/internal/bdd"
 	"apclassifier/internal/netgen"
+	"apclassifier/internal/network"
 	"apclassifier/internal/predicate"
 )
 
@@ -89,7 +90,7 @@ func decode(r io.Reader) (*Restored, error) {
 	if err != nil {
 		return nil, err
 	}
-	deltaSeq, err := meta.u64()
+	seq, err := meta.u64()
 	if err != nil {
 		return nil, err
 	}
@@ -156,6 +157,7 @@ func decode(r io.Reader) (*Restored, error) {
 	if err != nil {
 		return nil, err
 	}
+	wiring.Seq = seq
 
 	// Assemble. RestoreTree re-validates the structure (atom IDs against
 	// the META bound, predicate routing against the slots, shape) and
@@ -168,14 +170,12 @@ func decode(r io.Reader) (*Restored, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	m := aptree.NewRestoredManager(d, reg, tree, aptree.Method(methodU), epoch)
+	m := aptree.NewRestoredManager(d, reg, tree, aptree.Method(methodU), epoch, wiring)
 	return &Restored{
-		Manager:  m,
-		Dataset:  ds,
-		Method:   aptree.Method(methodU),
-		Wiring:   wiring,
-		Epoch:    epoch,
-		DeltaSeq: deltaSeq,
+		Manager: m,
+		Dataset: ds,
+		Method:  aptree.Method(methodU),
+		Epoch:   epoch,
 	}, nil
 }
 
@@ -316,7 +316,7 @@ func decodeTree(payload []byte) (root *aptree.Node, numLeaves int, leafAt []*apt
 // decoded dataset (box and port counts must match) and the predicate ID
 // space (-1 or a live slot: stage 2 tests a wired ID's membership bit
 // without asking whether the slot is dead).
-func decodeTopo(payload []byte, ds *netgen.Dataset, live []bool) ([]BoxWiring, error) {
+func decodeTopo(payload []byte, ds *netgen.Dataset, live []bool) (*network.Wiring, error) {
 	c := &cursor{section: "TOPO", b: payload}
 	boxesU, err := c.u32()
 	if err != nil {
@@ -334,38 +334,44 @@ func decodeTopo(payload []byte, ds *netgen.Dataset, live []bool) ([]BoxWiring, e
 		}
 		return nil
 	}
-	wiring := make([]BoxWiring, boxesU)
-	for b := range wiring {
-		inACL, err := c.i32()
+	numPorts := make([]int, len(ds.Boxes))
+	for b := range numPorts {
+		numPorts[b] = ds.Boxes[b].NumPorts
+	}
+	wiring := network.NewWiring(numPorts)
+	// slot reads one wired ID and checks it against the ID space.
+	slot := func(what string, b int) (int32, error) {
+		id, err := c.i32()
+		if err != nil {
+			return 0, err
+		}
+		return id, checkID(what, b, id)
+	}
+	for b := range numPorts {
+		inACL, err := slot("ingress ACL", b)
 		if err != nil {
 			return nil, err
 		}
-		if err := checkID("ingress ACL", b, inACL); err != nil {
-			return nil, err
-		}
+		wiring.SetInACL(b, inACL)
 		portsU, err := c.u32()
 		if err != nil {
 			return nil, err
 		}
-		if int(portsU) != ds.Boxes[b].NumPorts {
-			return nil, fmt.Errorf("%w: TOPO box %d wires %d ports, dataset has %d", ErrMalformed, b, portsU, ds.Boxes[b].NumPorts)
+		if int(portsU) != numPorts[b] {
+			return nil, fmt.Errorf("%w: TOPO box %d wires %d ports, dataset has %d", ErrMalformed, b, portsU, numPorts[b])
 		}
-		w := BoxWiring{InACL: inACL, Fwd: make([]int32, portsU), OutACL: make([]int32, portsU)}
-		for p := range w.Fwd {
-			if w.Fwd[p], err = c.i32(); err != nil {
+		for p := 0; p < numPorts[b]; p++ {
+			fwd, err := slot("forwarding", b)
+			if err != nil {
 				return nil, err
 			}
-			if err := checkID("forwarding", b, w.Fwd[p]); err != nil {
+			out, err := slot("egress ACL", b)
+			if err != nil {
 				return nil, err
 			}
-			if w.OutACL[p], err = c.i32(); err != nil {
-				return nil, err
-			}
-			if err := checkID("egress ACL", b, w.OutACL[p]); err != nil {
-				return nil, err
-			}
+			wiring.SetFwd(b, p, fwd)
+			wiring.SetOutACL(b, p, out)
 		}
-		wiring[b] = w
 	}
 	if err := c.done(); err != nil {
 		return nil, err

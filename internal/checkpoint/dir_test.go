@@ -160,7 +160,7 @@ func TestRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	capture := func() *Source {
-		return &Source{Snap: m.Snapshot(), Dataset: src.Dataset, Method: m.Method(), Wiring: src.Wiring}
+		return &Source{Snap: m.Snapshot(), Dataset: src.Dataset, Method: m.Method()}
 	}
 	r := StartRunner(dir, m, capture, RunnerConfig{MinGap: 20 * time.Millisecond})
 

@@ -9,6 +9,7 @@ import (
 
 	"apclassifier/internal/aptree"
 	"apclassifier/internal/bdd"
+	"apclassifier/internal/network"
 )
 
 // Encode writes src as one checkpoint file. The BDD payload is
@@ -18,6 +19,10 @@ import (
 func Encode(w io.Writer, src *Source) error {
 	if src.Snap == nil || src.Dataset == nil {
 		return fmt.Errorf("checkpoint: encode needs a snapshot and a dataset")
+	}
+	wiring := network.WiringOf(src.Snap)
+	if wiring == nil {
+		return fmt.Errorf("checkpoint: encode needs a snapshot that carries its wiring")
 	}
 	tree := src.Snap.Tree()
 	numPreds := tree.NumPreds()
@@ -65,7 +70,7 @@ func Encode(w io.Writer, src *Source) error {
 	meta.u32(uint32(src.Snap.View().NumVars()))
 	meta.u32(uint32(numPreds))
 	meta.u32(uint32(tree.NextAtom()))
-	meta.u64(src.DeltaSeq)
+	meta.u64(wiring.Seq)
 	if err := writeSection(bw, "META", meta.b); err != nil {
 		return err
 	}
@@ -119,17 +124,13 @@ func Encode(w io.Writer, src *Source) error {
 	}
 
 	var topo sectionWriter
-	topo.u32(uint32(len(src.Wiring)))
-	for _, box := range src.Wiring {
-		topo.i32(box.InACL)
-		topo.u32(uint32(len(box.Fwd)))
-		for p, fwd := range box.Fwd {
-			topo.i32(fwd)
-			out := int32(-1)
-			if p < len(box.OutACL) {
-				out = box.OutACL[p]
-			}
-			topo.i32(out)
+	topo.u32(uint32(wiring.NumBoxes()))
+	for b := 0; b < wiring.NumBoxes(); b++ {
+		topo.i32(wiring.InACL(b))
+		topo.u32(uint32(wiring.NumPorts(b)))
+		for p := 0; p < wiring.NumPorts(b); p++ {
+			topo.i32(wiring.Fwd(b, p))
+			topo.i32(wiring.OutACL(b, p))
 		}
 	}
 	if err := writeSection(bw, "TOPO", topo.b); err != nil {

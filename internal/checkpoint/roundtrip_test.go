@@ -6,18 +6,19 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
 	"apclassifier/internal/aptree"
 	"apclassifier/internal/bdd"
 	"apclassifier/internal/netgen"
+	"apclassifier/internal/network"
 )
 
 // testSource builds a manager with live and dead predicate slots (and one
 // live slot holding the empty predicate, as an all-deny ACL registers) over
-// a small real dataset, plus wiring shaped to the dataset's boxes. The
+// a small real dataset, plus wiring shaped to the dataset's boxes and a
+// delta cursor, published with the epoch the Source pins. The
 // predicates are synthetic (the codec never cross-checks them against
 // the dataset's rules; the facade-level differential test covers that),
 // which keeps this unit test fast.
@@ -46,22 +47,42 @@ func testSource(t testing.TB, seed int64) (*aptree.Manager, *Source) {
 	m.RemovePredicate(ids[19])
 	m.AddPredicate(func(*bdd.DD) bdd.Ref { return bdd.False })
 
-	snap := m.Snapshot()
 	live := m.LiveIDs() // wiring names live IDs only, as the facade guarantees
-	wiring := make([]BoxWiring, len(ds.Boxes))
-	for b := range wiring {
-		ports := ds.Boxes[b].NumPorts
-		w := BoxWiring{InACL: -1, Fwd: make([]int32, ports), OutACL: make([]int32, ports)}
+	numPorts := make([]int, len(ds.Boxes))
+	for b := range numPorts {
+		numPorts[b] = ds.Boxes[b].NumPorts
+	}
+	wiring := network.NewWiring(numPorts)
+	wiring.Seq = uint64(seed)*100 + 7
+	for b, ports := range numPorts {
 		for p := 0; p < ports; p++ {
-			w.Fwd[p] = live[(b*7+p)%len(live)]
-			w.OutACL[p] = -1
+			wiring.SetFwd(b, p, live[(b*7+p)%len(live)])
 		}
 		if b%3 == 0 {
-			w.InACL = live[b%len(live)]
+			wiring.SetInACL(b, live[b%len(live)])
 		}
-		wiring[b] = w
 	}
-	return m, &Source{Snap: snap, Dataset: ds, Method: m.Method(), Wiring: wiring, DeltaSeq: uint64(seed)*100 + 7}
+	m.Update(func(tx *aptree.Tx) { tx.SetData(wiring) })
+	return m, &Source{Snap: m.Snapshot(), Dataset: ds, Method: m.Method()}
+}
+
+// sameWiring reports whether two wirings bind every slot alike and carry
+// the same cursor.
+func sameWiring(a, b *network.Wiring) bool {
+	if a.Seq != b.Seq || a.NumBoxes() != b.NumBoxes() {
+		return false
+	}
+	for box := 0; box < a.NumBoxes(); box++ {
+		if a.InACL(box) != b.InACL(box) || a.NumPorts(box) != b.NumPorts(box) {
+			return false
+		}
+		for p := 0; p < a.NumPorts(box); p++ {
+			if a.Fwd(box, p) != b.Fwd(box, p) || a.OutACL(box, p) != b.OutACL(box, p) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func encodeToBytes(t *testing.T, src *Source) []byte {
@@ -86,9 +107,6 @@ func TestRoundTrip(t *testing.T) {
 	if res.Method != src.Method {
 		t.Fatalf("method %v, want %v", res.Method, src.Method)
 	}
-	if res.DeltaSeq != src.DeltaSeq {
-		t.Fatalf("delta seq %d, want %d", res.DeltaSeq, src.DeltaSeq)
-	}
 	if res.Manager.Version() != src.Snap.Version() {
 		t.Fatal("restored manager must republish the checkpointed epoch")
 	}
@@ -98,8 +116,8 @@ func TestRoundTrip(t *testing.T) {
 	if got, want := res.Manager.Snapshot().Tree().NumLeaves(), src.Snap.Tree().NumLeaves(); got != want {
 		t.Fatalf("leaves %d, want %d", got, want)
 	}
-	if !reflect.DeepEqual(res.Wiring, src.Wiring) {
-		t.Fatalf("wiring mismatch:\n got %+v\nwant %+v", res.Wiring, src.Wiring)
+	if got, want := network.WiringOf(res.Manager.Snapshot()), network.WiringOf(src.Snap); !sameWiring(got, want) {
+		t.Fatalf("wiring mismatch (cursor %d, want %d)", got.Seq, want.Seq)
 	}
 	if res.Dataset.Name != src.Dataset.Name || len(res.Dataset.Boxes) != len(src.Dataset.Boxes) {
 		t.Fatal("dataset did not round-trip")
@@ -208,8 +226,13 @@ func TestTombstonedSlotRejected(t *testing.T) {
 
 	// The other half of the same contract: a port wired to a properly dead
 	// slot (stage 2 would read it as "matches nothing") is refused too.
-	_, src = testSource(t, 19)
-	src.Wiring[0].Fwd[0] = 1 // testSource removed predicate 1
+	m, src := testSource(t, 19)
+	m.Update(func(tx *aptree.Tx) {
+		w := tx.Data().(*network.Wiring).Next()
+		w.SetFwd(0, 0, 1) // testSource removed predicate 1
+		tx.SetData(w)
+	})
+	src.Snap = m.Snapshot()
 	_, err = Decode(bytes.NewReader(encodeToBytes(t, src)))
 	if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "dead predicate 1") {
 		t.Fatalf("port wired to a dead slot: %v, want ErrMalformed", err)
@@ -243,8 +266,8 @@ func TestInspect(t *testing.T) {
 	if info.FormatVersion != FormatVersion || info.Epoch != src.Snap.Version() {
 		t.Fatalf("info header wrong: %+v", info)
 	}
-	if info.DeltaSeq != src.DeltaSeq {
-		t.Fatalf("delta seq %d, want %d", info.DeltaSeq, src.DeltaSeq)
+	if want := network.WiringOf(src.Snap).Seq; info.DeltaSeq != want {
+		t.Fatalf("delta seq %d, want %d", info.DeltaSeq, want)
 	}
 	if info.NumPreds != src.Snap.Tree().NumPreds() || info.NumLive != src.Snap.NumLive() {
 		t.Fatalf("predicate counts wrong: %+v", info)

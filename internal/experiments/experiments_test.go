@@ -144,16 +144,23 @@ func TestFig11ConstructionTimes(t *testing.T) {
 	}
 }
 
+// TestFig12OrderingHolds asserts Fig 12's throughput orderings. One short
+// window per method can lose to a scheduling hiccup on a loaded host, so
+// every method is timed in fig12Windows runs of the whole figure — its
+// windows interleaved with the other methods' — and compared by its best
+// window.
 func TestFig12OrderingHolds(t *testing.T) {
-	tab := env(t).Fig12(4, 64, fastDur)
+	const fig12Windows = 3
 	rates := map[string]map[string]float64{}
-	for _, row := range tab.Rows {
-		if rates[row[0]] == nil {
-			rates[row[0]] = map[string]float64{}
+	for w := 0; w < fig12Windows; w++ {
+		for _, row := range env(t).Fig12(4, 64, fastDur).Rows {
+			if rates[row[0]] == nil {
+				rates[row[0]] = map[string]float64{}
+			}
+			var v float64
+			mustParse(t, row[2], &v)
+			rates[row[0]][row[1]] = max(rates[row[0]][row[1]], v)
 		}
-		var v float64
-		mustParse(t, row[2], &v)
-		rates[row[0]][row[1]] = v
 	}
 	for net, r := range rates {
 		if r["AP Classifier (OAPT)"] <= r["HSA (Hassel)"] {

@@ -55,7 +55,7 @@ func subsetManager(pool *predPool, order []int, initial int, method aptree.Metho
 	}
 	atoms := predicate.ComputeMapped(d, refs, ids, reg.NumIDs())
 	tree := aptree.Build(aptree.Input{D: d, Preds: reg.Refs(), Live: live, Atoms: atoms}, method)
-	return aptree.NewManagerWith(d, reg, tree, method)
+	return aptree.NewManagerWith(d, reg, tree, method, nil)
 }
 
 // shuffledOrder returns a deterministic shuffle of [0, n).

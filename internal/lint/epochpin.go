@@ -50,7 +50,7 @@ var managerLiveReads = map[string]bool{
 var classifierLiveReads = map[string]bool{
 	"Classify": true, "Behavior": true, "BehaviorWith": true,
 	"NumPredicates": true, "NumAtoms": true, "AverageDepth": true,
-	"MemBytes": true,
+	"MemBytes": true, "DeltaSeq": true,
 }
 
 func runEpochPin(m *Module, report Reporter) {

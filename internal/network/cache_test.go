@@ -7,7 +7,7 @@ import (
 )
 
 func TestBehaviorCacheStoreLookup(t *testing.T) {
-	n, m, env, _ := fig1Net(t)
+	n, m, _ := fig1Net(t)
 	b1 := n.BoxByName("b1")
 	s := m.Snapshot()
 	bc := NewBehaviorCache(s, len(n.Boxes))
@@ -16,11 +16,11 @@ func TestBehaviorCacheStoreLookup(t *testing.T) {
 	}
 
 	pkt := []byte{0b10000001}
-	leaf := classify(m, pkt)
+	leaf, _ := s.Classify(pkt)
 	if got := bc.Lookup(b1, leaf.AtomID); got != nil {
 		t.Fatalf("empty cache returned %v", got)
 	}
-	b := n.Behavior(env, b1, pkt, leaf)
+	b := n.Behavior(s, b1, pkt, leaf)
 	if !b.Deterministic() {
 		t.Fatal("plain forwarding walk must be deterministic")
 	}
@@ -57,7 +57,7 @@ func TestMiddleboxDeterminismFlag(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n, m, env, _ := fig1Net(t)
+			n, m, _ := fig1Net(t)
 			b1 := n.BoxByName("b1")
 			match := m.AddPredicate(func(d *bdd.DD) bdd.Ref { return bdd.True })
 			n.Boxes[b1].MB = &Middlebox{
@@ -72,7 +72,7 @@ func TestMiddleboxDeterminismFlag(t *testing.T) {
 				}},
 			}
 			pkt := []byte{0b10000001}
-			b := n.Behavior(env, b1, pkt, classify(m, pkt))
+			b := walk(n, m, b1, pkt)
 			if b.Deterministic() != tc.det {
 				t.Fatalf("Deterministic() = %v, want %v", b.Deterministic(), tc.det)
 			}
@@ -81,7 +81,7 @@ func TestMiddleboxDeterminismFlag(t *testing.T) {
 			}
 			// A walk on a box without the middlebox stays deterministic.
 			b2 := n.BoxByName("b2")
-			if !n.Behavior(env, b2, pkt, classify(m, pkt)).Deterministic() {
+			if !walk(n, m, b2, pkt).Deterministic() {
 				t.Fatal("middlebox-free walk must be deterministic")
 			}
 		})
@@ -91,28 +91,29 @@ func TestMiddleboxDeterminismFlag(t *testing.T) {
 // TestWalkerResetsDeterminism checks the Walker scratch does not leak the
 // non-determinism flag from one query into the next.
 func TestWalkerResetsDeterminism(t *testing.T) {
-	n, m, env, _ := fig1Net(t)
+	n, m, _ := fig1Net(t)
 	b1, b2 := n.BoxByName("b1"), n.BoxByName("b2")
 	match := m.AddPredicate(func(d *bdd.DD) bdd.Ref { return bdd.True })
 	n.Boxes[b1].MB = &Middlebox{Entries: []MBEntry{{
 		Match: match, Type: MBPayload,
 		Rewrite: func(pkt []byte) [][]byte { return [][]byte{append([]byte(nil), pkt...)} },
 	}}}
-	w := NewWalker(n, env)
+	w := NewWalker(n)
+	s := m.Snapshot()
 	pkt := []byte{0b10000001}
-	if w.Behavior(b1, pkt, classify(m, pkt)).Deterministic() {
+	if w.Behavior(s, b1, pkt, classify(m, pkt)).Deterministic() {
 		t.Fatal("walk through the Type-2 box must be non-deterministic")
 	}
-	if !w.Behavior(b2, pkt, classify(m, pkt)).Deterministic() {
+	if !w.Behavior(s, b2, pkt, classify(m, pkt)).Deterministic() {
 		t.Fatal("next walk on the same Walker must reset the flag")
 	}
 }
 
 func TestBehaviorClone(t *testing.T) {
-	n, m, env, _ := fig1Net(t)
+	n, m, _ := fig1Net(t)
 	b1 := n.BoxByName("b1")
 	pkt := []byte{0b10000001}
-	b := n.Behavior(env, b1, pkt, classify(m, pkt))
+	b := walk(n, m, b1, pkt)
 	c := b.Clone()
 	if c.String() != b.String() || c.Ingress != b.Ingress {
 		t.Fatalf("clone differs: %v vs %v", c, b)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestDOT(t *testing.T) {
-	n, _, _, _ := fig1Net(t)
+	n, _, _ := fig1Net(t)
 	dot := n.DOT("fig1")
 	for _, want := range []string{"graph \"fig1\"", "b1", "b2", "h1", "h2", "--"} {
 		if !strings.Contains(dot, want) {

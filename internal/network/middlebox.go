@@ -77,7 +77,7 @@ func (m *Middlebox) CacheLen() int {
 // process applies the middlebox to a traversal head, returning the
 // resulting heads (possibly several for probabilistic entries) and whether
 // the packet survived.
-func (m *Middlebox) process(env *Env, b *Behavior, w workItem) ([]workItem, bool) {
+func (m *Middlebox) process(s *aptree.Snapshot, b *Behavior, w workItem) ([]workItem, bool) {
 	for ei := range m.Entries {
 		e := &m.Entries[ei]
 		if !member(w.leaf, e.Match) {
@@ -104,9 +104,9 @@ func (m *Middlebox) process(env *Env, b *Behavior, w workItem) ([]workItem, bool
 		for _, out := range outs {
 			var leaf *aptree.Node
 			if e.Type == MBDeterministic {
-				leaf = m.cachedClassify(env, ei, w.leaf.AtomID, out)
+				leaf = m.cachedClassify(s, ei, w.leaf.AtomID, out)
 			} else {
-				leaf, _ = env.Source.Classify(out)
+				leaf, _ = s.Classify(out)
 			}
 			b.Rewrites++
 			heads = append(heads, workItem{box: w.box, pkt: out, leaf: leaf, hops: w.hops})
@@ -122,9 +122,9 @@ func (m *Middlebox) process(env *Env, b *Behavior, w workItem) ([]workItem, bool
 // is keyed to the classifier epoch and discarded wholesale when the AP
 // Tree is swapped, because leaves of a retired tree may not reflect
 // predicates added since.
-func (m *Middlebox) cachedClassify(env *Env, entry int, atom int32, out []byte) *aptree.Node {
+func (m *Middlebox) cachedClassify(s *aptree.Snapshot, entry int, atom int32, out []byte) *aptree.Node {
 	key := mbCacheKey{entry, atom}
-	cur := env.Source.Version()
+	cur := s.Version()
 	m.mu.Lock()
 	if m.cache == nil || m.cacheVersion != cur {
 		m.cache = make(map[mbCacheKey]*aptree.Node)
@@ -134,7 +134,7 @@ func (m *Middlebox) cachedClassify(env *Env, entry int, atom int32, out []byte) 
 		return cached
 	}
 	m.mu.Unlock()
-	leaf, v := env.Source.Classify(out)
+	leaf, v := s.Classify(out)
 	m.mu.Lock()
 	if m.cacheVersion == v {
 		m.cache[key] = leaf

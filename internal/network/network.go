@@ -8,6 +8,11 @@
 // whether a box forwards the packet to a port is two bit tests. That is why
 // the paper measures stage 2 at 10M+ packets per second and spends all its
 // optimization effort on stage 1.
+//
+// The Network is the topology that never changes after setup: names,
+// peers, hosts and middleboxes. Which predicate ID each slot tests is the
+// epoch's Wiring, published with the tree; a walk reads it from the
+// snapshot its leaf came from.
 package network
 
 import (
@@ -43,21 +48,13 @@ type Dest struct {
 // Port is an output port of a box.
 type Port struct {
 	Name string
-	// Fwd is the predicate ID of the port's forwarding predicate: the set
-	// of packets the box's table sends to this port. NoPred means the port
-	// never forwards (e.g. a pure ingress port).
-	Fwd int32
-	// OutACL optionally filters packets leaving through the port.
-	OutACL int32
-	Peer   Dest
+	Peer Dest
 }
 
 // Box is a packet-forwarding device: router, switch, or middlebox host.
 type Box struct {
 	Name  string
 	Ports []Port
-	// InACL optionally filters every packet entering the box.
-	InACL int32
 	// MB, if non-nil, is a header-modifying middlebox traversed by every
 	// packet entering the box before forwarding (§V-E).
 	MB *Middlebox
@@ -66,32 +63,18 @@ type Box struct {
 // Network is a directed graph of boxes.
 type Network struct {
 	Boxes []*Box
+	// MaxHops bounds traversal (0 means 4×boxes+16).
+	MaxHops int
 }
 
 // New returns an empty network.
 func New() *Network { return &Network{} }
 
-// Clone returns a deep copy of the topology graph: boxes and ports are
-// copied, so later in-place mutations of n (the facade's delta engine
-// rewrites port predicate IDs and ACLs under its manager's write lock)
-// never show through the copy. Middlebox pointers are shared — their
-// tables are not part of the graph and callers that reject middleboxes
-// (the verification engine) never read them.
-func (n *Network) Clone() *Network {
-	c := &Network{Boxes: make([]*Box, len(n.Boxes))}
-	for i, b := range n.Boxes {
-		nb := *b
-		nb.Ports = append([]Port(nil), b.Ports...)
-		c.Boxes[i] = &nb
-	}
-	return c
-}
-
 // AddBox appends a box with the given number of ports and returns its ID.
 func (n *Network) AddBox(name string, numPorts int) int {
-	b := &Box{Name: name, InACL: NoPred}
+	b := &Box{Name: name}
 	for i := 0; i < numPorts; i++ {
-		b.Ports = append(b.Ports, Port{Name: fmt.Sprintf("%s.%d", name, i), Fwd: NoPred, OutACL: NoPred})
+		b.Ports = append(b.Ports, Port{Name: fmt.Sprintf("%s.%d", name, i)})
 	}
 	n.Boxes = append(n.Boxes, b)
 	return len(n.Boxes) - 1
@@ -116,37 +99,6 @@ func (n *Network) BoxByName(name string) int {
 		}
 	}
 	return -1
-}
-
-// Source supplies stage 2 with the classifier state it depends on: atom
-// lookup for rewritten headers and the epoch that keys middlebox
-// flow-table caches. It carries no liveness probe: whoever removes a
-// predicate unwires its ID (NoPred or the successor) from every port and
-// ACL slot in the same aptree.Manager.Update, so a walk only ever tests
-// IDs that are live in the epoch it is pinned to.
-//
-// Both *aptree.Manager (the live, self-updating classifier) and
-// *aptree.Snapshot (one immutable epoch) implement Source. Pinning a
-// Snapshot for the duration of a query gives the whole traversal — every
-// membership test and every mid-flight reclassification after a header
-// rewrite — one consistent view, with no locks on the hot path.
-type Source interface {
-	// Classify maps a (possibly rewritten) header to its AP Tree leaf
-	// and reports the classifier epoch the result came from.
-	Classify(pkt []byte) (*aptree.Node, uint64)
-	// Version reports the classifier epoch; middlebox flow-table caches
-	// are invalidated when it changes.
-	Version() uint64
-}
-
-// Env provides stage 2 with the classifier state it depends on.
-type Env struct {
-	// Source is the classifier behind the traversal. A nil Source
-	// supports no header-rewriting middleboxes; it serves static tests
-	// over a fixed tree.
-	Source Source
-	// MaxHops bounds traversal (0 means 4×boxes+16).
-	MaxHops int
 }
 
 // DropReason explains why a traversal branch ended without delivery.
@@ -316,29 +268,19 @@ type visitKey struct {
 // per-query allocations of Network.Behavior. A Walker is not safe for
 // concurrent use; pool one per goroutine for hot query loops.
 type Walker struct {
-	n *Network
-	// env is a private copy: BehaviorPinned swaps its Source per query
-	// without touching the Env the Walker was built from.
-	env     Env
+	n       *Network
 	visited []visitKey
 	queue   []workItem
 	beh     Behavior
 }
 
-// NewWalker returns a reusable traverser for the network. The Env is
-// copied; later changes to it do not affect the Walker.
-func NewWalker(n *Network, env *Env) *Walker {
-	w := &Walker{n: n}
-	if env != nil {
-		w.env = *env
-	}
-	return w
-}
+// NewWalker returns a reusable traverser for the network.
+func NewWalker(n *Network) *Walker { return &Walker{n: n} }
 
 // Behavior computes the packet's behavior like Network.Behavior, reusing
 // internal buffers. The returned pointer aliases the Walker's scratch and
 // is only valid until the next call.
-func (w *Walker) Behavior(ingress int, pkt []byte, leaf *aptree.Node) *Behavior {
+func (w *Walker) Behavior(s *aptree.Snapshot, ingress int, pkt []byte, leaf *aptree.Node) *Behavior {
 	w.visited = w.visited[:0]
 	w.queue = w.queue[:0]
 	w.beh = Behavior{
@@ -347,32 +289,27 @@ func (w *Walker) Behavior(ingress int, pkt []byte, leaf *aptree.Node) *Behavior 
 		Deliveries: w.beh.Deliveries[:0],
 		Drops:      w.beh.Drops[:0],
 	}
-	w.n.behaviorInto(&w.env, ingress, pkt, leaf, &w.beh, &w.visited, &w.queue)
+	w.n.behaviorInto(s, ingress, pkt, leaf, &w.beh, &w.visited, &w.queue)
 	return &w.beh
 }
 
-// BehaviorPinned runs the traversal against src instead of the Walker's
-// default Source. Pass the epoch snapshot the leaf was classified under
-// so the whole query — stage 1 and stage 2 — observes one epoch.
-func (w *Walker) BehaviorPinned(src Source, ingress int, pkt []byte, leaf *aptree.Node) *Behavior {
-	w.env.Source = src
-	return w.Behavior(ingress, pkt, leaf)
-}
-
 // Behavior computes the network-wide behavior of a packet that enters at
-// the ingress box and was classified to leaf. pkt is needed only when the
-// network contains middleboxes that rewrite headers; it may be nil
-// otherwise.
-func (n *Network) Behavior(env *Env, ingress int, pkt []byte, leaf *aptree.Node) *Behavior {
+// the ingress box and was classified to leaf in epoch s. The whole walk —
+// every membership test, against s's Wiring, and every reclassification
+// after a middlebox rewrite — answers from s, so stage 1 and stage 2
+// observe one epoch with no lock. pkt is needed only when the network
+// contains middleboxes that rewrite headers; it may be nil otherwise.
+func (n *Network) Behavior(s *aptree.Snapshot, ingress int, pkt []byte, leaf *aptree.Node) *Behavior {
 	b := &Behavior{Ingress: ingress}
 	var visited []visitKey
 	var queue []workItem
-	n.behaviorInto(env, ingress, pkt, leaf, b, &visited, &queue)
+	n.behaviorInto(s, ingress, pkt, leaf, b, &visited, &queue)
 	return b
 }
 
-func (n *Network) behaviorInto(env *Env, ingress int, pkt []byte, leaf *aptree.Node, b *Behavior, visitedp *[]visitKey, queuep *[]workItem) {
-	maxHops := env.MaxHops
+func (n *Network) behaviorInto(s *aptree.Snapshot, ingress int, pkt []byte, leaf *aptree.Node, b *Behavior, visitedp *[]visitKey, queuep *[]workItem) {
+	wiring := WiringOf(s)
+	maxHops := n.MaxHops
 	if maxHops == 0 {
 		maxHops = 4*len(n.Boxes) + 16
 	}
@@ -412,8 +349,9 @@ func (n *Network) behaviorInto(env *Env, ingress int, pkt []byte, leaf *aptree.N
 		}
 		visited = append(visited, vk)
 		box := n.Boxes[w.box]
+		wired := &wiring.boxes[w.box]
 
-		if !aclPasses(w.leaf, box.InACL) {
+		if !aclPasses(w.leaf, wired.inACL) {
 			b.Drops = append(b.Drops, DropEvent{w.box, DropInACL})
 			continue
 		}
@@ -422,7 +360,7 @@ func (n *Network) behaviorInto(env *Env, ingress int, pkt []byte, leaf *aptree.N
 		heads := []workItem{w}
 		if box.MB != nil {
 			var ok bool
-			heads, ok = box.MB.process(env, b, w)
+			heads, ok = box.MB.process(s, b, w)
 			if !ok {
 				b.Drops = append(b.Drops, DropEvent{w.box, DropMiddlebox})
 				continue
@@ -431,12 +369,12 @@ func (n *Network) behaviorInto(env *Env, ingress int, pkt []byte, leaf *aptree.N
 
 		for _, h := range heads {
 			forwarded := false
-			for pi := range box.Ports {
-				port := &box.Ports[pi]
-				if !member(h.leaf, port.Fwd) {
+			for pi, slots := range wired.ports {
+				if !member(h.leaf, slots.fwd) {
 					continue
 				}
-				if !aclPasses(h.leaf, port.OutACL) {
+				port := &box.Ports[pi]
+				if !aclPasses(h.leaf, slots.outACL) {
 					b.Drops = append(b.Drops, DropEvent{w.box, DropOutACL})
 					forwarded = true
 					continue

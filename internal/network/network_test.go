@@ -10,7 +10,7 @@ import (
 // fig1Net builds the paper's running example (Fig. 1(c)/Fig. 3): boxes b1
 // and b2, hosts h1 and h2, and predicates p1 (b1→h1), p2 (b1→b2),
 // p3 (b2→h2) over an 8-bit toy header.
-func fig1Net(t *testing.T) (*Network, *aptree.Manager, *Env, [3]int32) {
+func fig1Net(t *testing.T) (*Network, *aptree.Manager, [3]int32) {
 	t.Helper()
 	m := aptree.NewManager(8, aptree.MethodOAPT)
 	p1 := m.AddPredicate(func(d *bdd.DD) bdd.Ref { return d.FromPrefix(0, 0b00000000, 2, 8) })
@@ -25,29 +25,57 @@ func fig1Net(t *testing.T) (*Network, *aptree.Manager, *Env, [3]int32) {
 	b1 := n.AddBox("b1", 2)
 	b2 := n.AddBox("b2", 2)
 	n.AttachHost(b1, 0, "h1")
-	n.Boxes[b1].Ports[0].Fwd = p1
-	n.Boxes[b1].Ports[1].Fwd = p2
 	n.Link(b1, 1, b2, 1)
 	n.AttachHost(b2, 0, "h2")
-	n.Boxes[b2].Ports[0].Fwd = p3
-
-	env := &Env{Source: m}
-	return n, m, env, [3]int32{p1, p2, p3}
+	rewire(n, m, func(w *Wiring) {
+		w.SetFwd(b1, 0, p1)
+		w.SetFwd(b1, 1, p2)
+		w.SetFwd(b2, 0, p3)
+	})
+	return n, m, [3]int32{p1, p2, p3}
 }
 
+// rewire publishes the next epoch's wiring: edit applies to a successor
+// of the current one (an empty wiring for n on the first call).
+func rewire(n *Network, m *aptree.Manager, edit func(w *Wiring)) {
+	m.Update(func(tx *aptree.Tx) {
+		w, _ := tx.Data().(*Wiring)
+		if w == nil {
+			ports := make([]int, len(n.Boxes))
+			for b, box := range n.Boxes {
+				ports[b] = len(box.Ports)
+			}
+			w = NewWiring(ports)
+		} else {
+			w = w.Next()
+		}
+		edit(w)
+		tx.SetData(w)
+	})
+}
+
+// classify runs stage 1 in the published epoch.
 func classify(m *aptree.Manager, pkt []byte) *aptree.Node {
 	leaf, _ := m.Classify(pkt)
 	return leaf
 }
 
+// walk classifies pkt in the published epoch and walks it from ingress
+// against that same epoch.
+func walk(n *Network, m *aptree.Manager, ingress int, pkt []byte) *Behavior {
+	s := m.Snapshot()
+	leaf, _ := s.Classify(pkt)
+	return n.Behavior(s, ingress, pkt, leaf)
+}
+
 func TestPaperFig3ForwardingPath(t *testing.T) {
-	n, m, env, _ := fig1Net(t)
+	n, m, _ := fig1Net(t)
 	b1, b2 := n.BoxByName("b1"), n.BoxByName("b2")
 
 	// A packet in a4 = ¬p1∧p2∧p3 (pattern 10******) entering b1 follows
 	// b1 → b2 → h2.
 	pkt := []byte{0b10000001}
-	b := n.Behavior(env, b1, pkt, classify(m, pkt))
+	b := walk(n, m, b1, pkt)
 	if !b.Delivered("h2") {
 		t.Fatalf("a4 packet must reach h2: %v", b)
 	}
@@ -63,7 +91,7 @@ func TestPaperFig3ForwardingPath(t *testing.T) {
 
 	// A packet in a5 = ¬p1∧¬p2∧p3 (pattern 110*****) is dropped at b1...
 	pkt5 := []byte{0b11000001}
-	b = n.Behavior(env, b1, pkt5, classify(m, pkt5))
+	b = walk(n, m, b1, pkt5)
 	if b.Delivered("") {
 		t.Fatalf("a5 packet from b1 must not be delivered: %v", b)
 	}
@@ -71,14 +99,14 @@ func TestPaperFig3ForwardingPath(t *testing.T) {
 		t.Fatalf("expected no-route drop at b1: %v", b.Drops)
 	}
 	// ...but delivered to h2 if it enters at b2.
-	b = n.Behavior(env, b2, pkt5, classify(m, pkt5))
+	b = walk(n, m, b2, pkt5)
 	if !b.Delivered("h2") {
 		t.Fatalf("a5 packet from b2 must reach h2: %v", b)
 	}
 
 	// A packet in a1 (p1, pattern 00******) goes straight to h1.
 	pkt1 := []byte{0b00000001}
-	b = n.Behavior(env, b1, pkt1, classify(m, pkt1))
+	b = walk(n, m, b1, pkt1)
 	if !b.Delivered("h1") || b.Delivered("h2") {
 		t.Fatalf("a1 packet must reach exactly h1: %v", b)
 	}
@@ -88,21 +116,22 @@ func TestPaperFig3ForwardingPath(t *testing.T) {
 // whoever removes a predicate unwires its ID in the same Update, and a
 // walk — which probes no liveness — then drops at the unwired port.
 func TestRemovedPredicateIsUnwired(t *testing.T) {
-	n, m, env, preds := fig1Net(t)
+	n, m, preds := fig1Net(t)
 	b1 := n.BoxByName("b1")
 	pkt := []byte{0b10000001} // a4: normally b1→b2→h2
-	if b := n.Behavior(env, b1, pkt, classify(m, pkt)); !b.Delivered("h2") {
+	if b := walk(n, m, b1, pkt); !b.Delivered("h2") {
 		t.Fatalf("a4 packet must reach h2 before the removal: %v", b)
 	}
 	m.Update(func(tx *aptree.Tx) { // remove p2 (b1→b2)
 		tx.Remove(preds[1])
-		n.Boxes[b1].Ports[1].Fwd = NoPred
+		w := tx.Data().(*Wiring).Next()
+		w.SetFwd(b1, 1, NoPred)
+		tx.SetData(w)
 	})
-	leaf := classify(m, pkt)
-	if leaf.Member.Get(int(preds[1])) {
+	if classify(m, pkt).Member.Get(int(preds[1])) {
 		t.Fatal("a removed predicate's membership bit must read clear")
 	}
-	b := n.Behavior(env, b1, pkt, leaf)
+	b := walk(n, m, b1, pkt)
 	if b.Delivered("") {
 		t.Fatalf("packet must drop once its forwarding predicate is removed: %v", b)
 	}
@@ -112,14 +141,14 @@ func TestRemovedPredicateIsUnwired(t *testing.T) {
 }
 
 func TestIngressAndEgressACLs(t *testing.T) {
-	n, m, env, _ := fig1Net(t)
+	n, m, _ := fig1Net(t)
 	b1, b2 := n.BoxByName("b1"), n.BoxByName("b2")
 	pkt := []byte{0b10000001}
 
 	// Egress ACL on b1's b2-facing port that denies the packet's atom.
 	aclDeny := m.AddPredicate(func(d *bdd.DD) bdd.Ref { return d.FromPrefix(0, 0b11000000, 2, 8) })
-	n.Boxes[b1].Ports[1].OutACL = aclDeny
-	b := n.Behavior(env, b1, pkt, classify(m, pkt))
+	rewire(n, m, func(w *Wiring) { w.SetOutACL(b1, 1, aclDeny) })
+	b := walk(n, m, b1, pkt)
 	if b.Delivered("") {
 		t.Fatalf("egress ACL must drop: %v", b)
 	}
@@ -129,15 +158,15 @@ func TestIngressAndEgressACLs(t *testing.T) {
 
 	// Permit ACL lets it through.
 	aclPermit := m.AddPredicate(func(d *bdd.DD) bdd.Ref { return d.FromPrefix(0, 0b10000000, 1, 8) })
-	n.Boxes[b1].Ports[1].OutACL = aclPermit
-	b = n.Behavior(env, b1, pkt, classify(m, pkt))
+	rewire(n, m, func(w *Wiring) { w.SetOutACL(b1, 1, aclPermit) })
+	b = walk(n, m, b1, pkt)
 	if !b.Delivered("h2") {
 		t.Fatalf("permitting egress ACL must pass: %v", b)
 	}
 
 	// Ingress ACL at b2 denies.
-	n.Boxes[b2].InACL = aclDeny
-	b = n.Behavior(env, b1, pkt, classify(m, pkt))
+	rewire(n, m, func(w *Wiring) { w.SetInACL(b2, aclDeny) })
+	b = walk(n, m, b1, pkt)
 	if b.Delivered("") {
 		t.Fatalf("ingress ACL must drop: %v", b)
 	}
@@ -155,9 +184,11 @@ func TestIngressAndEgressACLs(t *testing.T) {
 	// everything again.
 	m.Update(func(tx *aptree.Tx) {
 		tx.Remove(aclDeny)
-		n.Boxes[b2].InACL = NoPred
+		w := tx.Data().(*Wiring).Next()
+		w.SetInACL(b2, NoPred)
+		tx.SetData(w)
 	})
-	b = n.Behavior(env, b1, pkt, classify(m, pkt))
+	b = walk(n, m, b1, pkt)
 	if !b.Delivered("h2") {
 		t.Fatalf("cleared ACL must pass: %v", b)
 	}
@@ -169,12 +200,13 @@ func TestLoopDetection(t *testing.T) {
 	n := New()
 	b1 := n.AddBox("b1", 1)
 	b2 := n.AddBox("b2", 1)
-	n.Boxes[b1].Ports[0].Fwd = p
-	n.Boxes[b2].Ports[0].Fwd = p
 	n.Link(b1, 0, b2, 0)
-	env := &Env{Source: m}
+	rewire(n, m, func(w *Wiring) {
+		w.SetFwd(b1, 0, p)
+		w.SetFwd(b2, 0, p)
+	})
 	pkt := []byte{0b10000001}
-	b := n.Behavior(env, b1, pkt, classify(m, pkt))
+	b := walk(n, m, b1, pkt)
 	foundLoop := false
 	for _, d := range b.Drops {
 		if d.Reason == DropLoop {
@@ -194,17 +226,18 @@ func TestMulticast(t *testing.T) {
 	b1 := n.AddBox("b1", 2)
 	b2 := n.AddBox("b2", 2)
 	b3 := n.AddBox("b3", 2)
-	n.Boxes[b1].Ports[0].Fwd = p
-	n.Boxes[b1].Ports[1].Fwd = q
 	n.Link(b1, 0, b2, 1)
 	n.Link(b1, 1, b3, 1)
 	n.AttachHost(b2, 0, "h1")
 	n.AttachHost(b3, 0, "h2")
-	n.Boxes[b2].Ports[0].Fwd = p
-	n.Boxes[b3].Ports[0].Fwd = p
-	env := &Env{Source: m}
+	rewire(n, m, func(w *Wiring) {
+		w.SetFwd(b1, 0, p)
+		w.SetFwd(b1, 1, q)
+		w.SetFwd(b2, 0, p)
+		w.SetFwd(b3, 0, p)
+	})
 	pkt := []byte{0b10000001} // in both p and q
-	b := n.Behavior(env, b1, pkt, classify(m, pkt))
+	b := walk(n, m, b1, pkt)
 	if !b.Delivered("h1") || !b.Delivered("h2") {
 		t.Fatalf("multicast packet must reach both hosts: %v", b)
 	}
@@ -221,10 +254,9 @@ func TestDanglingPort(t *testing.T) {
 	p := m.AddPredicate(func(d *bdd.DD) bdd.Ref { return d.FromPrefix(0, 0b10000000, 1, 8) })
 	n := New()
 	b1 := n.AddBox("b1", 1)
-	n.Boxes[b1].Ports[0].Fwd = p // peer left at DestNone
-	env := &Env{Source: m}
+	rewire(n, m, func(w *Wiring) { w.SetFwd(b1, 0, p) }) // peer left at DestNone
 	pkt := []byte{0b10000001}
-	b := n.Behavior(env, b1, pkt, classify(m, pkt))
+	b := walk(n, m, b1, pkt)
 	if len(b.Drops) != 1 || b.Drops[0].Reason != DropDangling {
 		t.Fatalf("drops = %v", b.Drops)
 	}
@@ -233,7 +265,7 @@ func TestDanglingPort(t *testing.T) {
 // mbNet: b1 --- b2 --- h2, with a middlebox on b1 that rewrites the
 // header's leading bits from 111 to 10 (so an otherwise-dropped packet is
 // forwarded), mirroring the NAT example of Fig. 7.
-func mbNet(t *testing.T, typ MBType) (*Network, *aptree.Manager, *Env) {
+func mbNet(t *testing.T, typ MBType) (*Network, *aptree.Manager) {
 	t.Helper()
 	m := aptree.NewManager(8, aptree.MethodOAPT)
 	p2 := m.AddPredicate(func(d *bdd.DD) bdd.Ref { return d.FromPrefix(0, 0b10000000, 2, 8) })
@@ -243,10 +275,12 @@ func mbNet(t *testing.T, typ MBType) (*Network, *aptree.Manager, *Env) {
 	n := New()
 	b1 := n.AddBox("b1", 1)
 	b2 := n.AddBox("b2", 2)
-	n.Boxes[b1].Ports[0].Fwd = p2
 	n.Link(b1, 0, b2, 1)
 	n.AttachHost(b2, 0, "h2")
-	n.Boxes[b2].Ports[0].Fwd = p3
+	rewire(n, m, func(w *Wiring) {
+		w.SetFwd(b1, 0, p2)
+		w.SetFwd(b2, 0, p3)
+	})
 
 	n.Boxes[b1].MB = &Middlebox{
 		Name: "MB1",
@@ -258,15 +292,14 @@ func mbNet(t *testing.T, typ MBType) (*Network, *aptree.Manager, *Env) {
 			}),
 		}},
 	}
-	env := &Env{Source: m}
-	return n, m, env
+	return n, m
 }
 
 func TestMiddleboxRewriteDeterministic(t *testing.T) {
-	n, m, env := mbNet(t, MBDeterministic)
+	n, m := mbNet(t, MBDeterministic)
 	b1 := n.BoxByName("b1")
 	pkt := []byte{0b11100101} // matches MB entry; rewritten to 100xxxxx
-	b := n.Behavior(env, b1, pkt, classify(m, pkt))
+	b := walk(n, m, b1, pkt)
 	if !b.Delivered("h2") {
 		t.Fatalf("rewritten packet must reach h2: %v", b)
 	}
@@ -281,23 +314,23 @@ func TestMiddleboxRewriteDeterministic(t *testing.T) {
 	if mb.CacheLen() != 1 {
 		t.Fatalf("cache length = %d, want 1", mb.CacheLen())
 	}
-	b = n.Behavior(env, b1, pkt, classify(m, pkt))
+	b = walk(n, m, b1, pkt)
 	if !b.Delivered("h2") || mb.CacheLen() != 1 {
 		t.Fatalf("second query must hit the cache: %v len=%d", b, mb.CacheLen())
 	}
 }
 
 func TestMiddleboxCacheInvalidatedOnReconstruct(t *testing.T) {
-	n, m, env := mbNet(t, MBDeterministic)
+	n, m := mbNet(t, MBDeterministic)
 	b1 := n.BoxByName("b1")
 	pkt := []byte{0b11100101}
-	n.Behavior(env, b1, pkt, classify(m, pkt))
+	walk(n, m, b1, pkt)
 	mb := n.Boxes[b1].MB
 	if mb.CacheLen() != 1 {
 		t.Fatalf("cache not primed")
 	}
 	m.Reconstruct(false)
-	b := n.Behavior(env, b1, pkt, classify(m, pkt))
+	b := walk(n, m, b1, pkt)
 	if !b.Delivered("h2") {
 		t.Fatalf("behavior wrong after reconstruct: %v", b)
 	}
@@ -307,10 +340,10 @@ func TestMiddleboxCacheInvalidatedOnReconstruct(t *testing.T) {
 }
 
 func TestMiddleboxPayloadTypeDoesNotCache(t *testing.T) {
-	n, m, env := mbNet(t, MBPayload)
+	n, m := mbNet(t, MBPayload)
 	b1 := n.BoxByName("b1")
 	pkt := []byte{0b11100101}
-	b := n.Behavior(env, b1, pkt, classify(m, pkt))
+	b := walk(n, m, b1, pkt)
 	if !b.Delivered("h2") {
 		t.Fatalf("Type-2 rewrite must still deliver: %v", b)
 	}
@@ -320,7 +353,7 @@ func TestMiddleboxPayloadTypeDoesNotCache(t *testing.T) {
 }
 
 func TestMiddleboxProbabilistic(t *testing.T) {
-	n, m, env := mbNet(t, MBProbabilistic)
+	n, m := mbNet(t, MBProbabilistic)
 	b1 := n.BoxByName("b1")
 	// Rewrite to two possible headers: one forwarded, one dropped.
 	n.Boxes[b1].MB.Entries[0].Rewrite = func(pkt []byte) [][]byte {
@@ -331,7 +364,7 @@ func TestMiddleboxProbabilistic(t *testing.T) {
 		return [][]byte{fwd, drop}
 	}
 	pkt := []byte{0b11100101}
-	b := n.Behavior(env, b1, pkt, classify(m, pkt))
+	b := walk(n, m, b1, pkt)
 	if !b.Probabilistic {
 		t.Fatal("Type-3 must mark the behavior probabilistic")
 	}
@@ -347,12 +380,12 @@ func TestMiddleboxProbabilistic(t *testing.T) {
 }
 
 func TestMiddleboxDropAndPassthrough(t *testing.T) {
-	n, m, env := mbNet(t, MBDeterministic)
+	n, m := mbNet(t, MBDeterministic)
 	b1 := n.BoxByName("b1")
 	// Entry that drops matching packets.
 	n.Boxes[b1].MB.Entries[0].Rewrite = func(pkt []byte) [][]byte { return [][]byte{} }
 	pkt := []byte{0b11100101}
-	b := n.Behavior(env, b1, pkt, classify(m, pkt))
+	b := walk(n, m, b1, pkt)
 	if b.Delivered("") || len(b.Drops) != 1 || b.Drops[0].Reason != DropMiddlebox {
 		t.Fatalf("middlebox drop expected: %v", b)
 	}
@@ -360,14 +393,14 @@ func TestMiddleboxDropAndPassthrough(t *testing.T) {
 	// A packet matching no entry passes through untouched (here: it is in
 	// p2 so it is forwarded normally).
 	pkt2 := []byte{0b10000001}
-	b = n.Behavior(env, b1, pkt2, classify(m, pkt2))
+	b = walk(n, m, b1, pkt2)
 	if !b.Delivered("h2") || b.Rewrites != 0 {
 		t.Fatalf("non-matching packet must pass through unmodified: %v", b)
 	}
 
 	// A nil rewrite result is an explicit pass-through entry.
 	n.Boxes[b1].MB.Entries[0].Rewrite = func(pkt []byte) [][]byte { return nil }
-	b = n.Behavior(env, b1, pkt, classify(m, pkt))
+	b = walk(n, m, b1, pkt)
 	// 111xxxxx is in no forwarding predicate, so it drops with no route —
 	// but not at the middlebox.
 	if len(b.Drops) != 1 || b.Drops[0].Reason != DropNoRoute {
@@ -376,14 +409,15 @@ func TestMiddleboxDropAndPassthrough(t *testing.T) {
 }
 
 func TestWalkerMatchesBehavior(t *testing.T) {
-	n, m, env, _ := fig1Net(t)
-	w := NewWalker(n, env)
+	n, m, _ := fig1Net(t)
+	w := NewWalker(n)
+	s := m.Snapshot()
 	for _, pktByte := range []byte{0b00000001, 0b01000001, 0b10000001, 0b11000001, 0b11100001} {
 		for ingress := 0; ingress < 2; ingress++ {
 			pkt := []byte{pktByte}
-			leaf := classify(m, pkt)
-			want := n.Behavior(env, ingress, pkt, leaf)
-			got := w.Behavior(ingress, pkt, leaf)
+			leaf, _ := s.Classify(pkt)
+			want := n.Behavior(s, ingress, pkt, leaf)
+			got := w.Behavior(s, ingress, pkt, leaf)
 			if got.String() != want.String() {
 				t.Fatalf("pkt %08b ingress %d: walker %q vs behavior %q",
 					pktByte, ingress, got.String(), want.String())
@@ -393,14 +427,15 @@ func TestWalkerMatchesBehavior(t *testing.T) {
 }
 
 func TestWalkerReuseDoesNotLeakState(t *testing.T) {
-	n, m, env, _ := fig1Net(t)
-	w := NewWalker(n, env)
+	n, m, _ := fig1Net(t)
+	w := NewWalker(n)
+	s := m.Snapshot()
 	// A delivering query followed by a dropping query must not inherit
 	// the earlier edges/deliveries.
 	pktGood := []byte{0b10000001}
-	w.Behavior(0, pktGood, classify(m, pktGood))
+	w.Behavior(s, 0, pktGood, classify(m, pktGood))
 	pktBad := []byte{0b11100001}
-	got := w.Behavior(0, pktBad, classify(m, pktBad))
+	got := w.Behavior(s, 0, pktBad, classify(m, pktBad))
 	if len(got.Edges) != 0 || len(got.Deliveries) != 0 {
 		t.Fatalf("scratch leaked into next query: %v", got)
 	}
@@ -408,16 +443,16 @@ func TestWalkerReuseDoesNotLeakState(t *testing.T) {
 		t.Fatalf("drops = %v", got.Drops)
 	}
 	// And back again.
-	got = w.Behavior(0, pktGood, classify(m, pktGood))
+	got = w.Behavior(s, 0, pktGood, classify(m, pktGood))
 	if !got.Delivered("h2") {
 		t.Fatalf("walker broken after reuse: %v", got)
 	}
 }
 
 func TestBehaviorString(t *testing.T) {
-	n, m, env, _ := fig1Net(t)
+	n, m, _ := fig1Net(t)
 	pkt := []byte{0b10000001}
-	b := n.Behavior(env, n.BoxByName("b1"), pkt, classify(m, pkt))
+	b := walk(n, m, n.BoxByName("b1"), pkt)
 	s := b.String()
 	if s == "" || !b.Delivered("h2") {
 		t.Fatalf("String() = %q", s)
@@ -428,13 +463,14 @@ func TestBehaviorDeterministic(t *testing.T) {
 	// Identical queries must produce identical behaviors (stage 2 is a
 	// pure function of the data plane and the atom) — including edge
 	// order, which downstream fingerprinting relies on.
-	n, m, env, _ := fig1Net(t)
+	n, m, _ := fig1Net(t)
+	s := m.Snapshot()
 	for _, pktByte := range []byte{0b00000001, 0b10000001, 0b11000001} {
 		pkt := []byte{pktByte}
-		leaf := classify(m, pkt)
-		first := n.Behavior(env, 0, pkt, leaf).String()
+		leaf, _ := s.Classify(pkt)
+		first := n.Behavior(s, 0, pkt, leaf).String()
 		for i := 0; i < 10; i++ {
-			if got := n.Behavior(env, 0, pkt, leaf).String(); got != first {
+			if got := n.Behavior(s, 0, pkt, leaf).String(); got != first {
 				t.Fatalf("behavior not deterministic: %q vs %q", got, first)
 			}
 		}
@@ -443,13 +479,13 @@ func TestBehaviorDeterministic(t *testing.T) {
 
 func TestBehaviorIndependentOfCounters(t *testing.T) {
 	// Visit counters must not affect results.
-	n, m, env, _ := fig1Net(t)
+	n, m, _ := fig1Net(t)
 	pkt := []byte{0b10000001}
-	a := n.Behavior(env, 0, pkt, classify(m, pkt)).String()
+	a := walk(n, m, 0, pkt).String()
 	for i := 0; i < 1000; i++ {
 		m.Classify(pkt)
 	}
-	b := n.Behavior(env, 0, pkt, classify(m, pkt)).String()
+	b := walk(n, m, 0, pkt).String()
 	if a != b {
 		t.Fatalf("behavior changed after counter churn: %q vs %q", a, b)
 	}
@@ -464,14 +500,18 @@ func TestHopBudget(t *testing.T) {
 	ids := make([]int, chain)
 	for i := range ids {
 		ids[i] = n.AddBox("", 1)
-		n.Boxes[ids[i]].Ports[0].Fwd = p
 	}
 	for i := 0; i+1 < chain; i++ {
 		n.Boxes[ids[i]].Ports[0].Peer = Dest{Kind: DestBox, Box: ids[i+1], Port: 0}
 	}
-	env := &Env{Source: m, MaxHops: 3}
+	rewire(n, m, func(w *Wiring) {
+		for _, b := range ids {
+			w.SetFwd(b, 0, p)
+		}
+	})
+	n.MaxHops = 3
 	pkt := []byte{0b10000001}
-	b := n.Behavior(env, ids[0], pkt, classify(m, pkt))
+	b := walk(n, m, ids[0], pkt)
 	budget := false
 	for _, d := range b.Drops {
 		if d.Reason == DropHopBudget {

@@ -29,7 +29,7 @@ func TestWarmWalkerDoesNotAllocate(t *testing.T) {
 	var leaf *aptree.Node
 	view := snap.Atoms()
 	view.Each(func(atom int32) bool {
-		b := w.BehaviorPinned(snap, first.Box, nil, view.Leaf(atom))
+		b := w.Behavior(snap, first.Box, nil, view.Leaf(atom))
 		if b.Delivered(last.Name) && len(b.Edges) >= 5 {
 			leaf = view.Leaf(atom)
 		}
@@ -40,7 +40,7 @@ func TestWarmWalkerDoesNotAllocate(t *testing.T) {
 	}
 
 	if allocs := testing.AllocsPerRun(200, func() {
-		w.BehaviorPinned(snap, first.Box, nil, leaf)
+		w.Behavior(snap, first.Box, nil, leaf)
 	}); allocs != 0 {
 		t.Fatalf("warmed Walker allocated %.1f times per walk, want 0", allocs)
 	}

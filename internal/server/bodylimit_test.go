@@ -21,8 +21,6 @@ func TestPostBodyLimits(t *testing.T) {
 	}{
 		{"/query", maxSingleBody},
 		{"/query/batch", maxBatchBody},
-		{"/rules/add", maxSingleBody},
-		{"/rules/remove", maxSingleBody},
 		{"/rules/batch", maxBatchBody},
 		{"/reconstruct", maxSingleBody},
 		{"/checkpoint", maxSingleBody},

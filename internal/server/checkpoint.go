@@ -17,12 +17,12 @@ import (
 // endpoint for operator-forced saves. Call before Handler is serving
 // traffic; the returned runner's Stop is the graceful-shutdown hook.
 //
-// The capture callback takes the server's read lock — the same lock the
-// query handlers hold — because Source reads the dataset and topology
-// wiring, which rule updates rewrite under the write lock. Queries keep
-// flowing during capture; only updates wait, and only for the capture
-// (the encode works off the pinned snapshot and the rule tables
-// CheckpointSource copied, outside any lock).
+// The capture callback takes the server's read lock because Source
+// copies the dataset's rule tables, which rule updates rewrite under the
+// write lock; the wiring and delta cursor come with the pinned snapshot.
+// Queries take no lock and keep flowing; only updates wait, and only for
+// the capture (the encode works off the pinned snapshot and the copied
+// rule tables, outside any lock).
 func (s *Server) EnableCheckpoints(dir *checkpoint.Dir, cfg checkpoint.RunnerConfig) *checkpoint.Runner {
 	s.ckpt = dir
 	return checkpoint.StartRunner(dir, s.c.Manager, s.captureCheckpoint, cfg)

@@ -78,10 +78,10 @@ func TestCheckpointEndpointAndRunner(t *testing.T) {
 
 	// A rule update through the API publishes a new epoch; the runner
 	// must persist it without further prompting.
-	var add map[string]interface{}
-	if code := postJSON(t, ts.URL+"/rules/add",
-		RuleRequest{Box: ds.Boxes[0].Name, Prefix: "240.11.0.0/16", Port: 0}, &add); code != 200 {
-		t.Fatalf("rule add: status %d (%v)", code, add)
+	var add RulesBatchResponse
+	if code := postJSON(t, ts.URL+"/rules/batch",
+		[]RuleDeltaRequest{{Op: opAddFwd, Box: ds.Boxes[0].Name, Prefix: "240.11.0.0/16", Port: 0}}, &add); code != 200 {
+		t.Fatalf("rule add: status %d (%+v)", code, add)
 	}
 	wantEpoch := c.Manager.Version()
 	waitFor(func() bool {

@@ -236,9 +236,8 @@ func (s *Server) handleRulesBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyDeltas resolves wire deltas against the topology and applies them
-// as one update transaction: the one update path behind /rules/batch,
-// /rules/add and /rules/remove. The caller holds s.mu. When ok is false
-// the error response has already been written and nothing was applied.
+// as one update transaction. The caller holds s.mu. When ok is false the
+// error response has already been written and nothing was applied.
 func (s *Server) applyDeltas(w http.ResponseWriter, seq uint64, reqs []RuleDeltaRequest) (applied, ok bool) {
 	deltas := make([]apclassifier.RuleDelta, len(reqs))
 	for i, rq := range reqs {

@@ -195,8 +195,8 @@ func TestRulesBatchValidation(t *testing.T) {
 }
 
 // TestRulesBatchAgainstSingleEndpoints holds a firehose-updated server to
-// the answers of a twin mutated through the single-rule endpoints, over a
-// randomized churn of adds and removes.
+// the answers of a twin mutated one delta per /rules/batch request, over
+// a randomized churn of adds and removes.
 func TestRulesBatchAgainstSingleEndpoints(t *testing.T) {
 	tsA, ds := testServer(t)
 	tsB, _ := testServer(t) // same Seed → identical dataset
@@ -211,15 +211,17 @@ func TestRulesBatchAgainstSingleEndpoints(t *testing.T) {
 				i := rng.Intn(len(installed))
 				parts := strings.SplitN(installed[i], "|", 2)
 				batch = append(batch, RuleDeltaRequest{Op: "remove-fwd", Box: parts[0], Prefix: parts[1]})
-				var rm map[string]bool
-				postJSON(t, tsB.URL+"/rules/remove", RuleRequest{Box: parts[0], Prefix: parts[1]}, &rm)
+				one := []RuleDeltaRequest{batch[len(batch)-1]}
+				if code := postJSON(t, tsB.URL+"/rules/batch", one, &RulesBatchResponse{}); code != 200 {
+					t.Fatalf("twin remove: status %d", code)
+				}
 				installed = append(installed[:i], installed[i+1:]...)
 				continue
 			}
 			prefix := randomProbePrefix(rng)
 			batch = append(batch, RuleDeltaRequest{Op: "add-fwd", Box: box, Prefix: prefix, Port: 0})
-			var add map[string]interface{}
-			if code := postJSON(t, tsB.URL+"/rules/add", RuleRequest{Box: box, Prefix: prefix, Port: 0}, &add); code != 200 {
+			one := []RuleDeltaRequest{batch[len(batch)-1]}
+			if code := postJSON(t, tsB.URL+"/rules/batch", one, &RulesBatchResponse{}); code != 200 {
 				t.Fatalf("twin add: status %d", code)
 			}
 			installed = append(installed, box+"|"+prefix)
@@ -239,7 +241,7 @@ func TestRulesBatchAgainstSingleEndpoints(t *testing.T) {
 			postJSON(t, tsB.URL+"/query", q, &b)
 			// Atom IDs are lineage-local; behaviors must agree.
 			if !equalStrings(a.Delivered, b.Delivered) || !equalStrings(a.Drops, b.Drops) {
-				t.Fatalf("step %d: firehose %+v, single-endpoint %+v for %+v", step, a, b, q)
+				t.Fatalf("step %d: firehose %+v, one-delta batches %+v for %+v", step, a, b, q)
 			}
 		}
 	}

@@ -29,7 +29,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	boxName := ds.Boxes[0].Name
 
 	// Pre-generate probe headers: RandomFields samples the dataset's rule
-	// tables, which the rules/add and rules/remove handlers mutate. The
+	// tables, which the /rules/batch handler mutates. The
 	// dataset is the server's to guard, not the test client's, so draw all
 	// probes before the storm begins.
 	probeRng := rand.New(rand.NewSource(7))
@@ -55,20 +55,20 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 					}
 				case 1: // rule install on a private prefix per worker
 					prefix := fmt.Sprintf("203.%d.%d.0/24", seed, i%250)
-					code := postJSON(t, ts.URL+"/rules/add", RuleRequest{
-						Box: boxName, Prefix: prefix, Port: 0,
-					}, nil)
+					code := postJSON(t, ts.URL+"/rules/batch", []RuleDeltaRequest{{
+						Op: opAddFwd, Box: boxName, Prefix: prefix, Port: 0,
+					}}, nil)
 					if code != 200 {
-						errs <- fmt.Errorf("rules/add status %d", code)
+						errs <- fmt.Errorf("add batch status %d", code)
 						return
 					}
-				case 2: // rule removal (may 404 if not yet added; both are fine)
+				case 2: // rule removal (a no-op if not yet added)
 					prefix := fmt.Sprintf("203.%d.%d.0/24", seed, rng.Intn(250))
-					code := postJSON(t, ts.URL+"/rules/remove", RuleRequest{
-						Box: boxName, Prefix: prefix,
-					}, nil)
-					if code != 200 && code != 404 {
-						errs <- fmt.Errorf("rules/remove status %d", code)
+					code := postJSON(t, ts.URL+"/rules/batch", []RuleDeltaRequest{{
+						Op: opRemoveFwd, Box: boxName, Prefix: prefix,
+					}}, nil)
+					if code != 200 {
+						errs <- fmt.Errorf("remove batch status %d", code)
 						return
 					}
 				case 3: // reconstruction racing the queries

@@ -1,7 +1,7 @@
 // Package server exposes a classifier over HTTP/JSON — the shape in which
 // an SDN controller would embed AP Classifier as a service: behavior
 // queries, live rule updates, reconstruction, and invariant checks, all on
-// one mutexed classifier instance.
+// one classifier instance.
 //
 // Endpoints:
 //
@@ -9,8 +9,6 @@
 //	POST /query                     → {"dst":"10.1.2.3","ingress":"seattle", ...} → behavior
 //	POST /query/batch               → [query, ...] → [behavior, ...] (≤256 per request)
 //	POST /rules/batch[?seq=n]       → [delta, ...] → one epoch per batch (≤256, idempotent via seq)
-//	POST /rules/add                 → {"box":"seattle","prefix":"10.0.0.0/8","port":3}: a batch of one add-fwd
-//	POST /rules/remove              → {"box":"seattle","prefix":"10.0.0.0/8"}: a batch of one remove-fwd (404 if absent)
 //	POST /reconstruct               → {"weighted":false}
 //	POST /checkpoint                → force a checkpoint save (503 if disabled)
 //	GET  /checkpoint/latest         → newest committed checkpoint file (peer bootstrap)
@@ -23,13 +21,14 @@
 //	GET  /debug/trace?n=k           → last k per-query stage traces (JSON)
 //	GET  /debug/pprof/...           → net/http/pprof profiles
 //
-// Queries and stats run concurrently under a read lock: each request
-// resolves one classifier snapshot and answers entirely from that epoch,
-// so classification never waits on another query. The lock exists for
-// the topology, not the classifier — rule updates rewrite port
-// predicate IDs in plain fields, so mutating endpoints (and the
-// verification sweeps, which perform BDD operations on the live DD)
-// take the write lock.
+// /query and /query/batch take no lock: each request pins one classifier
+// snapshot, whose tree and port/ACL wiring are published together, and
+// answers entirely from that epoch; the topology they resolve names
+// against never changes after setup. The /verify/* handlers pin an epoch
+// the same way. The server's mutex guards only the dataset's rule
+// tables, which ApplyRuleDeltas edits in place: /rules/batch and
+// /reconstruct take it for writing, /stats and checkpoint capture for
+// reading.
 package server
 
 import (
@@ -99,9 +98,9 @@ var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // Server wraps a classifier with an HTTP API.
 type Server struct {
-	// mu guards the topology and dataset: read-locked by query/stats
-	// handlers (which pin a classifier snapshot for everything else),
-	// write-locked by rule updates and verification sweeps.
+	// mu guards the dataset's rule tables: write-locked by rule updates
+	// and reconstructions, read-locked by /stats and checkpoint capture.
+	// Queries read only the pinned epoch and the fixed topology.
 	mu sync.RWMutex
 	c  *apclassifier.Classifier
 	ds *netgen.Dataset
@@ -182,8 +181,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("POST /query", s.handleQuery)
 	mux.HandleFunc("POST /query/batch", s.handleQueryBatch)
-	mux.HandleFunc("POST /rules/add", s.handleRuleAdd)
-	mux.HandleFunc("POST /rules/remove", s.handleRuleRemove)
 	mux.HandleFunc("POST /rules/batch", s.handleRulesBatch)
 	mux.HandleFunc("POST /reconstruct", s.handleReconstruct)
 	mux.HandleFunc("POST /checkpoint", s.handleCheckpoint)
@@ -283,8 +280,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"query belongs to shard %d, this worker serves %s", s.part.Shard(req.Ingress, f), s.part)
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	ingress := s.c.Net.BoxByName(req.Ingress)
 	if ingress < 0 {
 		writeErr(w, http.StatusBadRequest, "unknown ingress box %q", req.Ingress)
@@ -377,8 +372,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ingress := make([]int, len(reqs))
 	pkts := make([][]byte, len(reqs))
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for i := range reqs {
 		f, err := reqs[i].fields()
 		if err != nil {
@@ -416,56 +409,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resps)
 }
 
-// RuleRequest is the /rules/{add,remove} payload.
-type RuleRequest struct {
-	Box    string `json:"box"`
-	Prefix string `json:"prefix"`
-	Port   int    `json:"port"` // output port index; -1 = drop (add only)
-}
-
-// handleRuleAdd and handleRuleRemove are /rules/batch with a batch of one:
-// the request becomes a single RuleDeltaRequest and takes the same
-// convert → validate → apply path (see applyDeltas).
-
-func (s *Server) handleRuleAdd(w http.ResponseWriter, r *http.Request) {
-	var req RuleRequest
-	if !s.decodeBody(w, r, maxSingleBody, &req) {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	add := RuleDeltaRequest{Op: opAddFwd, Box: req.Box, Prefix: req.Prefix, Port: req.Port}
-	if _, ok := s.applyDeltas(w, 0, []RuleDeltaRequest{add}); !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"installed": true, "treeVersion": s.c.Manager.Version(),
-		"updatesSinceSwap": s.c.Manager.UpdatesSinceSwap(),
-	})
-}
-
-func (s *Server) handleRuleRemove(w http.ResponseWriter, r *http.Request) {
-	var req RuleRequest
-	if !s.decodeBody(w, r, maxSingleBody, &req) {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Removing an absent prefix is a no-op delta; the endpoint reports it
-	// as 404, told apart by whether the rule count moved.
-	before := s.ds.NumRules()
-	remove := RuleDeltaRequest{Op: opRemoveFwd, Box: req.Box, Prefix: req.Prefix}
-	if _, ok := s.applyDeltas(w, 0, []RuleDeltaRequest{remove}); !ok {
-		return
-	}
-	removed := s.ds.NumRules() < before
-	status := http.StatusOK
-	if !removed {
-		status = http.StatusNotFound
-	}
-	writeJSON(w, status, map[string]bool{"removed": removed})
-}
-
 func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Weighted bool `json:"weighted"`
@@ -491,8 +434,8 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 }
 
 // The verify handlers take no server lock at all: verify.New pins one
-// epoch and clones the topology under the manager's read lock, and every
-// query after that runs against the pinned state. Rule churn through the
+// epoch — tree and wiring in one snapshot — and every query after that
+// runs against the pinned state. Rule churn through the
 // write endpoints proceeds concurrently; the response names the epoch the
 // answer is exact for.
 

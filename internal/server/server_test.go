@@ -137,9 +137,11 @@ func TestRuleLifecycleOverHTTP(t *testing.T) {
 	// Route it to port 0 of box 0 (an edge port on internet2 boxes? port 0
 	// is a link port; either way the rule installs and the behavior
 	// changes deterministically).
-	var addResp map[string]interface{}
-	if code := postJSON(t, ts.URL+"/rules/add", RuleRequest{Box: ds.Boxes[0].Name, Prefix: "240.1.2.3/32", Port: 0}, &addResp); code != 200 {
-		t.Fatalf("add status %d", code)
+	rules := ds.NumRules()
+	add := []RuleDeltaRequest{{Op: opAddFwd, Box: ds.Boxes[0].Name, Prefix: "240.1.2.3/32", Port: 0}}
+	var addResp RulesBatchResponse
+	if code := postJSON(t, ts.URL+"/rules/batch", add, &addResp); code != 200 || !addResp.Applied {
+		t.Fatalf("add: status %d, %+v", code, addResp)
 	}
 	var after QueryResponse
 	postJSON(t, ts.URL+"/query", q, &after)
@@ -147,12 +149,22 @@ func TestRuleLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("rule add had no observable effect: %+v vs %+v", before, after)
 	}
 
-	var rmResp map[string]bool
-	if code := postJSON(t, ts.URL+"/rules/remove", RuleRequest{Box: ds.Boxes[0].Name, Prefix: "240.1.2.3/32"}, &rmResp); code != 200 || !rmResp["removed"] {
-		t.Fatalf("remove failed: %d %v", code, rmResp)
-	}
-	if code := postJSON(t, ts.URL+"/rules/remove", RuleRequest{Box: ds.Boxes[0].Name, Prefix: "240.1.2.3/32"}, &rmResp); code != 404 {
-		t.Fatalf("second remove: status %d", code)
+	// Removing the rule restores the original behavior; removing it again
+	// is a no-op batch that still answers 200.
+	remove := []RuleDeltaRequest{{Op: opRemoveFwd, Box: ds.Boxes[0].Name, Prefix: "240.1.2.3/32"}}
+	for i := 0; i < 2; i++ {
+		var rmResp RulesBatchResponse
+		if code := postJSON(t, ts.URL+"/rules/batch", remove, &rmResp); code != 200 || !rmResp.Applied {
+			t.Fatalf("remove %d: status %d, %+v", i, code, rmResp)
+		}
+		if ds.NumRules() != rules {
+			t.Fatalf("remove %d: %d rules, want %d", i, ds.NumRules(), rules)
+		}
+		var back QueryResponse
+		postJSON(t, ts.URL+"/query", q, &back)
+		if !equalStrings(back.Delivered, before.Delivered) || !equalStrings(back.Drops, before.Drops) {
+			t.Fatalf("remove %d: behavior %+v, want the original %+v", i, back, before)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 )
 
 // naive answers the analyzer's queries the way the analyzer itself used to:
-// one Walker.BehaviorPinned per atom, kept whole, and a predicate scanned
+// one Walker.Behavior per atom, kept whole, and a predicate scanned
 // over the behaviors per query. It shares the pinned epoch with the
 // analyzer under test and nothing of the row, which makes it the oracle
 // the row's indexes are held against.
@@ -31,7 +31,7 @@ func (o *naive) ingress(in int) {
 	}
 	o.from, o.behs = in, map[int32]*network.Behavior{}
 	o.a.view.Each(func(atom int32) bool {
-		o.behs[atom] = o.w.BehaviorPinned(o.a.snap, in, nil, o.a.view.Leaf(atom)).Clone()
+		o.behs[atom] = o.w.Behavior(o.a.snap, in, nil, o.a.view.Leaf(atom)).Clone()
 		return true
 	})
 }

@@ -9,10 +9,11 @@
 // exact packet sets — unions of atoms — rather than samples.
 //
 // The Analyzer is snapshot-native: New pins one classifier epoch (the
-// published snapshot plus a copy of the topology captured atomically with
-// it) and never reads the live Manager again, so concurrent rule-delta
-// batches and reconstructions cannot change its answers and it needs no
-// quiescence. Results are PacketSets: interval-coded atom-ID sets
+// published snapshot, whose tree and port/ACL wiring are one atomic
+// publication) and never reads the live Manager again, so concurrent
+// rule-delta batches and reconstructions cannot change its answers and it
+// needs no quiescence. The topology it walks is the classifier's own: it
+// never changes after setup. Results are PacketSets: interval-coded atom-ID sets
 // interpreted against the pinned epoch.
 package verify
 
@@ -63,14 +64,14 @@ type row struct {
 	blackholes predicate.AtomSet   // atoms with a branch no port matches
 }
 
-// New pins the classifier's published epoch — snapshot and topology
-// captured atomically — and builds an analyzer over it. The classifier
+// New pins the classifier's published epoch — tree and wiring, one
+// snapshot — and builds an analyzer over it. The classifier
 // may keep updating freely; the analyzer's answers describe the pinned
 // epoch. New walks nothing: rows are built by the queries that need them.
 // Networks with middleboxes are rejected (their rewrites depend on
 // concrete headers, not atoms).
 func New(c *apclassifier.Classifier) *Analyzer {
-	snap, net := c.PinForVerify()
+	snap, net := c.Manager.Snapshot(), c.Net
 	hostID := map[string]int{}
 	for _, b := range net.Boxes {
 		if b.MB != nil {
@@ -100,22 +101,22 @@ func (a *Analyzer) Epoch() uint64 { return a.snap.Version() }
 // NumAtoms reports the number of atoms in the pinned epoch.
 func (a *Analyzer) NumAtoms() int { return a.view.N() }
 
-// NumBoxes reports the number of boxes in the pinned topology.
+// NumBoxes reports the number of boxes in the topology.
 //
 //lint:ignore unreached oracle bound: row_test.go sweeps every ingress with it
 func (a *Analyzer) NumBoxes() int { return len(a.net.Boxes) }
 
-// BoxByName resolves a box name against the pinned topology (not the live
-// one, which may gain boxes concurrently). Returns -1 if absent.
+// BoxByName resolves a box name against the topology. Returns -1 if
+// absent.
 func (a *Analyzer) BoxByName(name string) int { return a.net.BoxByName(name) }
 
-// BoxName returns the pinned topology's name for a box ID.
+// BoxName returns the topology's name for a box ID.
 func (a *Analyzer) BoxName(i int) string { return a.net.Boxes[i].Name }
 
-// newWalker returns a traverser over the pinned topology and epoch. One
-// per goroutine; the analyzer itself holds none.
+// newWalker returns a traverser over the topology. One per goroutine;
+// the analyzer itself holds none.
 func (a *Analyzer) newWalker() *network.Walker {
-	return network.NewWalker(a.net, &network.Env{Source: a.snap})
+	return network.NewWalker(a.net)
 }
 
 // row returns the ingress's row, building it on first use with the
@@ -163,7 +164,7 @@ func (a *Analyzer) buildRow(w *network.Walker, ingress int) *row {
 	traverses := make([]atomAcc, len(a.net.Boxes))
 	var anyHost, loops, blackholes atomAcc
 	a.view.Each(func(atom int32) bool {
-		b := w.BehaviorPinned(a.snap, ingress, nil, a.view.Leaf(atom))
+		b := w.Behavior(a.snap, ingress, nil, a.view.Leaf(atom))
 		for _, d := range b.Deliveries {
 			delivered[a.hostID[d.Host]].add(atom)
 			anyHost.add(atom)

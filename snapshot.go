@@ -8,9 +8,10 @@ import (
 
 // Snapshot is one immutable epoch of the classifier, pinned at the
 // moment Classifier.Snapshot was called. Every query method answers
-// against that epoch — the same AP Tree, BDD view and predicate
-// liveness — no matter how many updates or reconstructions the live
-// classifier absorbs afterwards, and none of them takes a lock.
+// against that epoch — the same AP Tree, BDD view, predicate liveness
+// and port/ACL wiring — no matter how many rule-delta batches or
+// reconstructions the live classifier absorbs afterwards, and none of
+// them takes a lock.
 //
 // Use a Snapshot when a batch of queries must be mutually consistent
 // (an invariant sweep, a /stats report), or simply to amortize the one
@@ -19,9 +20,9 @@ import (
 // reclaimed by Go's GC once the last snapshot referencing it is
 // dropped.
 //
-// Topology is not part of the snapshot: rule updates that rewire port
-// predicate IDs still require external synchronization with in-flight
-// queries, exactly as Classifier documents.
+// The wiring is published with the tree, so a batch that makes a port
+// start or stop forwarding, or sets an ACL, shows in a snapshot whole or
+// not at all; the rest of the topology never changes after setup.
 type Snapshot struct {
 	c *Classifier
 	s *aptree.Snapshot
