@@ -48,10 +48,17 @@ FUZZ_TIME ?= 5s
 # small scale, short enough for CI.
 FLAT_DUR := 100ms
 
-.PHONY: build test vet lint race apdebug bench-smoke bench-gate bench-flat cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke cli-smoke no-orphans check
+.PHONY: build fmt test vet lint race apdebug bench-smoke bench-gate bench-flat cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke cli-smoke no-orphans check
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails when gofmt would reformat a file or cannot parse
+# it. The lint fixtures under internal/lint/testdata are exempt: they are
+# inputs the analyzers are tested on, kept as written.
+fmt:
+	@out=$$(gofmt -l . 2>&1 | grep -v '^internal/lint/testdata/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -168,6 +175,6 @@ no-orphans:
 		echo "the processes above outlived the gates that started them"; exit 1; \
 	fi
 
-check: build vet test lint race apdebug bench-smoke bench-gate bench-flat checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke cli-smoke cover
+check: build fmt vet test lint race apdebug bench-smoke bench-gate bench-flat checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke cli-smoke cover
 	@$(MAKE) --no-print-directory no-orphans
 	@echo "all gates passed"

@@ -184,6 +184,12 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 	// garbage collected again (the GC-at-swap rule; see bdd.View).
 	d.GC()
 	c.Manager = aptree.NewManagerWith(d, reg, tree, opts.Method, wiring)
+	// Index every table once, for the rule changes to come. After the
+	// build, so the tree, the DD and the flat core are laid out in the
+	// heap as they would be without it.
+	for bi := range ds.Boxes {
+		ds.Boxes[bi].Fwd.Index()
+	}
 	return c, nil
 }
 

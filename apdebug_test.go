@@ -140,3 +140,34 @@ func TestApdebugWiringCheck(t *testing.T) {
 	}()
 	c.debugCheckWiring()
 }
+
+// TestApdebugRederiveCatchesStalePredicate drives the apdebug
+// re-derivation: a rule whose output port is changed behind the
+// classifier's back leaves the box's forwarding predicates stale, and the
+// next batch that edits that box must panic at the whole-table
+// re-derivation instead of publishing the stale epoch.
+func TestApdebugRederiveCatchesStalePredicate(t *testing.T) {
+	ds := netgen.Internet2Like(netgen.Config{Seed: 52, RuleScale: 0.01})
+	c, err := New(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &ds.Boxes[1]
+	longest := 0
+	for i, r := range spec.Fwd.Rules {
+		if r.Prefix.Length > spec.Fwd.Rules[longest].Prefix.Length {
+			longest = i
+		}
+	}
+	r := &spec.Fwd.Rules[longest]
+	r.Port = (r.Port + 1) % spec.NumPorts
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "re-derivation") {
+			t.Fatalf("a stale forwarding predicate was published (recovered %q)", msg)
+		}
+	}()
+	err = c.ApplyRuleDeltas([]RuleDelta{{Op: OpAddFwdRule, Box: 1,
+		Rule: rule.FwdRule{Prefix: rule.P(0xF0000000, 8), Port: rule.Drop}}})
+	t.Fatalf("ApplyRuleDeltas returned %v instead of panicking", err)
+}

@@ -14,6 +14,7 @@ import (
 
 	apclassifier "apclassifier"
 	"os"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -475,4 +476,31 @@ func popcount(x uint64) int {
 		n++
 	}
 	return n
+}
+
+// BenchmarkRuleDelta times single-rule deltas on Internet2 ×1.0: the
+// 3,000-step program of RuleDeltaProgram (a more-specific child installed
+// on a different port, the oldest of nine installed children removed),
+// replayed in order and cycled when b.N exceeds it, one ApplyRuleDeltas
+// per step. ns/op is per delta; p50-ns/delta is the median, which the
+// first step after a cold build and the occasional GC pause do not move.
+func BenchmarkRuleDelta(b *testing.B) {
+	cfg := netgen.Config{Seed: 1, RuleScale: 1.0}
+	c, err := apclassifier.New(netgen.Internet2Like(cfg), apclassifier.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, _ := apclassifier.RuleDeltaProgram(cfg, 7, 3000)
+	lat := make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		if err := c.ApplyRuleDeltas(prog[i%len(prog)]); err != nil {
+			b.Fatal(err)
+		}
+		lat[i] = time.Since(start)
+	}
+	b.StopTimer()
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds()), "p50-ns/delta")
 }

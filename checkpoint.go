@@ -35,14 +35,15 @@ func (c *Classifier) CheckpointSource() *checkpoint.Source {
 // copyRuleTables returns a dataset that shares everything immutable with
 // ds (layout, links, hosts, installed ACL objects, which updates replace
 // and never edit) and owns what ApplyRuleDeltas rewrites in place: each
-// box's rule slice (FwdTable.Remove compacts it) and port-ACL map. The
+// box's forwarding table (a remove compacts the rule slice, and every
+// edit moves entries of its prefix index) and port-ACL map. The
 // checkpoint runner encodes outside the server lock; handing it the live
 // tables let a checkpoint taken under churn persist a torn rule table.
 func copyRuleTables(ds *netgen.Dataset) *netgen.Dataset {
 	cp := *ds
 	cp.Boxes = make([]netgen.BoxSpec, len(ds.Boxes))
 	for i, b := range ds.Boxes {
-		b.Fwd.Rules = append([]rule.FwdRule(nil), b.Fwd.Rules...)
+		b.Fwd = b.Fwd.Clone()
 		acls := make(map[int]*rule.ACL, len(b.PortACL))
 		for port, acl := range b.PortACL {
 			acls[port] = acl
@@ -73,6 +74,7 @@ func NewFromRestored(res *checkpoint.Restored) (*Classifier, error) {
 		Net:     network.New(),
 	}
 	for bi := range ds.Boxes {
+		ds.Boxes[bi].Fwd.Index()
 		if w.NumPorts(bi) != ds.Boxes[bi].NumPorts {
 			return nil, fmt.Errorf("apclassifier: checkpoint wires %d ports on box %q, dataset has %d",
 				w.NumPorts(bi), ds.Boxes[bi].Name, ds.Boxes[bi].NumPorts)

@@ -226,6 +226,7 @@ func (c *Classifier) ApplyRuleDeltasSeq(seq uint64, deltas []RuleDelta) (applied
 				w.SetOutACL(op.box, op.port, id)
 			}
 		}
+		c.debugCheckRederive(tx, w, boxes)
 		tx.SetData(w)
 	})
 	c.debugCheckWiring()

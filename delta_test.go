@@ -95,6 +95,86 @@ func TestRuleDeltaWorkIsLocal(t *testing.T) {
 	}
 }
 
+// TestRuleDeltaReadsAndEmitsLocally pins the two costs around the tree in
+// exact counts, on the same 200-delta Internet2 ×0.2 program: rule-table
+// entries read per delta (apc_rule_entries_examined_total) and flat nodes
+// planned and emitted per publish (apc_flat_nodes_emitted_total). The
+// slice scans the prefix index replaced read the whole box table twice per
+// add (the covering rules, the rules overlapping the cone) and three times
+// per remove (the compaction too); the test derives that count from the
+// table sizes and requires the index to read at least 50× less (it reads
+// about 95× less). A publish
+// that recompiled the whole flat core emitted every node; the incremental
+// one must emit at least 10× fewer.
+func TestRuleDeltaReadsAndEmitsLocally(t *testing.T) {
+	cfg := netgen.Config{Seed: 1, RuleScale: 0.2}
+	c, err := New(netgen.Internet2Like(cfg), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _ := ruleDeltaProgram(cfg, 7, 200)
+	examined := obs.Default.Counter("apc_rule_entries_examined_total", "")
+	emitted := obs.Default.Counter("apc_flat_nodes_emitted_total", "")
+	publishes := obs.Default.Counter("apc_aptree_snapshot_publishes_total", "")
+	ex0, em0, pub0 := examined.Value(), emitted.Value(), publishes.Value()
+	var scans, nodes uint64
+	for i, batch := range prog {
+		tbl := &c.Dataset.Boxes[batch[0].Box].Fwd
+		before := uint64(len(tbl.Rules))
+		if err := c.ApplyRuleDeltas(batch); err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		// Add: covering rules before, overlapping rules after. Remove:
+		// the compaction, then covering and overlapping rules after.
+		after := uint64(len(tbl.Rules))
+		if batch[0].Op == OpAddFwdRule {
+			scans += before + after
+		} else {
+			scans += before + 2*after
+		}
+		nodes += uint64(c.Manager.Snapshot().Flat().Stats().Nodes)
+	}
+	reads, emits, pubs := examined.Value()-ex0, emitted.Value()-em0, publishes.Value()-pub0
+	t.Logf("%d deltas: %d rule entries read (scans: %d), %d publishes: %d flat nodes emitted of %d published",
+		len(prog), reads, scans, pubs, emits, nodes)
+	if pubs != uint64(len(prog)) {
+		t.Fatalf("%d publishes for %d deltas", pubs, len(prog))
+	}
+	if reads*50 > scans {
+		t.Errorf("%d rule entries read, want ≤ %d (a fiftieth of the scans' %d)", reads, scans/50, scans)
+	}
+	if emits*10 > nodes {
+		t.Errorf("%d flat nodes emitted, want ≤ %d (a tenth of the %d published)", emits, nodes/10, nodes)
+	}
+}
+
+// TestFlatPlannerStaysBounded runs the 3,000-delta program on Internet2
+// without a Reconstruct. Every Replace mints a predicate ref, and the flat
+// planner caches a lowering plan per ref it has seen; it must drop the
+// plans of refs no live predicate holds, so that after the program it
+// holds at most twice as many plans as there are live predicates. The
+// refs a delta mints do not depend on the table size, so ×0.02 keeps the
+// apdebug build, which re-derives every edited table whole, quick.
+func TestFlatPlannerStaysBounded(t *testing.T) {
+	cfg := netgen.Config{Seed: 1, RuleScale: 0.02}
+	c, err := New(netgen.Internet2Like(cfg), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _ := ruleDeltaProgram(cfg, 7, 3000)
+	for i, batch := range prog {
+		if err := c.ApplyRuleDeltas(batch); err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+	}
+	plans := obs.Default.Gauge("apc_flat_plans", "").Value()
+	live := c.Manager.NumLive()
+	t.Logf("after %d deltas: %d plans cached, %d live predicates", len(prog), plans, live)
+	if plans > int64(2*live) {
+		t.Errorf("%d plans cached for %d live predicates, want ≤ %d", plans, live, 2*live)
+	}
+}
+
 // TestApplyRuleDeltasTornBatch holds ApplyRuleDeltas to its contract that
 // an error means no mutation: a batch whose second delta cannot be applied
 // — a port ACL set on a box whose PortACL map was dropped behind the

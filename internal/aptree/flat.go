@@ -38,8 +38,26 @@ type Flat struct {
 	// apdebug build asserts a snapshot never serves a flat form compiled for
 	// another epoch's tree (see Snapshot.debugCheckFlat).
 	src *Node
+	// from[i] is the pointer-tree node flat node i was compiled from: the
+	// next publish finds an unchanged subtree's node run through it.
+	from []*Node
 
 	maskNodes, cubeNodes, fallbackNodes int
+	// emitted counts the nodes this build planned and emitted, not copied
+	// from the previous epoch's flat form.
+	emitted int
+}
+
+// count tallies one node of the given kind.
+func (f *Flat) count(kind uint8) {
+	switch kind {
+	case flatMask:
+		f.maskNodes++
+	case flatCubes:
+		f.cubeNodes++
+	default:
+		f.fallbackNodes++
+	}
 }
 
 // flatNode is one internal tree node, 40 bytes. kids[b] is the next node

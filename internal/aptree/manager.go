@@ -123,17 +123,24 @@ func NewManagerWith(d *bdd.DD, reg *Registry, tree *Tree, method Method, data an
 
 // publishLocked captures the current tree, DD, liveness set and owner
 // data into a fresh immutable Snapshot and stores it for the lock-free
-// query path.
+// query path. The flat core is compiled against the previous epoch's: only
+// what the update changed is planned and emitted (see compileFlat).
 // Callers must hold m.mu (or be a constructor with exclusive access).
 func (m *Manager) publishLocked() {
 	view := m.d.Freeze()
+	var prev *Flat
 	if m.flatPlans == nil || m.flatPlans.d != m.d {
 		m.flatPlans = newFlatPlanner(m.d)
+	} else if s := m.snap.Load(); s != nil {
+		prev = s.flat // same DD lineage: its refs mean the same here
 	}
 	start := time.Now()
-	flat := compileFlat(m.tree, view, m.flatPlans)
+	flat := compileFlat(m.tree, view, m.flatPlans, prev)
 	mFlatBuildDur.Record(time.Since(start).Seconds())
+	m.flatPlans.trim(m.reg)
+	mFlatPlans.Set(int64(len(m.flatPlans.plans)))
 	mFlatBuilds.Inc()
+	mFlatEmitted.Add(uint64(flat.emitted))
 	st := flat.Stats()
 	mFlatNodes.Set(int64(st.Nodes))
 	mFlatBytes.Set(int64(st.Bytes))

@@ -41,6 +41,10 @@ var (
 	// the pointer descent, records nothing.
 	mFlatBuilds = obs.Default.Counter("apc_flat_builds_total",
 		"Flat classify cores compiled (one per snapshot publication).")
+	mFlatEmitted = obs.Default.Counter("apc_flat_nodes_emitted_total",
+		"Flat nodes planned and emitted by publishes; a subtree copied from the previous epoch's flat core is not counted.")
+	mFlatPlans = obs.Default.Gauge("apc_flat_plans",
+		"Predicate lowering plans the flat planner caches after the latest publish.")
 	mFlatBuildDur = obs.Default.Histogram("apc_flat_build_duration_seconds",
 		"Wall time to compile one epoch's flat classify core.", obs.DefBuckets)
 	mFlatNodes = obs.Default.Gauge("apc_flat_nodes",

@@ -60,9 +60,15 @@ type Node struct {
 	Depth int32 // number of predicates evaluated to reach this node
 
 	// Leaf payload.
-	AtomID int32            // tree-local atom identifier
-	BDD    bdd.Ref          // the atom: conjunction of decisions on the path
-	Member predicate.Bitset // bit j set iff this atom implies predicate j
+	AtomID int32   // tree-local atom identifier
+	BDD    bdd.Ref // the atom: conjunction of decisions on the path
+	// compiled is set by the first flat compile that emits this internal
+	// node, before the snapshot holding it is published, and never
+	// cleared: a node without it is new since the last publish, and
+	// compileFlat plans it without looking for it in the previous flat
+	// form. It sits in padding, so Node stays 64 bytes.
+	compiled bool
+	Member   predicate.Bitset // bit j set iff this atom implies predicate j
 }
 
 // IsLeaf reports whether n is a leaf.

@@ -23,11 +23,11 @@ func FuzzLoad(f *testing.F) {
 	f.Add(buf.Bytes()[:7])                  // truncated header
 	f.Add([]byte("BDD1"))
 	f.Add([]byte("XYZ1\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
-	f.Add(stream(8, 1, 1, 9, 0, 1, 2))            // level out of range
-	f.Add(stream(8, 1, 0, 0, 1, 1))               // redundant node
-	f.Add(stream(8, 2, 0, 2, 0, 1, 2, 2, 1))      // non-increasing level
-	f.Add(stream(8, ^uint32(0), 0))               // hostile node count
-	f.Add(stream(8, 0, ^uint32(0)))               // hostile root count
+	f.Add(stream(8, 1, 1, 9, 0, 1, 2))       // level out of range
+	f.Add(stream(8, 1, 0, 0, 1, 1))          // redundant node
+	f.Add(stream(8, 2, 0, 2, 0, 1, 2, 2, 1)) // non-increasing level
+	f.Add(stream(8, ^uint32(0), 0))          // hostile node count
+	f.Add(stream(8, 0, ^uint32(0)))          // hostile root count
 	f.Fuzz(func(t *testing.T, in []byte) {
 		d := New(8)
 		roots, err := d.Load(bytes.NewReader(in))

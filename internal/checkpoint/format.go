@@ -150,7 +150,7 @@ type sectionWriter struct {
 	b []byte
 }
 
-func (s *sectionWriter) u8(v byte)  { s.b = append(s.b, v) }
+func (s *sectionWriter) u8(v byte) { s.b = append(s.b, v) }
 func (s *sectionWriter) u32(v uint32) {
 	s.b = binary.LittleEndian.AppendUint32(s.b, v)
 }

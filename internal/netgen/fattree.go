@@ -20,10 +20,10 @@ import (
 // vehicle for the verification engine: the Large preset exceeds 1000
 // boxes and 100k forwarding rules.
 type FatTreeConfig struct {
-	Pods        int
-	EdgePerPod  int
-	AggPerPod   int
-	Core        int // must be a multiple of AggPerPod
+	Pods         int
+	EdgePerPod   int
+	AggPerPod    int
+	Core         int // must be a multiple of AggPerPod
 	HostsPerEdge int
 	// InjectLoop, when set, adds a deliberately broken route pair: the
 	// first edge switch and first aggregation switch of pod 0 bounce

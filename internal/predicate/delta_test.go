@@ -2,6 +2,8 @@ package predicate
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"apclassifier/internal/bdd"
@@ -138,6 +140,88 @@ func TestDeltaPortPredicatesBatched(t *testing.T) {
 			if preds[p] != want[p] {
 				t.Fatalf("round %d: port %d predicate diverges from full recompute", round, p)
 			}
+		}
+	}
+}
+
+// scanDeltaPortPredicates is DeltaPortPredicates as it was before the
+// rule table had a prefix index: the rules overlapping a cone region are
+// found by a scan of the whole table and ordered by a stable sort on
+// prefix length. It is the oracle the indexed version is held to.
+func scanDeltaPortPredicates(d *bdd.DD, t *rule.FwdTable, cones []rule.Cone, numPorts int, old func(int) bdd.Ref) []PortPredicateDelta {
+	var idx []int
+	for i, r := range t.Rules {
+		for _, c := range cones {
+			if r.Prefix.Contains(c.Region) || c.Region.Contains(r.Prefix) {
+				idx = append(idx, i)
+				break
+			}
+		}
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return t.Rules[idx[a]].Prefix.Length > t.Rules[idx[b]].Prefix.Length })
+	region := ConeRegion(d, header.IPv4Dst, "dstIP", cones)
+	within := make([]bdd.Ref, numPorts)
+	shadow := bdd.False
+	for _, ri := range idx {
+		r := t.Rules[ri]
+		match := d.And(PrefixBDD(d, header.IPv4Dst, "dstIP", r.Prefix), region)
+		if eff := d.Diff(match, shadow); r.Port != rule.Drop {
+			within[r.Port] = d.Or(within[r.Port], eff)
+		}
+		shadow = d.Or(shadow, match)
+	}
+	ports := map[int]bool{}
+	for _, c := range cones {
+		for _, p := range c.Ports {
+			ports[p] = true
+		}
+	}
+	var out []PortPredicateDelta
+	for p := 0; p < numPorts; p++ {
+		if !ports[p] {
+			continue
+		}
+		prev := old(p)
+		if next := d.Or(d.Diff(prev, region), within[p]); next != prev {
+			out = append(out, PortPredicateDelta{Port: p, Old: prev, New: next})
+		}
+	}
+	return out
+}
+
+// TestDeltaPortPredicatesMatchesScan holds the indexed DeltaPortPredicates
+// to the scan it replaced, ref for ref, on random tables with duplicate
+// prefixes, /0 and /32 rules and Drop rules, under batches of cone edits.
+func TestDeltaPortPredicatesMatchesScan(t *testing.T) {
+	const numPorts = 4
+	rng := rand.New(rand.NewSource(53))
+	prefix := func() rule.Prefix {
+		length := []int{0, 2, 4, 8, 12, 16, 24, 32}[rng.Intn(8)]
+		return rule.P(rng.Uint32()&0xC0F000FF, length)
+	}
+	for trial := 0; trial < 10; trial++ {
+		d := bdd.New(32)
+		var tbl rule.FwdTable
+		for i := 0; i < 40; i++ {
+			tbl.Add(rule.FwdRule{Prefix: prefix(), Port: rng.Intn(numPorts+1) - 1})
+		}
+		preds := PortPredicates(d, header.IPv4Dst, "dstIP", &tbl, numPorts)
+		for round := 0; round < 30; round++ {
+			var cones []rule.Cone
+			for k := 0; k < 1+rng.Intn(3); k++ {
+				if rng.Intn(2) == 0 || len(tbl.Rules) == 0 {
+					cones = append(cones, tbl.AddWithCone(rule.FwdRule{Prefix: prefix(), Port: rng.Intn(numPorts+1) - 1}))
+				} else if c, ok := tbl.RemoveWithCone(tbl.Rules[rng.Intn(len(tbl.Rules))].Prefix); ok {
+					cones = append(cones, c)
+				}
+			}
+			old := func(p int) bdd.Ref { return preds[p] }
+			got := DeltaPortPredicates(d, header.IPv4Dst, "dstIP", &tbl, cones, numPorts, old)
+			want := scanDeltaPortPredicates(d, &tbl, cones, numPorts, old)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d round %d: indexed %v, scan %v", trial, round, got, want)
+			}
+			applyDeltas(preds, got)
 		}
 	}
 }

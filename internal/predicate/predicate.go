@@ -77,8 +77,11 @@ type PortPredicateDelta struct {
 // the cone regions are determined by the rules overlapping those regions
 // alone, so the shadow walk of PortPredicates is replayed with every match
 // intersected with the region union, and each changed predicate is stitched
-// as (old minus region) or (winners within region). Ports outside the cones'
-// port sets are untouched by the rule.Cone contract and are never even read.
+// as (old minus region) or (winners within region). The table's prefix
+// index yields those rules — the ones containing a region and the ones a
+// region contains — without reading the rest of the table. Ports outside
+// the cones' port sets are untouched by the rule.Cone contract and are
+// never even read.
 func DeltaPortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *rule.FwdTable, cones []rule.Cone, numPorts int, old func(port int) bdd.Ref) []PortPredicateDelta {
 	// Candidate ports form an interval-coded set: cone port lists are
 	// dense index runs, so the set stays a few intervals no matter how
@@ -106,7 +109,7 @@ func DeltaPortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *r
 	}
 	shadow := bdd.False
 	// A rule missing every region has match ∧ region = False, so only the
-	// overlapping rules are sorted and walked; skipping the rest is exact.
+	// overlapping rules are walked; skipping the rest is exact.
 	for _, ri := range t.OverlappingByDescendingLength(regions) {
 		r := t.Rules[ri]
 		match := d.And(PrefixBDD(d, layout, dstField, r.Prefix), region)
