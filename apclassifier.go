@@ -36,7 +36,6 @@ import (
 	"apclassifier/internal/header"
 	"apclassifier/internal/netgen"
 	"apclassifier/internal/network"
-	"apclassifier/internal/obs"
 	"apclassifier/internal/predicate"
 	"apclassifier/internal/rule"
 )
@@ -78,10 +77,6 @@ type Classifier struct {
 	Manager *aptree.Manager
 	Net     *network.Network
 	Dataset *netgen.Dataset
-
-	// sink, when non-nil, receives per-query stage traces from Behavior
-	// and BehaviorWith; see SetTraceSink for the hook contract.
-	sink atomic.Pointer[obs.TraceRing]
 
 	// bcache is the behavior cache of the currently published epoch,
 	// installed lazily by the first query of each epoch and keyed to its
@@ -250,9 +245,6 @@ func (c *Classifier) Classify(pkt header.Packet) *aptree.Node {
 // behavior may be that shared cached value and must be treated as
 // read-only.
 func (c *Classifier) Behavior(ingress int, pkt header.Packet) *network.Behavior {
-	if ring := c.sink.Load(); ring != nil {
-		return c.traceQuery(ring, nil, ingress, pkt)
-	}
 	s := c.Manager.Snapshot()
 	leaf, _ := s.Classify(pkt)
 	return c.behaviorVia(c.cacheFor(s), nil, s, ingress, pkt, leaf, false)
@@ -322,9 +314,6 @@ func (c *Classifier) NewWalker() *network.Walker {
 // the Walker's next query (cache hits return the longer-lived shared
 // behavior, but callers should assume the Walker-scratch lifetime).
 func (c *Classifier) BehaviorWith(w *network.Walker, ingress int, pkt header.Packet) *network.Behavior {
-	if ring := c.sink.Load(); ring != nil {
-		return c.traceQuery(ring, w, ingress, pkt)
-	}
 	s := c.Manager.Snapshot()
 	leaf, _ := s.Classify(pkt)
 	return c.behaviorVia(c.cacheFor(s), w, s, ingress, pkt, leaf, false)

@@ -1,14 +1,17 @@
 //go:build apdebug
 
-// Debug-tagged wrappers: with -tags apdebug every Build and AddPredicate
-// already self-checks the leaf partition via debugCheckPartition; these
-// tests drive construction, live splicing and reconstruction through that
-// path and call CheckLeafPartition directly so failures surface as test
-// errors with context.
+// Debug-tagged wrappers: with -tags apdebug every Build and ReplacePredicate
+// already self-checks the leaf partition via debugCheckPartition, and every
+// ReplacePredicate the updated predicate's membership bits via
+// debugCheckMember; these tests drive construction, live updates and
+// reconstruction through that path and call CheckLeafPartition directly so
+// failures surface as test errors with context.
 package aptree
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"apclassifier/internal/bdd"
@@ -77,4 +80,27 @@ func TestApdebugRestoreRejectsWrongMembership(t *testing.T) {
 	if _, err := RestoreTree(d, &Node{Pred: 0, T: leaf(0, p, false), F: leaf(1, np, false)}, []bdd.Ref{p}, 2); err == nil {
 		t.Fatal("RestoreTree accepted a leaf whose membership bit contradicts its predicate")
 	}
+}
+
+// TestApdebugReplaceRejectsShortRegion passes ReplacePredicate a region
+// that misses part of old ⊕ new: predicate 0 moves from the top half of
+// the header space to the bottom half, but the region names only the
+// bottom half. The leaf in the top half keeps its stale bit, the partition
+// stays intact, and only the membership check can see the fault.
+func TestApdebugReplaceRejectsShortRegion(t *testing.T) {
+	d := bdd.New(8)
+	top := d.Retain(d.FromPrefix(0, 0x80, 1, 8))
+	bottom := d.Retain(d.FromPrefix(0, 0x00, 1, 8))
+	tree := Build(Input{D: d, Atoms: predicate.Compute(d, nil)}, MethodOrder)
+	tree = tree.ReplacePredicate(0, top, top)
+	if nt := tree.ReplacePredicate(0, bottom, d.Xor(top, bottom)); nt.Validate([]int32{0}) != nil {
+		t.Fatal("an exact region must leave the tree valid")
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "membership violation") {
+			t.Fatalf("short region: recovered %q, want the membership check's panic", msg)
+		}
+	}()
+	tree.ReplacePredicate(0, bottom, bottom)
 }

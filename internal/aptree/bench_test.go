@@ -56,7 +56,7 @@ func BenchmarkAddPredicate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := d.FromPrefix(0, uint64(rng.Uint32()), 8+rng.Intn(17), 32)
-		tree = tree.AddPredicate(int32(len(in.Preds)+i), d.Retain(p))
+		tree = addPred(tree, int32(len(in.Preds)+i), d.Retain(p))
 	}
 }
 

@@ -21,84 +21,70 @@ type DeltaStats struct {
 // zero reports whether the transaction did no structural delta work.
 func (s DeltaStats) zero() bool { return s == DeltaStats{} }
 
-// RemovePredicate physically removes predicate id from the tree — the dual
-// of AddPredicate: every node routing on id is eliminated and the sibling
-// leaves its removal leaves indistinguishable are merged back into one atom
-// (disjunction of their BDDs), restoring the coarsest partition for the
-// shrunken predicate set. Like AddPredicate the update is persistent: the
-// receiver is untouched, unchanged subtrees are shared by pointer, and no
-// BDD reference is released before the epoch boundary. Removing an ID the
-// tree never placed — including one registered with the empty predicate
-// bdd.False, as an all-deny ACL is — returns the receiver unchanged.
-func (t *Tree) RemovePredicate(id int32) *Tree {
-	var st DeltaStats
-	return t.removePredicate(id, &st)
-}
-
-func (t *Tree) removePredicate(id int32, st *DeltaStats) *Tree {
-	if int(id) >= len(t.preds) || t.preds[id] == bdd.False {
-		// Never placed, or an empty predicate (an all-deny ACL registers
-		// bdd.False): no leaf carries the bit and no node routes on the ID,
-		// so removal is structurally a no-op and the version is shared.
-		return t
-	}
-	nt := t.successor(id)
-	nt.preds[id] = bdd.False
-	nt.root = nt.removeRec(t.root, id, st)
-	nt.visits.grow(int(nt.nextAtom))
-	nt.debugCheckPartition()
-	return nt
-}
-
-// removeRec returns the updated version of n with predicate id removed,
-// sharing n whenever the subtree carries no trace of id.
-func (t *Tree) removeRec(n *Node, id int32, st *DeltaStats) *Node {
-	if n.IsLeaf() {
-		if !n.Member.Get(int(id)) {
-			return n
-		}
-		m := n.Member.Clone(len(t.preds))
-		m.Set(int(id), false)
-		st.TouchedLeaves++
-		return &Node{Pred: -1, Depth: n.Depth, AtomID: n.AtomID, BDD: n.BDD, Member: m}
-	}
-	if n.Pred != id {
-		nt, nf := t.removeRec(n.T, id, st), t.removeRec(n.F, id, st)
-		if nt == n.T && nf == n.F {
-			return n
-		}
-		return &Node{Pred: n.Pred, Depth: n.Depth, T: nt, F: nf}
-	}
-	// The router on id disappears; its two subtrees (already cleansed of
-	// bit id) cover complementary halves of the region reaching n and are
-	// merged into one subtree at n's depth.
-	return t.merge(t.removeRec(n.T, id, st), t.removeRec(n.F, id, st), n.Depth, st)
-}
-
-// ReplacePredicate swaps predicate id's BDD for p in place, keeping the ID,
-// given a region that holds every header whose membership in id changes
-// (old ⊕ p ⊆ region). It is the local form of RemovePredicate followed by
-// AddPredicate: the descent enters only subtrees whose header space meets
-// the region, so a leaf disjoint from it keeps its bit and stays shared by
-// pointer; a leaf that meets it is re-tested against p and sets its bit,
-// clears it, or splits; and a router on id with a changed leaf below
+// ReplacePredicate moves predicate id from its current BDD (bdd.False for
+// an ID the tree has not placed) to p, keeping the ID, given a region that
+// holds every header whose membership in id changes (old ⊕ p ⊆ region). It
+// is the tree's one real-time update (§VI-A): Tx.Add places a fresh ID as
+// False → p over p, Tx.Remove unplaces one as old → False over old, and
+// Tx.Replace moves one over the caller's region, for a rule change the LPM
+// cone rather than the whole header space. The descent enters only
+// subtrees whose header space meets the region, so a leaf disjoint from it
+// keeps its bit and stays shared by pointer; a leaf that meets it is
+// re-tested against p and sets its bit, clears it, or splits into a router
+// on id over two fresh leaves; and a router on id with a changed leaf below
 // regroups its sides by p through merge, which fuses the leaves id alone
-// used to separate, so the partition stays the coarsest. An old predicate of bdd.False places
-// p as AddPredicate would, and p = bdd.False unplaces id as RemovePredicate
-// would. The update is persistent like both.
+// used to separate, so the partition stays the coarsest one for the
+// current predicate set. When the slot already holds p, the receiver is
+// returned.
+//
+// The update is persistent: the receiver is left untouched and a new *Tree
+// is returned, sharing every unchanged subtree with the old version by
+// pointer. A published snapshot of the old tree therefore keeps
+// classifying against the old predicate set while the manager republishes
+// the new one — this is what makes the lock-free query path possible.
+// Shared leaves outside a newly placed predicate keep their shorter
+// membership vectors, which read bit id as clear (see predicate.Bitset.Get).
+//
+// No BDD reference is released: the old version may still be pinned by a
+// snapshot, and all references of an epoch die together when Reconstruct
+// swaps in a fresh DD. Because of this transfer of release responsibility
+// to the epoch boundary, Drop must not be used on a lineage that has seen
+// an update; the manager never does.
 func (t *Tree) ReplacePredicate(id int32, p, region bdd.Ref) *Tree {
 	var st DeltaStats
 	return t.replacePredicate(id, p, region, &st)
 }
 
 func (t *Tree) replacePredicate(id int32, p, region bdd.Ref, st *DeltaStats) *Tree {
+	if int(id) < len(t.preds) && t.preds[id] == p {
+		return t
+	}
 	nt := t.successor(id)
 	old := nt.preds[id]
 	nt.preds[id] = p
 	nt.root = nt.replaceRec(t.root, id, old, p, region, region, st)
 	nt.visits.grow(int(nt.nextAtom))
 	nt.debugCheckPartition()
+	nt.debugCheckMember(id)
 	return nt
+}
+
+// successor returns the next persistent version's shell: counters and the
+// visit store carried over, its own copy of the predicate table grown to
+// hold id. The caller installs the new root.
+func (t *Tree) successor(id int32) *Tree {
+	preds := append([]bdd.Ref(nil), t.preds...)
+	for int(id) >= len(preds) {
+		preds = append(preds, bdd.False)
+	}
+	return &Tree{
+		D:           t.D,
+		preds:       preds,
+		numLeaves:   t.numLeaves,
+		nextAtom:    t.nextAtom,
+		CountVisits: t.CountVisits,
+		visits:      t.visits,
+	}
 }
 
 // replaceRec returns the updated version of n. r over-approximates the part
@@ -115,16 +101,26 @@ func (t *Tree) replaceRec(n *Node, id int32, old, p, region, r bdd.Ref, st *Delt
 			return n
 		}
 		// Outside the region the leaf keeps its old relation to id, which
-		// is its bit (leaves never straddle a placed predicate).
+		// is its bit (leaves never straddle a placed predicate). Inside it,
+		// canonical BDDs make lp == lr the exact test for lr ⊆ p.
 		in, whole := n.Member.Get(int(id)), lr == n.BDD
-		lp, lq := d.And(lr, p), d.Diff(lr, p)
+		lp := d.And(lr, p)
+		lq := lr // lr ∖ p, computed below only when lr straddles p
 		switch {
-		case lq == bdd.False && (in || whole):
-			return t.setBit(n, id, true, st)
-		case lp == bdd.False && (!in || whole):
-			return t.setBit(n, id, false, st)
+		case lp == lr:
+			if in || whole {
+				return t.setBit(n, id, true, st)
+			}
+			lq = bdd.False
+		case lp == bdd.False:
+			if !in || whole {
+				return t.setBit(n, id, false, st)
+			}
+		default:
+			lq = d.Diff(lr, p)
 		}
-		// Straddles p: split exactly as AddPredicate does.
+		// The leaf straddles p: split it, the part outside the region
+		// going to the side its bit names.
 		lo := d.Diff(n.BDD, region)
 		tr, fr := lp, lq
 		if in {
@@ -177,6 +173,27 @@ func (t *Tree) setBit(n *Node, id int32, v bool, st *DeltaStats) *Node {
 	m.Set(int(id), v)
 	st.TouchedLeaves++
 	return &Node{Pred: -1, Depth: n.Depth, AtomID: n.AtomID, BDD: n.BDD, Member: m}
+}
+
+// split replaces leaf n, which straddles predicate id, by a router on id
+// over two fresh leaves: tr inside id and fr outside. The old leaf (and
+// its BDD reference) lives on in any pinned older tree version; see the
+// ReplacePredicate doc comment for why n.BDD is not released here.
+func (t *Tree) split(n *Node, id int32, tr, fr bdd.Ref, st *DeltaStats) *Node {
+	d := t.D
+	mt := n.Member.Clone(len(t.preds))
+	mt.Set(int(id), true)
+	mf := n.Member.Clone(len(t.preds))
+	mf.Set(int(id), false)
+	d.Retain(tr)
+	d.Retain(fr)
+	tLeaf := &Node{Pred: -1, Depth: n.Depth + 1, AtomID: t.nextAtom, BDD: tr, Member: mt}
+	fLeaf := &Node{Pred: -1, Depth: n.Depth + 1, AtomID: t.nextAtom + 1, BDD: fr, Member: mf}
+	t.nextAtom += 2
+	t.numLeaves++
+	st.TouchedLeaves++
+	st.Splits++
+	return &Node{Pred: id, Depth: n.Depth, T: tLeaf, F: fLeaf}
 }
 
 // merge combines two subtrees over disjoint header regions into one correct
@@ -292,7 +309,7 @@ func joinHalves(p int32, t, f *Node) *Node {
 // redepth returns subtree n with every node's Depth consistent for a root
 // at the given depth, sharing any node (and whole subtree) whose depths are
 // already correct. Shared leaves keep their BDD reference without a new
-// retain — identical to AddPredicate's copy rule, release happens at the
+// retain — the persistence rule of ReplacePredicate: release happens at the
 // epoch boundary.
 func (t *Tree) redepth(n *Node, depth int32, st *DeltaStats) *Node {
 	if n.IsLeaf() {

@@ -38,7 +38,7 @@ func TestRemovePredicateMergesToFullRefinement(t *testing.T) {
 		k := rng.Intn(len(live))
 		victim := live[k]
 		live = append(live[:k], live[k+1:]...)
-		tree = tree.RemovePredicate(victim)
+		tree = removePred(tree, victim)
 		if err := tree.Validate(live); err != nil {
 			t.Fatalf("after removing %d: %v", victim, err)
 		}
@@ -61,7 +61,7 @@ func TestRemovePredicateIsPersistent(t *testing.T) {
 	old := Build(in, MethodQuick)
 	oldLeaves := old.NumLeaves()
 
-	nt := old.RemovePredicate(3)
+	nt := removePred(old, 3)
 	rest := make([]int32, 0, len(in.Live)-1)
 	for _, id := range in.Live {
 		if id != 3 {
@@ -74,7 +74,7 @@ func TestRemovePredicateIsPersistent(t *testing.T) {
 	// The old version must be untouched: same leaf count, still valid for
 	// the full predicate set, still routing on predicate 3.
 	if old.NumLeaves() != oldLeaves {
-		t.Fatal("RemovePredicate mutated the receiver's leaf count")
+		t.Fatal("removing a predicate mutated the receiver's leaf count")
 	}
 	if err := old.Validate(in.Live); err != nil {
 		t.Fatalf("receiver corrupted: %v", err)
@@ -86,15 +86,26 @@ func TestRemovePredicateIsPersistent(t *testing.T) {
 	checkClassification(t, nt, d, preds, rest, 2, rng, 100)
 }
 
+// TestRemovePredicateAbsentIDIsNoop: an ID placed as bdd.False (an all-deny
+// ACL registers it) leaves no structural trace, so removing it, False →
+// False, shares the receiver, as does any update that leaves a slot's BDD
+// as it is. Placing it still grows the slot table, which the checkpoint
+// encodes as the ID space.
 func TestRemovePredicateAbsentIDIsNoop(t *testing.T) {
 	d := bdd.New(8)
 	in := Input{D: d, Atoms: predicate.Compute(d, nil)}
 	tree := Build(in, MethodOrder)
-	// Never placed (out of range) and placed-as-False (an all-deny ACL
-	// registers bdd.False, which Build never routes on) both share the
-	// receiver: there is no structural trace of the ID to remove.
-	if nt := tree.RemovePredicate(0); nt != tree {
-		t.Fatal("removing an absent predicate must share the receiver")
+	placed := addPred(tree, 0, bdd.False)
+	if placed.NumPreds() != 1 || placed.Root() != tree.Root() {
+		t.Fatalf("placing bdd.False: %d slots, root shared %v", placed.NumPreds(), placed.Root() == tree.Root())
+	}
+	if nt := removePred(placed, 0); nt != placed {
+		t.Fatal("removing an empty predicate must share the receiver")
+	}
+	p := d.Retain(d.FromPrefix(0, 0x80, 1, 8))
+	withP := addPred(placed, 1, p)
+	if nt := withP.ReplacePredicate(1, p, p); nt != withP {
+		t.Fatal("replacing a predicate by itself must share the receiver")
 	}
 }
 

@@ -36,7 +36,7 @@ func TestSemanticallyEqualDetectsDifference(t *testing.T) {
 	// the extended ID (a never saw it).
 	extra := d.Retain(d.FromPrefix(0, 0x1234, 9, 16))
 	id := int32(len(preds))
-	b = b.AddPredicate(id, extra)
+	b = addPred(b, id, extra)
 	// a's leaves have no bit for `id` (vectors too short) — compare only
 	// shared IDs first (must pass), then the difference scenario via a
 	// third tree that saw a different predicate under the same ID.
@@ -45,7 +45,7 @@ func TestSemanticallyEqualDetectsDifference(t *testing.T) {
 	}
 	c := Build(in, MethodQuick)
 	other := d.Retain(d.FromPrefix(0, 0xFFFF, 16, 16))
-	c = c.AddPredicate(id, other)
+	c = addPred(c, id, other)
 	if err := SemanticallyEqual(b, c, []int32{id}); err == nil {
 		t.Fatal("different predicates under the same ID must be detected")
 	}

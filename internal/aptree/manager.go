@@ -77,19 +77,12 @@ type Manager struct {
 	notify chan struct{}
 }
 
+// journalOp is one tree update made while a rebuild was in flight:
+// predicate id moved to ref (bdd.False for a removal).
 type journalOp struct {
-	kind journalKind
-	id   int32
-	ref  bdd.Ref // in the DD that was live when the op was journaled
+	id  int32
+	ref bdd.Ref // in the DD that was live when the op was journaled
 }
-
-type journalKind uint8
-
-const (
-	journalAdd journalKind = iota
-	journalRemove
-	journalReplace
-)
 
 // NewManager returns a manager over an empty predicate set (every packet
 // classifies to the single atom True).
@@ -239,42 +232,31 @@ func (tx *Tx) Data() any { return tx.m.data }
 //lint:ignore lockguard Update holds m.mu for the life of the Tx
 func (tx *Tx) SetData(v any) { tx.m.data = v }
 
-// Add registers a predicate BDD (built in tx.DD()) and splices it into the
-// live tree in real time (§VI-A), returning its new global ID. The tree
-// update is persistent: pinned snapshots keep the previous version.
+// Add registers a predicate BDD (built in tx.DD()) and places it in the
+// live tree in real time (§VI-A), returning its new global ID: the slot
+// moves from bdd.False to ref over the region ref. The tree update is
+// persistent: pinned snapshots keep the previous version.
 //
 //lint:ignore lockguard Update holds m.mu for the life of the Tx
 func (tx *Tx) Add(ref bdd.Ref) int32 {
 	m := tx.m
 	m.d.Retain(ref)
 	id := m.reg.Add(ref)
-	m.tree = m.tree.addPredicate(id, ref, &tx.stats)
-	m.updatesSinceSwap++
-	if m.journal != nil {
-		m.journal = append(m.journal, journalOp{kind: journalAdd, id: id, ref: ref})
-	}
+	tx.set(id, ref, ref)
 	return id
 }
 
 // Remove deletes a live predicate — the only way one leaves: the registry
-// slot dies (IDs are never reused) and the live tree runs the atom-merge
-// dual of AddPredicate, so the partition is the coarsest one for the
-// current predicate set in the very epoch this update publishes. The
-// caller must unwire the ID from whatever refers to it (network port and
-// ACL slots) inside the same Update: stage 2 tests membership bits without
-// a liveness probe, and a dead ID's bit reads clear on every leaf. Like
-// Add, the tree update is persistent and pinned snapshots keep the
-// previous version.
-//
-//lint:ignore lockguard Update holds m.mu for the life of the Tx
+// slot dies (IDs are never reused) and the live tree moves the slot from
+// its BDD to bdd.False over the region that BDD covers, merging the atoms
+// it alone separated, so the partition is the coarsest one for the current
+// predicate set in the very epoch this update publishes. The caller must
+// unwire the ID from whatever refers to it (network port and ACL slots)
+// inside the same Update: stage 2 tests membership bits without a liveness
+// probe, and a dead ID's bit reads clear on every leaf. Like Add, the tree
+// update is persistent and pinned snapshots keep the previous version.
 func (tx *Tx) Remove(id int32) {
-	m := tx.m
-	m.reg.Remove(id)
-	m.tree = m.tree.removePredicate(id, &tx.stats)
-	m.updatesSinceSwap++
-	if m.journal != nil {
-		m.journal = append(m.journal, journalOp{kind: journalRemove, id: id})
-	}
+	tx.set(id, bdd.False, tx.m.reg.Remove(id))
 }
 
 // Replace swaps live predicate id's BDD for ref (built in tx.DD()) and
@@ -290,10 +272,20 @@ func (tx *Tx) Replace(id int32, ref, region bdd.Ref) {
 	m := tx.m
 	m.d.Retain(ref)
 	m.reg.Replace(id, ref)
+	tx.set(id, ref, region)
+}
+
+// set is the tree half every Tx update shares, run after the registry
+// half: predicate id moves to ref over region (Tree.ReplacePredicate), and
+// a rebuild in flight journals the move.
+//
+//lint:ignore lockguard Update holds m.mu for the life of the Tx
+func (tx *Tx) set(id int32, ref, region bdd.Ref) {
+	m := tx.m
 	m.tree = m.tree.replacePredicate(id, ref, region, &tx.stats)
 	m.updatesSinceSwap++
 	if m.journal != nil {
-		m.journal = append(m.journal, journalOp{kind: journalReplace, id: id, ref: ref})
+		m.journal = append(m.journal, journalOp{id: id, ref: ref})
 	}
 }
 
@@ -354,7 +346,7 @@ func (m *Manager) LiveIDs() []int32 {
 // and swaps it in (§VI-B). If weighted is true, per-leaf visit counters of
 // the old tree are carried over as atom weights so frequently queried atoms
 // end up closer to the root (§V-D). Reconstruct is safe to run concurrently
-// with Classify/AddPredicate/RemovePredicate; concurrent Reconstruct calls
+// with Classify and every update; concurrent Reconstruct calls
 // serialize.
 func (m *Manager) Reconstruct(weighted bool) {
 	start := time.Now()
@@ -433,25 +425,13 @@ func (m *Manager) Reconstruct(weighted bool) {
 	// Phase 4: replay updates that arrived during the rebuild, then swap.
 	m.mu.Lock()
 	for _, op := range m.journal {
-		if op.kind == journalRemove {
-			// The new tree placed this predicate (it was live at the
-			// phase-1 snapshot, or added by an earlier journal entry), so
-			// replay the atom merge too.
-			newTree = newTree.RemovePredicate(op.id)
-			newRefs[op.id] = bdd.False
-			continue
-		}
 		ref := bdd.Transfer(newD, oldD, op.ref)
 		newD.Retain(ref)
 		for int32(len(newRefs)) <= op.id {
 			newRefs = append(newRefs, bdd.False)
 		}
-		if op.kind == journalReplace {
-			// The journal keeps no region; old ⊕ new is the exact one.
-			newTree = newTree.ReplacePredicate(op.id, ref, newD.Xor(newRefs[op.id], ref))
-		} else {
-			newTree = newTree.AddPredicate(op.id, ref)
-		}
+		// The journal keeps no region; old ⊕ new is the exact one.
+		newTree = newTree.ReplacePredicate(op.id, ref, newD.Xor(newRefs[op.id], ref))
 		newRefs[op.id] = ref
 	}
 	// Point the registry at the new DD. Every ID issued since phase 1 was

@@ -50,9 +50,12 @@ func samePartition(a, b map[bdd.Ref]string) error {
 // tables, port-ACL sets and clears — replacing each changed predicate in
 // place over its cone region yields exactly the leaf partition, with the
 // same membership signatures, as removing the old predicate and adding the
-// new one under a fresh ID. The replaced slots keep their IDs for the whole
-// program, so ports that stop forwarding and start again, and ACLs that go
-// to deny-all and back, drive the old == False and new == False edges.
+// new one under a fresh ID, each over its exact region, and as a cold
+// build over the atoms of the current slots. The cold build is the
+// independent oracle: removing and adding run the same ReplacePredicate.
+// The replaced slots keep their IDs for the whole program, so ports that
+// stop forwarding and start again, and ACLs that go to deny-all and back,
+// drive the old == False and new == False edges.
 func TestReplaceEqualsRemoveAdd(t *testing.T) {
 	const (
 		boxes    = 2
@@ -79,13 +82,13 @@ func TestReplaceEqualsRemoveAdd(t *testing.T) {
 			}
 			a = a.ReplacePredicate(idA[k], next, region)
 			if idB[k] >= 0 {
-				b = b.RemovePredicate(idB[k])
+				b = removePred(b, idB[k])
 				idB[k] = -1
 			}
 			if next != bdd.False {
 				idB[k] = nextB
 				nextB++
-				b = b.AddPredicate(idB[k], next)
+				b = addPred(b, idB[k], next)
 			}
 			refs[k] = next
 		}
@@ -133,8 +136,19 @@ func TestReplaceEqualsRemoveAdd(t *testing.T) {
 					set(box*numPorts+dp.Port, dp.New, region)
 				}
 			}
-			if err := samePartition(partition(a, idA), partition(b, idB)); err != nil {
+			got := partition(a, idA)
+			if err := samePartition(got, partition(b, idB)); err != nil {
 				t.Fatalf("seed %d step %d: Replace and Remove+Add disagree: %v", seed, step, err)
+			}
+			var live []int32
+			for k, ref := range refs {
+				if ref != bdd.False {
+					live = append(live, int32(k))
+				}
+			}
+			cold := Build(Input{D: d, Preds: refs, Live: live, Atoms: liveAtoms(d, refs, live)}, MethodOrder)
+			if err := samePartition(got, partition(cold, idA)); err != nil {
+				t.Fatalf("seed %d step %d: Replace and a cold build disagree: %v", seed, step, err)
 			}
 		}
 		if err := a.Validate(idA); err != nil {

@@ -24,14 +24,14 @@ var (
 		"Snapshot publications (every update or swap republishes the epoch pointer).")
 
 	// Delta-engine counters: structural work done by incremental predicate
-	// transactions (Tx.Add splits, Tx.Remove merges). Recorded once per
+	// transactions (splits and merges of ReplacePredicate). Recorded once per
 	// Update under the write lock, from the transaction's DeltaStats.
 	mDeltaTouched = obs.Default.Counter("apc_delta_touched_leaves_total",
 		"Leaves copied or created by delta transactions (the copy-on-write footprint).")
 	mDeltaSplits = obs.Default.Counter("apc_delta_splits_total",
-		"Atom splits performed by delta transactions (AddPredicate on a straddling leaf).")
+		"Atom splits performed by delta transactions (a leaf straddling an added or replaced predicate).")
 	mDeltaMerges = obs.Default.Counter("apc_delta_merges_total",
-		"Atom merges performed by delta transactions (RemovePredicate joining sibling leaves).")
+		"Atom merges performed by delta transactions (a removed or replaced predicate no longer separating two leaves).")
 	mDeltaApplyDur = obs.Default.Histogram("apc_delta_apply_duration_seconds",
 		"Wall time of one delta transaction (structural splice + republish).", obs.DefBuckets)
 

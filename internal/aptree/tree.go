@@ -88,7 +88,7 @@ type Tree struct {
 	// distribution-aware rebuild. On by default.
 	CountVisits bool
 	// visits holds the per-atom query counters, keyed by AtomID and
-	// shared across the persistent versions AddPredicate derives from
+	// shared across the persistent versions ReplacePredicate derives from
 	// this tree, so a reconstruction sees the whole lineage's history.
 	visits *visitCounters
 }

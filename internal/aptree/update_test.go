@@ -10,6 +10,14 @@ import (
 	"apclassifier/internal/predicate"
 )
 
+// addPred places predicate id, which the tree has not placed, as Tx.Add
+// does: its slot moves from bdd.False to p over the region p.
+func addPred(t *Tree, id int32, p bdd.Ref) *Tree { return t.ReplacePredicate(id, p, p) }
+
+// removePred unplaces predicate id as Tx.Remove does: its slot moves to
+// bdd.False over the region its BDD covers.
+func removePred(t *Tree, id int32) *Tree { return t.ReplacePredicate(id, bdd.False, t.Pred(id)) }
+
 func TestAddPredicateKeepsClassificationCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	d := bdd.New(16)
@@ -24,7 +32,7 @@ func TestAddPredicateKeepsClassificationCorrect(t *testing.T) {
 		id := int32(len(preds))
 		preds = append(preds, p)
 		live = append(live, id)
-		tree = tree.AddPredicate(id, p)
+		tree = addPred(tree, id, p)
 		checkClassification(t, tree, d, preds, live, 2, rng, 100)
 	}
 	// Structural sanity after many updates.
@@ -38,12 +46,12 @@ func TestAddPredicateLeafAccounting(t *testing.T) {
 	in := Input{D: d, Atoms: predicate.Compute(d, nil)}
 	tree := Build(in, MethodOrder) // single leaf
 	p := d.Retain(d.FromPrefix(0, 0x80, 1, 8))
-	tree = tree.AddPredicate(0, p)
+	tree = addPred(tree, 0, p)
 	if tree.NumLeaves() != 2 {
 		t.Fatalf("leaves = %d, want 2 after first split", tree.NumLeaves())
 	}
 	// A predicate equal to an existing atom must not split anything.
-	tree = tree.AddPredicate(1, p)
+	tree = addPred(tree, 1, p)
 	if tree.NumLeaves() != 2 {
 		t.Fatalf("leaves = %d, duplicate predicate must not split", tree.NumLeaves())
 	}
@@ -60,18 +68,26 @@ func TestAddPredicateLeafAccounting(t *testing.T) {
 	}
 }
 
-func TestAddPredicateRejectsExistingID(t *testing.T) {
-	d := bdd.New(8)
-	in := Input{D: d, Atoms: predicate.Compute(d, nil)}
-	tree := Build(in, MethodOrder)
-	p := d.Retain(d.FromPrefix(0, 0x80, 1, 8))
-	tree = tree.AddPredicate(0, p)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("reusing a predicate ID must panic")
-		}
-	}()
-	tree = tree.AddPredicate(0, p)
+// TestAddNeverReusesID pins why an add always lands on an unplaced slot:
+// Tx.Add takes its ID from the registry, which never issues one twice,
+// not even after the slot died, so the tree's False → p move starts from a
+// slot no leaf carries a bit for.
+func TestAddNeverReusesID(t *testing.T) {
+	m := NewManager(8, MethodOrder)
+	build := func(d *bdd.DD) bdd.Ref { return d.FromPrefix(0, 0x80, 1, 8) }
+	a := m.AddPredicate(build)
+	m.RemovePredicate(a)
+	b := m.AddPredicate(build)
+	if a == b {
+		t.Fatalf("add after removal reissued ID %d", a)
+	}
+	tree := m.Tree()
+	if tree.Pred(a) != bdd.False || tree.Pred(b) == bdd.False {
+		t.Fatalf("slots: dead %d holds %d, live %d holds %d", a, tree.Pred(a), b, tree.Pred(b))
+	}
+	if err := tree.Validate([]int32{a, b}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRegistry(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // visitCounters replaces that with a store that is
 //
 //   - keyed by atom ID, not by leaf pointer, so counts survive the
-//     persistent (copy-on-write) AddPredicate that replaces Node values;
+//     persistent (copy-on-write) ReplacePredicate that replaces Node values;
 //   - striped: each goroutine increments its own stripe of a counter,
 //     eliminating write sharing between cores (reads sum the stripes);
 //   - chunked: counters live in fixed-size chunks that never move once

@@ -63,7 +63,7 @@ func frozenRootType(t types.Type) (string, bool) {
 // never match.
 var mutatorPrefixes = []string{
 	"Set", "Add", "Remove", "Delete", "Insert", "Append",
-	"Push", "Pop", "Clear", "Reset", "Merge", "Apply", "Swap",
+	"Push", "Pop", "Clear", "Reset", "Merge", "Apply", "Swap", "Replace",
 }
 
 func mutatorName(name string) bool {

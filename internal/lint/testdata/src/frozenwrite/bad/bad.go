@@ -33,7 +33,7 @@ func renumberLeafInPlace(s *aptree.Snapshot, pkt []byte) {
 }
 
 func deltaOnPublishedTree(s *aptree.Snapshot) {
-	s.Tree().RemovePredicate(3) // deltas go through Manager.Update, not the published tree
+	s.Tree().ReplacePredicate(3, 0, 0) // deltas go through Manager.Update, not the published tree
 }
 
 func renumberViaFlat(s *aptree.Snapshot, pkt []byte) {

@@ -8,10 +8,9 @@ import (
 // QueryTrace records the per-stage breakdown of one end-to-end query:
 // how long pinning the snapshot took, the stage-1 AP Tree descent
 // (latency, depth reached, nodes visited), and the stage-2 behavior walk
-// (latency, hops, outcome counts). Traces are collected only when a
-// TraceRing has been installed (apclassifier.SetTraceSink); the query
-// path checks a single atomic pointer and skips all of this when no
-// sink is set.
+// (latency, hops, outcome counts). The HTTP server records one per
+// /query request into its TraceRing, which /debug/trace serves; library
+// queries (Classifier.Behavior and BehaviorWith) record none.
 type QueryTrace struct {
 	Seq      uint64    `json:"seq"`
 	Start    time.Time `json:"start"`

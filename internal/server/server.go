@@ -105,10 +105,10 @@ type Server struct {
 	c  *apclassifier.Classifier
 	ds *netgen.Dataset
 
-	// trace holds the most recent per-query stage traces for
-	// /debug/trace. The ring is also installed as the classifier's trace
-	// sink, so library-level Behavior calls on the same classifier land
-	// in it too.
+	// trace holds the stage traces of the most recent /query requests,
+	// which handleQuery records and /debug/trace serves. Recording takes
+	// the ring's mutex, the one lock on the /query path; library Behavior
+	// calls on the same classifier record nothing and take no lock.
 	trace *obs.TraceRing
 
 	// ckpt is the managed checkpoint directory, set by EnableCheckpoints
@@ -135,12 +135,11 @@ type Server struct {
 
 // New builds a server around a compiled classifier. The classifier's
 // derived metrics are registered into the process-wide obs registry
-// (newest classifier wins) and a trace ring is installed as its sink.
+// (newest classifier wins).
 func New(c *apclassifier.Classifier) *Server {
 	s := &Server{c: c, ds: c.Dataset, trace: obs.NewTraceRing(traceRingSize)}
 	s.bufs.New = func() interface{} { return c.NewBatchBuffer() }
 	c.RegisterMetrics(obs.Default)
-	c.SetTraceSink(s.trace)
 	return s
 }
 
