@@ -5,13 +5,14 @@ GO ?= go
 
 # Packages whose concurrency contracts are exercised under the race
 # detector (snapshot query path at the facade, Manager two-process
-# operation, frozen BDD views, HTTP server, background checkpointer,
-# experiment harness workers, pinned verification under rule churn).
-RACE_PKGS := . ./internal/aptree ./internal/bdd ./internal/server ./internal/checkpoint ./internal/cluster ./internal/experiments ./internal/lint ./internal/verify
+# operation, frozen BDD views, the per-epoch stage-2 memo under rule and
+# middlebox deltas, HTTP server, background checkpointer, experiment
+# harness workers, pinned verification under rule churn).
+RACE_PKGS := . ./internal/aptree ./internal/bdd ./internal/network ./internal/server ./internal/checkpoint ./internal/cluster ./internal/experiments ./internal/lint ./internal/verify
 
 # Packages carrying apdebug-tagged sanitizer tests (post-GC BDD audits,
-# AP Tree leaf-partition checks, behavior-cache epoch assertions at the
-# facade).
+# AP Tree leaf-partition checks, wiring and rule-delta re-derivations at
+# the facade).
 APDEBUG_PKGS := . ./internal/bdd ./internal/aptree
 
 # Benchmarks exercised by bench-smoke: the lock-free snapshot query path,

@@ -29,7 +29,6 @@ package apclassifier
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"apclassifier/internal/aptree"
 	"apclassifier/internal/bdd"
@@ -67,23 +66,18 @@ type Options struct {
 //
 // The data plane is one published epoch: each Manager snapshot carries,
 // as its Snapshot.Data, the network.Wiring (which predicate ID every port
-// and ACL slot tests) and the delta cursor that go with its tree. Net
-// holds only what never changes after setup — names, peers, hosts and
-// middleboxes — so queries read nothing a rule update writes. Dataset's
-// rule tables are the writer's: ApplyRuleDeltas edits them in place, and
-// a reader of them must synchronize with it.
+// and ACL slot tests, which middlebox each box hosts) and the delta cursor
+// that go with its tree, and, as its Snapshot.Memo, the network.Memo of
+// what stage 2 has learned in that epoch. Net holds only what never
+// changes after setup — names, peers and hosts — so queries read nothing
+// a rule update writes. Dataset's rule tables are the writer's:
+// ApplyRuleDeltas edits them in place, and a reader of them must
+// synchronize with it.
 type Classifier struct {
 	Layout  *header.Layout
 	Manager *aptree.Manager
 	Net     *network.Network
 	Dataset *netgen.Dataset
-
-	// bcache is the behavior cache of the currently published epoch,
-	// installed lazily by the first query of each epoch and keyed to its
-	// snapshot by pointer identity; see cacheFor. Queries pinned to a
-	// retired epoch find a mismatch and simply walk uncached, so the
-	// pointer never needs explicit invalidation.
-	bcache atomic.Pointer[network.BehaviorCache]
 }
 
 // New compiles a dataset: converts every forwarding table and ACL to
@@ -236,69 +230,41 @@ func (c *Classifier) Classify(pkt header.Packet) *aptree.Node {
 
 // Behavior runs both stages: it classifies the packet and computes its
 // network-wide behavior from the given ingress box. The whole query is
-// pinned to one snapshot epoch — tree, wiring and all — and acquires no
-// lock; it runs safely concurrent with rule-delta batches and
+// pinned to one snapshot epoch — tree, wiring, middleboxes and memo — and
+// acquires no lock; it runs safely concurrent with rule-delta batches and
 // reconstructions, and its answer is the behavior at one published
-// state. Deterministic walks are
-// memoized per (ingress, atom) in the epoch's behavior cache, so repeated
-// queries in the same traffic class skip stage 2 entirely; the returned
-// behavior may be that shared cached value and must be treated as
-// read-only.
+// state. Deterministic walks are memoized per (ingress, atom) in the
+// epoch's memo, so repeated queries in the same traffic class skip stage 2
+// entirely; the returned behavior may be that shared memoized value and
+// must be treated as read-only.
 func (c *Classifier) Behavior(ingress int, pkt header.Packet) *network.Behavior {
 	s := c.Manager.Snapshot()
 	leaf, _ := s.Classify(pkt)
-	return c.behaviorVia(c.cacheFor(s), nil, s, ingress, pkt, leaf, false)
-}
-
-// cacheFor resolves the behavior cache for queries pinned to s: the
-// published epoch's cache when s is (still) the published snapshot,
-// creating and installing it on first use; nil when s is a retired epoch,
-// whose queries walk uncached rather than thrash the live table. The
-// install races benignly — CompareAndSwap serializes writers, and a
-// loser that cannot return a cache matching s returns nil, which is
-// always safe (the next query self-heals the pointer).
-func (c *Classifier) cacheFor(s *aptree.Snapshot) *network.BehaviorCache {
-	bc := c.bcache.Load()
-	if bc != nil && bc.Epoch() == s {
-		return bc
-	}
-	if c.Manager.Snapshot() != s {
-		return nil
-	}
-	fresh := network.NewBehaviorCache(s, len(c.Net.Boxes))
-	if c.bcache.CompareAndSwap(bc, fresh) {
-		return fresh
-	}
-	if bc = c.bcache.Load(); bc != nil && bc.Epoch() == s {
-		return bc
-	}
-	return nil
+	return c.behaviorVia(nil, s, ingress, pkt, leaf, false)
 }
 
 // behaviorVia is the one stage-2 pipeline every query path — single
 // packet, batch, traced, snapshot-pinned — funnels through: consult the
-// epoch's behavior cache, walk on a miss (through the caller's Walker
-// scratch when given), and memoize the walk if it was deterministic.
-// With persist set the result never aliases Walker scratch, the form
-// batch queries need (all results of a batch must be valid at once).
-func (c *Classifier) behaviorVia(bc *network.BehaviorCache, w *network.Walker, s *aptree.Snapshot, ingress int, pkt header.Packet, leaf *aptree.Node, persist bool) *network.Behavior {
-	debugCheckCacheEpoch(bc, s)
-	if bc != nil {
-		if b := bc.Lookup(ingress, leaf.AtomID); b != nil {
-			return b
-		}
+// epoch's memo, walk on a miss (through the caller's Walker scratch when
+// given), and memoize the walk if it was deterministic. With persist set
+// the result never aliases Walker scratch, the form batch queries need
+// (all results of a batch must be valid at once).
+func (c *Classifier) behaviorVia(w *network.Walker, s *aptree.Snapshot, ingress int, pkt header.Packet, leaf *aptree.Node, persist bool) *network.Behavior {
+	memo := network.MemoOf(s)
+	if b := memo.Lookup(ingress, leaf.AtomID); b != nil {
+		return b
 	}
 	var b *network.Behavior
 	if w != nil {
 		b = w.Behavior(s, ingress, pkt, leaf)
-		if persist || (bc != nil && b.Deterministic()) {
+		if persist || b.Deterministic() {
 			b = b.Clone()
 		}
 	} else {
 		b = c.Net.Behavior(s, ingress, pkt, leaf)
 	}
-	if bc != nil && b.Deterministic() {
-		bc.Store(ingress, leaf.AtomID, b)
+	if b.Deterministic() {
+		memo.Store(ingress, leaf.AtomID, b)
 	}
 	return b
 }
@@ -316,7 +282,7 @@ func (c *Classifier) NewWalker() *network.Walker {
 func (c *Classifier) BehaviorWith(w *network.Walker, ingress int, pkt header.Packet) *network.Behavior {
 	s := c.Manager.Snapshot()
 	leaf, _ := s.Classify(pkt)
-	return c.behaviorVia(c.cacheFor(s), w, s, ingress, pkt, leaf, false)
+	return c.behaviorVia(w, s, ingress, pkt, leaf, false)
 }
 
 // NumPredicates reports the number of live predicates.

@@ -10,41 +10,29 @@ import (
 // Batched queries. A batch runs the same two stages as a single query but
 // amortizes both: stage 1 classifies the whole batch in one group-by-
 // branch descent (duplicate headers collapse to one search), and stage 2
-// walks each distinct (ingress, atom) pair once — first consulting the
-// epoch's behavior cache, then deduplicating within the batch — instead
-// of once per packet. The single-packet path is a thin wrapper over the
+// walks each distinct (ingress, atom) pair once — the epoch's memo
+// answers every later packet of a deterministic class, within the batch
+// as across batches. The single-packet path is a thin wrapper over the
 // same pipeline (behaviorVia), so there is no second code path to keep
 // correct; TestBatchMatchesSingle holds the two entry points element-wise
 // identical.
 
-// batchKey identifies one traffic class within a batch: packets entering
-// the same box with the same atomic predicate share a behavior whenever
-// the walk is deterministic.
-type batchKey struct {
-	ingress int
-	atom    int32
-}
-
 // BatchBuffer holds the reusable scratch of the batch pipeline: stage-1
-// index buffers, the leaf and result slices, a stage-2 Walker, and the
-// intra-batch dedup map. Steady-state batches of a stable size allocate
-// only for cache-miss walk results. A BatchBuffer is bound to the
-// classifier that created it and is not safe for concurrent use; pool one
-// per goroutine (the HTTP server keeps a sync.Pool).
+// index buffers, the leaf and result slices and a stage-2 Walker.
+// Steady-state batches of a stable size allocate only for memo-miss walk
+// results. A BatchBuffer is bound to the classifier that created it and
+// is not safe for concurrent use; pool one per goroutine (the HTTP server
+// keeps a sync.Pool).
 type BatchBuffer struct {
 	sc     aptree.BatchScratch
 	leaves []*aptree.Node
 	out    []*network.Behavior
 	w      *network.Walker
-	seen   map[batchKey]*network.Behavior
 }
 
 // NewBatchBuffer returns batch scratch space bound to this classifier.
 func (c *Classifier) NewBatchBuffer() *BatchBuffer {
-	return &BatchBuffer{
-		w:    network.NewWalker(c.Net),
-		seen: make(map[batchKey]*network.Behavior),
-	}
+	return &BatchBuffer{w: network.NewWalker(c.Net)}
 }
 
 // ClassifyBatch runs stage 1 for the whole batch against the pinned
@@ -71,27 +59,14 @@ func (s *Snapshot) BehaviorBatchFrom(buf *BatchBuffer, ingress []int, pkts [][]b
 		panic(fmt.Sprintf("apclassifier: BehaviorBatchFrom length mismatch: %d ingresses, %d packets, %d leaves",
 			len(ingress), len(pkts), len(leaves)))
 	}
-	c := s.c
-	bc := c.cacheFor(s.s)
-	clear(buf.seen)
 	if cap(buf.out) < len(pkts) {
 		buf.out = make([]*network.Behavior, 0, len(pkts))
 	}
 	out := buf.out[:0]
 	for i := range pkts {
-		key := batchKey{ingress[i], leaves[i].AtomID}
-		if b, ok := buf.seen[key]; ok {
-			out = append(out, b)
-			continue
-		}
-		b := c.behaviorVia(bc, buf.w, s.s, ingress[i], pkts[i], leaves[i], true)
-		if b.Deterministic() {
-			// Only deterministic behaviors stand for their whole class;
-			// a Type-2/Type-3 walk is recomputed for every packet even
-			// inside one batch (§V-E).
-			buf.seen[key] = b
-		}
-		out = append(out, b)
+		// A Type-2/Type-3 walk is not memoized, so it is recomputed for
+		// every packet even inside one batch (§V-E).
+		out = append(out, s.c.behaviorVia(buf.w, s.s, ingress[i], pkts[i], leaves[i], true))
 	}
 	buf.out = out
 	return out

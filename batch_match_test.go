@@ -76,8 +76,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 // TestBatchBypassesCacheForPayloadMiddlebox proves the §V-E gate: two
 // same-atom packets crossing a Type-2 (payload-dependent) middlebox get
 // genuinely different behaviors, and the batch pipeline must not share
-// one cached walk between them — neither through the epoch cache nor
-// through its own intra-batch dedupe.
+// one memoized walk between them, within a batch or across batches.
 func TestBatchBypassesCacheForPayloadMiddlebox(t *testing.T) {
 	ds := netgen.Internet2Like(netgen.Config{Seed: 46, RuleScale: 0.01})
 	c, err := New(ds, Options{})
@@ -95,7 +94,7 @@ func TestBatchBypassesCacheForPayloadMiddlebox(t *testing.T) {
 
 	match := c.Manager.AddPredicate(func(d *bdd.DD) bdd.Ref { return bdd.True })
 	layout := ds.Layout
-	c.Net.Boxes[0].MB = &network.Middlebox{
+	setMiddlebox(t, c, 0, &network.Middlebox{
 		Name: "payload-mb",
 		Entries: []network.MBEntry{{
 			Match: match,
@@ -107,8 +106,7 @@ func TestBatchBypassesCacheForPayloadMiddlebox(t *testing.T) {
 				return nil // pass through
 			},
 		}},
-	}
-	defer func() { c.Net.Boxes[0].MB = nil }()
+	})
 
 	wantEven := c.Behavior(0, even).String()
 	wantOdd := c.Behavior(0, odd).String()

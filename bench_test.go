@@ -111,9 +111,9 @@ func BenchmarkBehaviorStanford(b *testing.B) {
 // single-packet path on a bursty trace (each header repeated in flows of
 // 16, the locality real query streams have) with one deterministic
 // middlebox attached so stage 2 is non-trivial but cacheable. Both paths
-// share the per-epoch behavior cache; the batch path additionally
-// collapses duplicate headers in stage 1 and dedupes (ingress, atom)
-// classes in stage 2. ns/op is per packet in every sub-benchmark.
+// share the per-epoch memo; the batch path additionally collapses
+// duplicate headers in stage 1. ns/op is per packet in every
+// sub-benchmark.
 func BenchmarkBehaviorBatch(b *testing.B) {
 	ds := netgen.Internet2Like(netgen.Config{Seed: 1, RuleScale: benchScale().I2})
 	c, err := apclassifier.New(ds, apclassifier.Options{})
@@ -122,7 +122,7 @@ func BenchmarkBehaviorBatch(b *testing.B) {
 	}
 	match := c.Manager.AddPredicate(func(d *bdd.DD) bdd.Ref { return bdd.True })
 	target := ds.PacketFromFields(ds.RandomFields(rand.New(rand.NewSource(7))))
-	c.Net.Boxes[0].MB = &network.Middlebox{
+	if err := c.ApplyRuleDeltas([]apclassifier.RuleDelta{{Op: apclassifier.OpSetMiddlebox, Box: 0, MB: &network.Middlebox{
 		Name: "bench-mb",
 		Entries: []network.MBEntry{{
 			Match: match, Type: network.MBDeterministic,
@@ -132,6 +132,8 @@ func BenchmarkBehaviorBatch(b *testing.B) {
 				return [][]byte{out}
 			},
 		}},
+	}}}); err != nil {
+		b.Fatal(err)
 	}
 
 	const flow = 16

@@ -41,31 +41,13 @@ func main() {
 	randomN := flag.Int("random", 0, "instead of one query, run N random queries and summarize")
 	flag.Parse()
 
-	var ds *netgen.Dataset
-	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	ds, err := netgen.Select(*netName, *load, *seed, *scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if *load != "" {
+			os.Exit(1) // an unreadable snapshot, not a usage error
 		}
-		ds, err = netgen.Read(f)
-		_ = f.Close() // read-only; parse errors are what matter
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "parse error:", err)
-			os.Exit(1)
-		}
-	} else {
-		switch *netName {
-		case "internet2":
-			ds = netgen.Internet2Like(netgen.Config{Seed: *seed, RuleScale: *scale})
-		case "stanford":
-			ds = netgen.StanfordLike(netgen.Config{Seed: *seed, RuleScale: *scale})
-		case "multitenant":
-			ds = netgen.MultiTenantLike(4, 3, *seed)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown network %q\n", *netName)
-			os.Exit(2)
-		}
+		os.Exit(2)
 	}
 
 	if *dump != "" {

@@ -136,7 +136,7 @@ func main() {
 		}
 	}
 	if c == nil {
-		ds, err := buildDataset(*netName, *load, *seed, *scale)
+		ds, err := netgen.Select(*netName, *load, *seed, *scale)
 		if err != nil {
 			fatal(err)
 		}
@@ -217,27 +217,6 @@ func bootstrap(dir *checkpoint.Dir, baseURL string) (string, error) {
 	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return "", fmt.Errorf("bootstrap: %s: %s: %s", url, resp.Status, strings.TrimSpace(string(msg)))
-	}
-}
-
-func buildDataset(netName, load string, seed int64, scale float64) (*netgen.Dataset, error) {
-	switch {
-	case load != "":
-		f, err := os.Open(load)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := netgen.Read(f)
-		_ = f.Close() // read-only; parse errors are what matter
-		return ds, err
-	case netName == "internet2":
-		return netgen.Internet2Like(netgen.Config{Seed: seed, RuleScale: scale}), nil
-	case netName == "stanford":
-		return netgen.StanfordLike(netgen.Config{Seed: seed, RuleScale: scale}), nil
-	case netName == "multitenant":
-		return netgen.MultiTenantLike(4, 3, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown network %q", netName)
 	}
 }
 

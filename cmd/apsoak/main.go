@@ -31,16 +31,12 @@ func main() {
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	var ds *netgen.Dataset
-	switch *netName {
-	case "internet2":
-		ds = netgen.Internet2Like(netgen.Config{Seed: *seed, RuleScale: *scale})
-	case "stanford":
-		ds = netgen.StanfordLike(netgen.Config{Seed: *seed, RuleScale: *scale / 3})
-	case "multitenant":
-		ds = netgen.MultiTenantLike(4, 3, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown network %q\n", *netName)
+	if *netName == "stanford" {
+		*scale /= 3 // Stanford tables are three times Internet2's per unit scale
+	}
+	ds, err := netgen.Select(*netName, "", *seed, *scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	c, err := apclassifier.New(ds, apclassifier.Options{})

@@ -60,19 +60,6 @@ commands:
 	os.Exit(2)
 }
 
-func buildDataset(netName string, seed int64, scale float64) (*netgen.Dataset, error) {
-	switch netName {
-	case "internet2":
-		return netgen.Internet2Like(netgen.Config{Seed: seed, RuleScale: scale}), nil
-	case "stanford":
-		return netgen.StanfordLike(netgen.Config{Seed: seed, RuleScale: scale}), nil
-	case "multitenant":
-		return netgen.MultiTenantLike(4, 3, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown network %q", netName)
-	}
-}
-
 func cmdSave(args []string) error {
 	fs := flag.NewFlagSet("save", flag.ExitOnError)
 	netName := fs.String("net", "internet2", "dataset: internet2, stanford or multitenant")
@@ -81,7 +68,7 @@ func cmdSave(args []string) error {
 	out := fs.String("out", "ckpt.apc", "output checkpoint file")
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
 
-	ds, err := buildDataset(*netName, *seed, *scale)
+	ds, err := netgen.Select(*netName, "", *seed, *scale)
 	if err != nil {
 		return err
 	}

@@ -76,29 +76,15 @@ func main() {
 
 	var ds *netgen.Dataset
 	var err error
-	switch {
-	case *load != "":
-		f, ferr := os.Open(*load)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		ds, err = netgen.Read(f)
-		_ = f.Close() // read-only; parse errors are what matter
-	case *netName == "internet2":
-		ds = netgen.Internet2Like(netgen.Config{Seed: *seed, RuleScale: *scale})
-	case *netName == "stanford":
-		ds = netgen.StanfordLike(netgen.Config{Seed: *seed, RuleScale: *scale})
-	case *netName == "multitenant":
-		ds = netgen.MultiTenantLike(4, 3, *seed)
-	case *netName == "fattree":
+	if *load != "" || *netName != "fattree" {
+		ds, err = netgen.Select(*netName, *load, *seed, *scale)
+	} else {
 		var cfg netgen.FatTreeConfig
 		cfg, err = netgen.FatTreePreset(*preset)
 		if err == nil {
 			cfg.InjectLoop = *injectLoop
 			ds = netgen.FatTree(cfg)
 		}
-	default:
-		err = fmt.Errorf("unknown network %q", *netName)
 	}
 	if err != nil {
 		fatal(err)

@@ -7,9 +7,6 @@ import (
 	"apclassifier/internal/network"
 )
 
-// debugCheckCacheEpoch is free in release builds; see debug_on.go.
-func debugCheckCacheEpoch(*network.BehaviorCache, *aptree.Snapshot) {}
-
 // debugCheckWiring is free in release builds; see debug_on.go.
 func (c *Classifier) debugCheckWiring() {}
 

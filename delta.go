@@ -26,6 +26,10 @@ const (
 	OpSetPortACL
 	// OpSetInACL installs (or with a nil ACL removes) Box's ingress ACL.
 	OpSetInACL
+	// OpSetMiddlebox attaches MB to Box (nil detaches), replacing the
+	// middlebox the box hosted; MB must not change once applied. It has
+	// no wire form: middleboxes are configured through the library.
+	OpSetMiddlebox
 )
 
 func (op RuleDeltaOp) String() string {
@@ -38,6 +42,8 @@ func (op RuleDeltaOp) String() string {
 		return "set-port-acl"
 	case OpSetInACL:
 		return "set-in-acl"
+	case OpSetMiddlebox:
+		return "set-middlebox"
 	}
 	return fmt.Sprintf("RuleDeltaOp(%d)", int(op))
 }
@@ -47,10 +53,11 @@ func (op RuleDeltaOp) String() string {
 type RuleDelta struct {
 	Op     RuleDeltaOp
 	Box    int
-	Rule   rule.FwdRule // OpAddFwdRule
-	Prefix rule.Prefix  // OpRemoveFwdRule
-	Port   int          // OpSetPortACL
-	ACL    *rule.ACL    // OpSetPortACL / OpSetInACL; nil clears
+	Rule   rule.FwdRule       // OpAddFwdRule
+	Prefix rule.Prefix        // OpRemoveFwdRule
+	Port   int                // OpSetPortACL
+	ACL    *rule.ACL          // OpSetPortACL / OpSetInACL; nil clears
+	MB     *network.Middlebox // OpSetMiddlebox; nil detaches
 }
 
 // validateDelta rejects a delta that names a box or port outside the
@@ -76,6 +83,19 @@ func (c *Classifier) validateDelta(dl RuleDelta) error {
 			return fmt.Errorf("box %d has a nil PortACL map", dl.Box)
 		}
 	case OpSetInACL:
+	case OpSetMiddlebox:
+		if dl.MB == nil {
+			break
+		}
+		s := c.Manager.Snapshot()
+		for i, e := range dl.MB.Entries {
+			if e.Match < 0 || !s.IsLive(e.Match) {
+				return fmt.Errorf("middlebox entry %d: match predicate %d is not live", i, e.Match)
+			}
+			if e.Rewrite == nil {
+				return fmt.Errorf("middlebox entry %d has no rewrite", i)
+			}
+		}
 	default:
 		return fmt.Errorf("unknown op %d", int(dl.Op))
 	}
@@ -96,7 +116,8 @@ func (c *Classifier) validateDelta(dl RuleDelta) error {
 // tree re-cuts only the leaves that meet the box's cone region
 // (Tx.Replace), and a port is rewired only when it starts or stops
 // forwarding (Tx.Add, Tx.Remove). An ACL change is a Replace over old ⊕
-// new.
+// new. A middlebox change touches no predicate: it sets the box's slot in
+// the next wiring, and the epoch it publishes starts with an empty memo.
 //
 // It all runs under a single Manager.Update, which publishes the new
 // tree together with the next network.Wiring — a copy of the previous
@@ -141,6 +162,7 @@ func (c *Classifier) ApplyRuleDeltasSeq(seq uint64, deltas []RuleDelta) (applied
 		acl       *rule.ACL
 	}
 	var aclOps []aclOp
+	mbs := map[int]*network.Middlebox{}
 	for _, dl := range deltas {
 		spec := &c.Dataset.Boxes[dl.Box]
 		switch dl.Op {
@@ -160,9 +182,11 @@ func (c *Classifier) ApplyRuleDeltasSeq(seq uint64, deltas []RuleDelta) (applied
 		case OpSetInACL:
 			spec.InACL = dl.ACL
 			aclOps = append(aclOps, aclOp{dl.Box, -1, dl.ACL})
+		case OpSetMiddlebox:
+			mbs[dl.Box] = dl.MB
 		}
 	}
-	if len(cones) == 0 && len(aclOps) == 0 && seq == 0 {
+	if len(cones) == 0 && len(aclOps) == 0 && len(mbs) == 0 && seq == 0 {
 		return true, nil
 	}
 
@@ -225,6 +249,9 @@ func (c *Classifier) ApplyRuleDeltasSeq(seq uint64, deltas []RuleDelta) (applied
 			} else {
 				w.SetOutACL(op.box, op.port, id)
 			}
+		}
+		for box, mb := range mbs {
+			w.SetMiddlebox(box, mb)
 		}
 		c.debugCheckRederive(tx, w, boxes)
 		tx.SetData(w)

@@ -44,14 +44,16 @@ func main() {
 			ds.Layout.Set(pkt, "dstIP", uint64(dst))
 		})
 	}
-	c.Net.Boxes[natBox].MB = &network.Middlebox{
+	// Attaching a middlebox is a data-plane change like a rule update: it
+	// publishes a new epoch, whose memo starts empty.
+	setMiddlebox(c, natBox, &network.Middlebox{
 		Name: "nat1",
 		Entries: []network.MBEntry{{
 			Match:   matchID,
 			Type:    network.MBDeterministic,
 			Rewrite: rewriteTo(insideA),
 		}},
-	}
+	})
 
 	pkt := ds.PacketFromFields(rule.Fields{Dst: vip | 0x1234})
 
@@ -62,25 +64,35 @@ func main() {
 	fmt.Println("-- Type 1 (deterministic) NAT at chicago --")
 	b := c.Behavior(natBox, pkt)
 	fmt.Printf("from %s: %s\n", ds.Boxes[natBox].Name, b)
-	fmt.Printf("flow-table cache entries after first packet: %d\n", c.Net.Boxes[natBox].MB.CacheLen())
+	flows := func() int { return network.MemoOf(c.Manager.Snapshot()).FlowLen(natBox) }
+	fmt.Printf("flow-table cache entries after first packet: %d\n", flows())
 	c.Behavior(natBox, pkt)
-	fmt.Printf("after second packet (cache hit): %d\n\n", c.Net.Boxes[natBox].MB.CacheLen())
+	fmt.Printf("after second packet (cache hit): %d\n\n", flows())
 
 	fmt.Println("-- Type 3 (probabilistic) load balancer: VIP -> {A, B} --")
-	c.Net.Boxes[natBox].MB.Entries[0] = network.MBEntry{
-		Match: matchID,
-		Type:  network.MBProbabilistic,
-		Rewrite: func(p []byte) [][]byte {
-			a := append([]byte(nil), p...)
-			ds.Layout.Set(a, "dstIP", uint64(insideA))
-			b := append([]byte(nil), p...)
-			ds.Layout.Set(b, "dstIP", uint64(insideB))
-			return [][]byte{a, b}
-		},
-	}
+	setMiddlebox(c, natBox, &network.Middlebox{
+		Name: "lb1",
+		Entries: []network.MBEntry{{
+			Match: matchID,
+			Type:  network.MBProbabilistic,
+			Rewrite: func(p []byte) [][]byte {
+				a := append([]byte(nil), p...)
+				ds.Layout.Set(a, "dstIP", uint64(insideA))
+				b := append([]byte(nil), p...)
+				ds.Layout.Set(b, "dstIP", uint64(insideB))
+				return [][]byte{a, b}
+			},
+		}},
+	})
 	b = c.Behavior(natBox, pkt)
 	fmt.Printf("from %s: %s\n", ds.Boxes[natBox].Name, b)
 	fmt.Printf("probabilistic: %v, possible deliveries: %d\n", b.Probabilistic, len(b.Deliveries))
+}
+
+func setMiddlebox(c *apclassifier.Classifier, box int, mb *network.Middlebox) {
+	if err := c.ApplyRuleDeltas([]apclassifier.RuleDelta{{Op: apclassifier.OpSetMiddlebox, Box: box, MB: mb}}); err != nil {
+		log.Fatal(err)
+	}
 }
 
 func routedDst(ds *netgen.Dataset, rng *rand.Rand) uint32 {

@@ -14,6 +14,6 @@ func Example() {
 	// after second packet (cache hit): 1
 	//
 	// -- Type 3 (probabilistic) load balancer: VIP -> {A, B} --
-	// from chicago: ingress=6 edges=3 deliver:h3_7 rewrites=1
-	// probabilistic: false, possible deliveries: 1
+	// from chicago: ingress=6 edges=5 deliver:h7_8 deliver:h3_7 rewrites=2
+	// probabilistic: true, possible deliveries: 2
 }

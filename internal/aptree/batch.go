@@ -146,9 +146,6 @@ func descend(ev evaluator, preds []bdd.Ref, n *Node, pkts [][]byte, idx, tmp []i
 // Like single-packet Classify it descends the epoch's compiled flat core.
 func (s *Snapshot) ClassifyBatchWith(sc *BatchScratch, pkts [][]byte, out []*Node) {
 	visit := func(atom int32, w uint64) { s.visits.addN(atom, w) }
-	if !s.count {
-		visit = nil
-	}
 	s.debugCheckFlat()
 	f := s.flat
 	classifyBatch(sc, pkts, out, func(idx, tmp, weight []int32) {

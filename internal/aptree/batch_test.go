@@ -21,13 +21,10 @@ func batchTree(numPreds int, seed int64) (*Tree, *rand.Rand) {
 }
 
 // classifyTreeBatch runs the batched descent over the live pointer tree,
-// adding per-atom visit totals when the tree counts visits — the shape the
-// single-packet Tree.Classify takes, so the two can be compared directly.
+// adding per-atom visit totals — the shape the single-packet
+// Tree.Classify takes, so the two can be compared directly.
 func classifyTreeBatch(t *Tree, sc *BatchScratch, pkts [][]byte, out []*Node) {
 	visit := func(atom int32, w uint64) { t.visits.view().addN(atom, w) }
-	if !t.CountVisits {
-		visit = nil
-	}
 	classifyBatch(sc, pkts, out, func(idx, tmp, weight []int32) {
 		descend(t.D, t.preds, t.root, pkts, idx, tmp, weight, out, visit)
 	})
@@ -51,19 +48,27 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 			}
 		}
 
-		// Single-packet leaves and visit deltas, on a visit-quiet pass
-		// first so the expectations don't disturb the counters under test.
-		tree.CountVisits = false
+		// Single-packet leaves, and the visit deltas the single-packet
+		// pass itself leaves on the counters: the batch must add the same.
+		counts := func() map[int32]uint64 {
+			c := map[int32]uint64{}
+			tree.Leaves(func(l *Node) { c[l.AtomID] = tree.visits.count(l.AtomID) })
+			return c
+		}
+		before := counts()
 		want := make([]*Node, n)
-		wantVisits := map[int32]uint64{}
 		for i, p := range pkts {
 			want[i] = tree.Classify(p)
-			wantVisits[want[i].AtomID]++
 		}
-		tree.CountVisits = true
-
-		before := map[int32]uint64{}
-		tree.Leaves(func(l *Node) { before[l.AtomID] = tree.visits.count(l.AtomID) })
+		wantVisits, sum := map[int32]uint64{}, uint64(0)
+		for atom, c := range counts() {
+			wantVisits[atom] = c - before[atom]
+			sum += wantVisits[atom]
+		}
+		if sum != uint64(n) {
+			t.Fatalf("n=%d: single-packet searches counted %d visits", n, sum)
+		}
+		before = counts()
 
 		out := make([]*Node, n)
 		sc := &BatchScratch{}

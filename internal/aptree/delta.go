@@ -78,12 +78,11 @@ func (t *Tree) successor(id int32) *Tree {
 		preds = append(preds, bdd.False)
 	}
 	return &Tree{
-		D:           t.D,
-		preds:       preds,
-		numLeaves:   t.numLeaves,
-		nextAtom:    t.nextAtom,
-		CountVisits: t.CountVisits,
-		visits:      t.visits,
+		D:         t.D,
+		preds:     preds,
+		numLeaves: t.numLeaves,
+		nextAtom:  t.nextAtom,
+		visits:    t.visits,
 	}
 }
 

@@ -30,8 +30,9 @@ type Manager struct {
 	reg *Registry
 	//lint:guard mu
 	tree *Tree
-	// version increments at every swap; consumers caching per-tree data
-	// (e.g. middlebox flow tables) invalidate on change.
+	// version increments at every reconstruction swap. Updates publish
+	// new epochs under the same version, so per-epoch state must not be
+	// keyed by it: it belongs in Snapshot.Memo.
 	version uint64
 
 	// snap is the published epoch read by the lock-free query path.
@@ -148,7 +149,6 @@ func (m *Manager) publishLocked() {
 		numLive: m.reg.n,
 		version: m.version,
 		data:    m.data,
-		count:   m.tree.CountVisits,
 		visits:  m.tree.visits.view(),
 	})
 	// Publish boundaries are also the metrics flush points: the write

@@ -24,7 +24,7 @@ func BuildOptimal(in Input) *Tree {
 	if len(in.Live) > MaxOptimalPreds {
 		panic(fmt.Sprintf("aptree: BuildOptimal limited to %d predicates, got %d", MaxOptimalPreds, len(in.Live)))
 	}
-	t := &Tree{D: in.D, preds: append([]bdd.Ref(nil), in.Preds...), CountVisits: true}
+	t := &Tree{D: in.D, preds: append([]bdd.Ref(nil), in.Preds...)}
 	b := &builder{in: in, t: t, rsets: make([]predicate.AtomSet, len(in.Preds))}
 	posOf := make(map[int32]uint, len(in.Live))
 	for i, id := range in.Live {

@@ -62,10 +62,9 @@ func RestoreTree(d *bdd.DD, root *Node, preds []bdd.Ref, nextAtom int32) (*Tree,
 		return nil, fmt.Errorf("aptree: restore: nil root")
 	}
 	t := &Tree{
-		D:           d,
-		preds:       append([]bdd.Ref(nil), preds...),
-		nextAtom:    nextAtom,
-		CountVisits: true,
+		D:        d,
+		preds:    append([]bdd.Ref(nil), preds...),
+		nextAtom: nextAtom,
 	}
 	seenAtom := make(map[int32]bool)
 	var walk func(n *Node, depth int32) error

@@ -22,10 +22,11 @@ import (
 // abandons a retired DD wholesale instead of reclaiming nodes from it —
 // see bdd.View on the GC-at-swap rule).
 //
-// Visit counters are the one deliberate exception to immutability:
-// Classify increments the per-atom counter store shared with the live
-// lineage, so queries answered from an old epoch still inform the
-// distribution-aware rebuild (§V-D).
+// Two things change after publication, both on purpose. Classify
+// increments the per-atom counter store shared with the live lineage, so
+// queries answered from an old epoch still inform the distribution-aware
+// rebuild (§V-D); and the owner's memo (Memo) fills as queries learn the
+// epoch's answers.
 type Snapshot struct {
 	tree *Tree
 	view *bdd.View
@@ -44,12 +45,14 @@ type Snapshot struct {
 	// wiring), published in the same store as the tree; see Tx.SetData.
 	data any
 
-	count  bool
 	visits visitView
 
 	// atomView caches the lazily built per-epoch atom index (see
 	// Snapshot.Atoms in atomview.go). CAS-installed; benign build race.
 	atomView atomic.Pointer[AtomView]
+	// memo is the owner's per-epoch memo (see Memo), installed the same
+	// way.
+	memo atomic.Pointer[any]
 }
 
 // Classify runs the stage-1 search against this epoch — a descent over
@@ -58,9 +61,7 @@ type Snapshot struct {
 func (s *Snapshot) Classify(pkt []byte) (*Node, uint64) {
 	s.debugCheckFlat()
 	n := s.flat.Classify(pkt)
-	if s.count {
-		s.visits.add(n.AtomID)
-	}
+	s.visits.add(n.AtomID)
 	return n, s.version
 }
 
@@ -94,6 +95,20 @@ func (s *Snapshot) IsLive(id int32) bool { return s.live.Get(int(id)) }
 // Data returns the owner's value published with this epoch (Tx.SetData),
 // or nil if none was ever set. The tree never reads it.
 func (s *Snapshot) Data() any { return s.data }
+
+// Memo returns the owner's memo for this epoch, building it with build on
+// first use: the stage-2 twin of Data, for what a query learns rather than
+// what a writer publishes. Concurrent first calls may each build, and the
+// first install wins, so build must be a pure function of the snapshot.
+// The memo lives and dies with its epoch; the tree never reads it.
+func (s *Snapshot) Memo(build func(*Snapshot) any) any {
+	if m := s.memo.Load(); m != nil {
+		return *m
+	}
+	m := build(s)
+	s.memo.CompareAndSwap(nil, &m)
+	return *s.memo.Load()
+}
 
 // Version reports the reconstruction epoch this snapshot belongs to.
 func (s *Snapshot) Version() uint64 { return s.version }

@@ -84,9 +84,6 @@ type Tree struct {
 
 	numLeaves int
 	nextAtom  int32
-	// CountVisits enables the per-atom counters used by the
-	// distribution-aware rebuild. On by default.
-	CountVisits bool
 	// visits holds the per-atom query counters, keyed by AtomID and
 	// shared across the persistent versions ReplacePredicate derives from
 	// this tree, so a reconstruction sees the whole lineage's history.
@@ -113,7 +110,7 @@ type Input struct {
 
 // Build constructs an AP Tree with the chosen method.
 func Build(in Input, method Method) *Tree {
-	t := &Tree{D: in.D, preds: append([]bdd.Ref(nil), in.Preds...), CountVisits: true}
+	t := &Tree{D: in.D, preds: append([]bdd.Ref(nil), in.Preds...)}
 	b := &builder{in: in, t: t, rsets: make([]predicate.AtomSet, len(in.Preds))}
 	for _, id := range in.Live {
 		if int(id) >= len(in.Preds) {
@@ -337,9 +334,7 @@ func (t *Tree) Classify(pkt []byte) *Node {
 			n = n.F
 		}
 	}
-	if t.CountVisits {
-		t.visits.add(n.AtomID)
-	}
+	t.visits.add(n.AtomID)
 	return n
 }
 

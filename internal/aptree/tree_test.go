@@ -368,12 +368,15 @@ func TestVisitCounters(t *testing.T) {
 	if total != q {
 		t.Fatalf("visit total %d, want %d", total, q)
 	}
-	tree.CountVisits = false
-	tree.Classify([]byte{0, 0})
+	// One more search moves exactly its own leaf's counter, by one.
+	leaf := tree.Classify([]byte{0, 0})
 	var after uint64
 	tree.Leaves(func(n *Node) { after += tree.Visits(n) })
-	if after != total {
-		t.Fatal("counter incremented while disabled")
+	if after != total+1 {
+		t.Fatalf("visit total %d after one more search, want %d", after, total+1)
+	}
+	if before := tree.Visits(leaf); tree.Classify([]byte{0, 0}) != leaf || tree.Visits(leaf) != before+1 {
+		t.Fatal("a search must count one visit on the leaf it returns")
 	}
 }
 

@@ -199,25 +199,37 @@ func TestFig13LatenciesSane(t *testing.T) {
 	}
 }
 
+// TestFig14RunsAndAPWins checks that AP Classifier out-queries APLinear
+// under churn. The methods share each run's wall clock, so a busy host
+// can starve either one for a whole run; each method is therefore timed in
+// three runs and compared by its best.
 func TestFig14RunsAndAPWins(t *testing.T) {
-	tabs := env(t).Fig14(100, 400*time.Millisecond, 100*time.Millisecond, 150*time.Millisecond)
-	if len(tabs) != 2 {
-		t.Fatalf("tables = %d", len(tabs))
+	const fig14Runs = 3
+	best := map[string][2]float64{} // title → best AP, APLinear totals
+	for run := 0; run < fig14Runs; run++ {
+		tabs := env(t).Fig14(100, 400*time.Millisecond, 100*time.Millisecond, 150*time.Millisecond)
+		if len(tabs) != 2 {
+			t.Fatalf("tables = %d", len(tabs))
+		}
+		for _, tab := range tabs {
+			if len(tab.Rows) != 4 {
+				t.Fatalf("buckets = %d", len(tab.Rows))
+			}
+			var ap, lin float64
+			for _, row := range tab.Rows {
+				var a, l float64
+				mustParse(t, row[1], &a)
+				mustParse(t, row[2], &l)
+				ap += a
+				lin += l
+			}
+			b := best[tab.Title]
+			best[tab.Title] = [2]float64{max(b[0], ap), max(b[1], lin)}
+		}
 	}
-	for _, tab := range tabs {
-		if len(tab.Rows) != 4 {
-			t.Fatalf("buckets = %d", len(tab.Rows))
-		}
-		var ap, lin float64
-		for _, row := range tab.Rows {
-			var a, l float64
-			mustParse(t, row[1], &a)
-			mustParse(t, row[2], &l)
-			ap += a
-			lin += l
-		}
-		if ap <= lin {
-			t.Errorf("%s: AP Classifier total %.2f should beat APLinear %.2f", tab.Title, ap, lin)
+	for title, b := range best {
+		if b[0] <= b[1] {
+			t.Errorf("%s: AP Classifier best total %.2f should beat APLinear %.2f", title, b[0], b[1])
 		}
 	}
 }

@@ -114,8 +114,10 @@ func newMBBench(ds *netgen.Dataset, traceLen int) *mbBench {
 
 // measure attaches numMB middleboxes with the given deterministic ratio,
 // measures end-to-end behavior-computation throughput, and detaches them.
+// Attaching publishes an epoch, so each cell starts from an empty memo.
 func (m *mbBench) measure(numMB int, ratio float64, minDur time.Duration) float64 {
 	numDet := int(ratio*mbEntries + 0.5)
+	var attach, detach []apclassifier.RuleDelta
 	for mbi := 0; mbi < numMB; mbi++ {
 		mb := &network.Middlebox{Name: fmt.Sprintf("MB%d", mbi)}
 		for ei := 0; ei < mbEntries; ei++ {
@@ -148,8 +150,10 @@ func (m *mbBench) measure(numMB int, ratio float64, minDur time.Duration) float6
 				Match: m.matchIDs[ei], Type: typ, Rewrite: rewrite,
 			})
 		}
-		m.c.Net.Boxes[m.boxOrder[mbi]].MB = mb
+		attach = append(attach, apclassifier.RuleDelta{Op: apclassifier.OpSetMiddlebox, Box: m.boxOrder[mbi], MB: mb})
+		detach = append(detach, apclassifier.RuleDelta{Op: apclassifier.OpSetMiddlebox, Box: m.boxOrder[mbi]})
 	}
+	mustApply(m.c, attach)
 
 	walker := m.c.NewWalker()
 	i := 0
@@ -158,8 +162,12 @@ func (m *mbBench) measure(numMB int, ratio float64, minDur time.Duration) float6
 		i++
 	}, m.trace, minDur)
 
-	for _, b := range m.c.Net.Boxes {
-		b.MB = nil
-	}
+	mustApply(m.c, detach)
 	return q
+}
+
+func mustApply(c *apclassifier.Classifier, deltas []apclassifier.RuleDelta) {
+	if err := c.ApplyRuleDeltas(deltas); err != nil {
+		panic(err)
+	}
 }

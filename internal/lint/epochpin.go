@@ -6,11 +6,12 @@ import (
 	"go/types"
 )
 
-// EpochPin is the static twin of the apdebug debugCheckCacheEpoch
-// assertion: a function that pins an epoch — loading a snapshot through
-// aptree.Manager.Snapshot, Classifier.Snapshot, or a Load on an
-// atomic.Pointer holding a snapshot — must answer the rest of its query
-// from that pinned value. Three mixings are reported, each a way to
+// EpochPin checks that a function that pins an epoch — loading a
+// snapshot through aptree.Manager.Snapshot, Classifier.Snapshot, or a
+// Load on an atomic.Pointer holding a snapshot — answers the rest of its
+// query from that pinned value. (What a query remembers is owned by the
+// pinned snapshot itself, Snapshot.Memo, so a memo lookup cannot stray
+// into another epoch; this check covers every other read.) Three mixings are reported, each a way to
 // straddle two reconstruction epochs inside one logical walk:
 //
 //  1. pinning a second snapshot in the same function: the two loads may

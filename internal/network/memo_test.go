@@ -10,9 +10,9 @@ func TestBehaviorCacheStoreLookup(t *testing.T) {
 	n, m, _ := fig1Net(t)
 	b1 := n.BoxByName("b1")
 	s := m.Snapshot()
-	bc := NewBehaviorCache(s, len(n.Boxes))
-	if bc.Epoch() != s {
-		t.Fatal("cache must key to the snapshot it was built for")
+	bc := MemoOf(s)
+	if MemoOf(s) != bc {
+		t.Fatal("an epoch must keep the one memo it installed")
 	}
 
 	pkt := []byte{0b10000001}
@@ -40,6 +40,12 @@ func TestBehaviorCacheStoreLookup(t *testing.T) {
 		t.Fatal("out-of-range lookup must miss")
 	}
 	bc.Store(b1, -1, b)
+
+	// The next epoch starts empty; the pinned one keeps its entry.
+	rewire(n, m, func(*Wiring) {})
+	if next := MemoOf(m.Snapshot()); next == bc || next.Len() != 0 || bc.Len() != 1 {
+		t.Fatalf("next epoch's memo holds %d behaviors, pinned one %d", next.Len(), bc.Len())
+	}
 }
 
 // TestMiddleboxDeterminismFlag checks that walks crossing Type-2/Type-3
@@ -60,17 +66,19 @@ func TestMiddleboxDeterminismFlag(t *testing.T) {
 			n, m, _ := fig1Net(t)
 			b1 := n.BoxByName("b1")
 			match := m.AddPredicate(func(d *bdd.DD) bdd.Ref { return bdd.True })
-			n.Boxes[b1].MB = &Middlebox{
-				Name: "mb",
-				Entries: []MBEntry{{
-					Match: match,
-					Type:  tc.typ,
-					Rewrite: func(pkt []byte) [][]byte {
-						out := append([]byte(nil), pkt...)
-						return [][]byte{out}
-					},
-				}},
-			}
+			rewire(n, m, func(w *Wiring) {
+				w.SetMiddlebox(b1, &Middlebox{
+					Name: "mb",
+					Entries: []MBEntry{{
+						Match: match,
+						Type:  tc.typ,
+						Rewrite: func(pkt []byte) [][]byte {
+							out := append([]byte(nil), pkt...)
+							return [][]byte{out}
+						},
+					}},
+				})
+			})
 			pkt := []byte{0b10000001}
 			b := walk(n, m, b1, pkt)
 			if b.Deterministic() != tc.det {
@@ -94,10 +102,12 @@ func TestWalkerResetsDeterminism(t *testing.T) {
 	n, m, _ := fig1Net(t)
 	b1, b2 := n.BoxByName("b1"), n.BoxByName("b2")
 	match := m.AddPredicate(func(d *bdd.DD) bdd.Ref { return bdd.True })
-	n.Boxes[b1].MB = &Middlebox{Entries: []MBEntry{{
-		Match: match, Type: MBPayload,
-		Rewrite: func(pkt []byte) [][]byte { return [][]byte{append([]byte(nil), pkt...)} },
-	}}}
+	rewire(n, m, func(w *Wiring) {
+		w.SetMiddlebox(b1, &Middlebox{Entries: []MBEntry{{
+			Match: match, Type: MBPayload,
+			Rewrite: func(pkt []byte) [][]byte { return [][]byte{append([]byte(nil), pkt...)} },
+		}}})
+	})
 	w := NewWalker(n)
 	s := m.Snapshot()
 	pkt := []byte{0b10000001}

@@ -18,11 +18,11 @@ var (
 	mDropVec = obs.Default.CounterVec("apc_network_drops_total",
 		"Traversal branches that ended in a drop, by reason.", "reason")
 
-	// Behavior-cache counters: one striped add per BehaviorCache.Lookup.
-	// A miss is counted every time a walk could not be answered from the
-	// table — including walks that stay uncacheable because they cross a
+	// Behavior-cache counters: one striped add per Memo.Lookup. A miss is
+	// counted every time a walk could not be answered from the epoch's
+	// memo — including walks that stay uncacheable because they cross a
 	// non-deterministic middlebox — so hits/(hits+misses) is the true
-	// memoization rate of the batch pipeline.
+	// memoization rate. A header repeated within a batch is a hit.
 	mCacheHits = obs.Default.Counter("apc_behavior_cache_hits_total",
 		"Stage-2 walks answered from the per-epoch behavior cache.")
 	mCacheMisses = obs.Default.Counter("apc_behavior_cache_misses_total",

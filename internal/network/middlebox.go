@@ -1,10 +1,6 @@
 package network
 
-import (
-	"sync"
-
-	"apclassifier/internal/aptree"
-)
+import "apclassifier/internal/aptree"
 
 // MBType classifies a middlebox flow-table entry by how its header change
 // can be predicted (§V-E).
@@ -14,8 +10,8 @@ type MBType int
 const (
 	// MBDeterministic (Type 1): the new header is a function of the old
 	// header, so the new atomic predicate can be stored in the flow table.
-	// AP Classifier fills that cache lazily, one (entry, atom) pair at a
-	// time, and reads it on every later packet.
+	// AP Classifier fills that table lazily in the epoch's Memo, one
+	// (entry, atom) pair at a time, and reads it on every later packet.
 	MBDeterministic MBType = iota
 	// MBPayload (Type 2): the new header depends on packet payload; the AP
 	// Tree must be searched again for every packet.
@@ -45,39 +41,20 @@ type MBEntry struct {
 
 // Middlebox is an ordered flow table attached to a box; the first matching
 // entry applies, like an OpenFlow table (§V-E Fig. 7). A packet matching no
-// entry passes through unmodified.
+// entry passes through unmodified. A middlebox is part of the data plane:
+// it is attached with the epoch's Wiring (SetMiddlebox) and, like the rest
+// of a published wiring, never changes afterwards — a new configuration is
+// a new Middlebox in a new epoch. What its Type-1 entries learn lives in
+// the epoch's Memo.
 type Middlebox struct {
 	Name    string
 	Entries []MBEntry
-
-	// cache holds, per (entry, incoming atom), the leaf of the rewritten
-	// header — the "new atomic predicate" column of the paper's flow
-	// table. It is invalidated when the AP Tree is swapped (version
-	// change). Only MBDeterministic entries use it.
-	mu sync.Mutex
-	//lint:guard mu
-	cacheVersion uint64
-	//lint:guard mu
-	cache map[mbCacheKey]*aptree.Node
 }
 
-type mbCacheKey struct {
-	entry int
-	atom  int32
-}
-
-// CacheLen reports the number of cached (entry, atom) classifications; for
-// tests and the Table II experiment.
-func (m *Middlebox) CacheLen() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.cache)
-}
-
-// process applies the middlebox to a traversal head, returning the
+// process applies box's middlebox m to a traversal head, returning the
 // resulting heads (possibly several for probabilistic entries) and whether
-// the packet survived.
-func (m *Middlebox) process(s *aptree.Snapshot, b *Behavior, w workItem) ([]workItem, bool) {
+// the packet survived. A nil memo is the epoch's own (MemoOf).
+func (m *Middlebox) process(s *aptree.Snapshot, memo *Memo, b *Behavior, w workItem) ([]workItem, bool) {
 	for ei := range m.Entries {
 		e := &m.Entries[ei]
 		if !member(w.leaf, e.Match) {
@@ -87,7 +64,7 @@ func (m *Middlebox) process(s *aptree.Snapshot, b *Behavior, w workItem) ([]work
 			// The entry's outcome — pass, drop, or whichever rewrite —
 			// may differ between packets of the same atom, so the walk as
 			// a whole stops being a function of the atom (§V-E) and the
-			// behavior cache must skip it.
+			// behavior memo must skip it.
 			b.nondet = true
 		}
 		outs := e.Rewrite(w.pkt)
@@ -104,7 +81,10 @@ func (m *Middlebox) process(s *aptree.Snapshot, b *Behavior, w workItem) ([]work
 		for _, out := range outs {
 			var leaf *aptree.Node
 			if e.Type == MBDeterministic {
-				leaf = m.cachedClassify(s, ei, w.leaf.AtomID, out)
+				if memo == nil {
+					memo = MemoOf(s)
+				}
+				leaf = memo.rewritten(s, w.box, ei, w.leaf.AtomID, out)
 			} else {
 				leaf, _ = s.Classify(out)
 			}
@@ -114,33 +94,6 @@ func (m *Middlebox) process(s *aptree.Snapshot, b *Behavior, w workItem) ([]work
 		return heads, true
 	}
 	return []workItem{w}, true // no entry matched: default pass-through
-}
-
-// cachedClassify implements the Type-1 fast path: the new atomic predicate
-// for (entry, old atom) is computed once and then served from the flow
-// table, so repeated packets avoid the AP Tree search entirely. The cache
-// is keyed to the classifier epoch and discarded wholesale when the AP
-// Tree is swapped, because leaves of a retired tree may not reflect
-// predicates added since.
-func (m *Middlebox) cachedClassify(s *aptree.Snapshot, entry int, atom int32, out []byte) *aptree.Node {
-	key := mbCacheKey{entry, atom}
-	cur := s.Version()
-	m.mu.Lock()
-	if m.cache == nil || m.cacheVersion != cur {
-		m.cache = make(map[mbCacheKey]*aptree.Node)
-		m.cacheVersion = cur
-	} else if cached, ok := m.cache[key]; ok {
-		m.mu.Unlock()
-		return cached
-	}
-	m.mu.Unlock()
-	leaf, v := s.Classify(out)
-	m.mu.Lock()
-	if m.cacheVersion == v {
-		m.cache[key] = leaf
-	}
-	m.mu.Unlock()
-	return leaf
 }
 
 // SetFieldRewrite returns a Rewrite that overwrites one layout field with a

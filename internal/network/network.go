@@ -10,8 +10,9 @@
 // optimization effort on stage 1.
 //
 // The Network is the topology that never changes after setup: names,
-// peers, hosts and middleboxes. Which predicate ID each slot tests is the
-// epoch's Wiring, published with the tree; a walk reads it from the
+// peers and hosts. Which predicate ID each slot tests, and which middlebox
+// each box hosts, is the epoch's Wiring, published with the tree; a walk
+// reads it, and remembers what it learns in the epoch's Memo, through the
 // snapshot its leaf came from.
 package network
 
@@ -52,12 +53,10 @@ type Port struct {
 }
 
 // Box is a packet-forwarding device: router, switch, or middlebox host.
+// The middlebox a box hosts, if any, is part of the epoch's Wiring.
 type Box struct {
 	Name  string
 	Ports []Port
-	// MB, if non-nil, is a header-modifying middlebox traversed by every
-	// packet entering the box before forwarding (§V-E).
-	MB *Middlebox
 }
 
 // Network is a directed graph of boxes.
@@ -289,7 +288,7 @@ func (w *Walker) Behavior(s *aptree.Snapshot, ingress int, pkt []byte, leaf *apt
 		Deliveries: w.beh.Deliveries[:0],
 		Drops:      w.beh.Drops[:0],
 	}
-	w.n.behaviorInto(s, ingress, pkt, leaf, &w.beh, &w.visited, &w.queue)
+	w.n.behaviorInto(s, nil, ingress, pkt, leaf, &w.beh, &w.visited, &w.queue)
 	return &w.beh
 }
 
@@ -303,11 +302,15 @@ func (n *Network) Behavior(s *aptree.Snapshot, ingress int, pkt []byte, leaf *ap
 	b := &Behavior{Ingress: ingress}
 	var visited []visitKey
 	var queue []workItem
-	n.behaviorInto(s, ingress, pkt, leaf, b, &visited, &queue)
+	n.behaviorInto(s, nil, ingress, pkt, leaf, b, &visited, &queue)
 	return b
 }
 
-func (n *Network) behaviorInto(s *aptree.Snapshot, ingress int, pkt []byte, leaf *aptree.Node, b *Behavior, visitedp *[]visitKey, queuep *[]workItem) {
+// behaviorInto walks into b. Type-1 rewrites read and fill memo's flow
+// table; a nil memo stands for the epoch's own, fetched by the first
+// Type-1 rewrite, so a walk that meets none (a verifier's sweep) never
+// builds one.
+func (n *Network) behaviorInto(s *aptree.Snapshot, memo *Memo, ingress int, pkt []byte, leaf *aptree.Node, b *Behavior, visitedp *[]visitKey, queuep *[]workItem) {
 	wiring := WiringOf(s)
 	maxHops := n.MaxHops
 	if maxHops == 0 {
@@ -358,9 +361,9 @@ func (n *Network) behaviorInto(s *aptree.Snapshot, ingress int, pkt []byte, leaf
 
 		// Middlebox processing happens before the box's own forwarding.
 		heads := []workItem{w}
-		if box.MB != nil {
+		if wired.mb != nil {
 			var ok bool
-			heads, ok = box.MB.process(s, b, w)
+			heads, ok = wired.mb.process(s, memo, b, w)
 			if !ok {
 				b.Drops = append(b.Drops, DropEvent{w.box, DropMiddlebox})
 				continue

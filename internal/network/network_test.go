@@ -280,19 +280,34 @@ func mbNet(t *testing.T, typ MBType) (*Network, *aptree.Manager) {
 	rewire(n, m, func(w *Wiring) {
 		w.SetFwd(b1, 0, p2)
 		w.SetFwd(b2, 0, p3)
+		w.SetMiddlebox(b1, &Middlebox{
+			Name: "MB1",
+			Entries: []MBEntry{{
+				Match: match,
+				Type:  typ,
+				Rewrite: SetFieldRewrite(func(pkt []byte) {
+					pkt[0] = 0b10000000 | pkt[0]&0x1F
+				}),
+			}},
+		})
 	})
-
-	n.Boxes[b1].MB = &Middlebox{
-		Name: "MB1",
-		Entries: []MBEntry{{
-			Match: match,
-			Type:  typ,
-			Rewrite: SetFieldRewrite(func(pkt []byte) {
-				pkt[0] = 0b10000000 | pkt[0]&0x1F
-			}),
-		}},
-	}
 	return n, m
+}
+
+// setRewrite publishes the next epoch with b1's middlebox entry rewriting
+// by rw instead.
+func setRewrite(n *Network, m *aptree.Manager, rw Rewrite) {
+	b1 := n.BoxByName("b1")
+	rewire(n, m, func(w *Wiring) {
+		e := w.Middlebox(b1).Entries[0]
+		e.Rewrite = rw
+		w.SetMiddlebox(b1, &Middlebox{Name: "MB1", Entries: []MBEntry{e}})
+	})
+}
+
+// flowLen counts b1's Type-1 flow-table entries in the published epoch.
+func flowLen(n *Network, m *aptree.Manager) int {
+	return MemoOf(m.Snapshot()).FlowLen(n.BoxByName("b1"))
 }
 
 func TestMiddleboxRewriteDeterministic(t *testing.T) {
@@ -309,14 +324,13 @@ func TestMiddleboxRewriteDeterministic(t *testing.T) {
 	if b.Probabilistic {
 		t.Fatal("deterministic rewrite must not mark probabilistic")
 	}
-	// The Type-1 cache must be primed and reused.
-	mb := n.Boxes[b1].MB
-	if mb.CacheLen() != 1 {
-		t.Fatalf("cache length = %d, want 1", mb.CacheLen())
+	// The Type-1 flow table must be primed and reused.
+	if got := flowLen(n, m); got != 1 {
+		t.Fatalf("flow table length = %d, want 1", got)
 	}
 	b = walk(n, m, b1, pkt)
-	if !b.Delivered("h2") || mb.CacheLen() != 1 {
-		t.Fatalf("second query must hit the cache: %v len=%d", b, mb.CacheLen())
+	if !b.Delivered("h2") || flowLen(n, m) != 1 {
+		t.Fatalf("second query must hit the flow table: %v len=%d", b, flowLen(n, m))
 	}
 }
 
@@ -325,17 +339,20 @@ func TestMiddleboxCacheInvalidatedOnReconstruct(t *testing.T) {
 	b1 := n.BoxByName("b1")
 	pkt := []byte{0b11100101}
 	walk(n, m, b1, pkt)
-	mb := n.Boxes[b1].MB
-	if mb.CacheLen() != 1 {
-		t.Fatalf("cache not primed")
+	old := m.Snapshot()
+	if MemoOf(old).FlowLen(b1) != 1 {
+		t.Fatalf("flow table not primed")
 	}
 	m.Reconstruct(false)
+	if flowLen(n, m) != 0 {
+		t.Fatal("a reconstruction must publish an empty flow table")
+	}
 	b := walk(n, m, b1, pkt)
 	if !b.Delivered("h2") {
 		t.Fatalf("behavior wrong after reconstruct: %v", b)
 	}
-	if mb.CacheLen() != 1 {
-		t.Fatalf("cache should be rebuilt with one fresh entry, len=%d", mb.CacheLen())
+	if flowLen(n, m) != 1 || MemoOf(old).FlowLen(b1) != 1 {
+		t.Fatalf("each epoch keeps its own one entry: new %d, old %d", flowLen(n, m), MemoOf(old).FlowLen(b1))
 	}
 }
 
@@ -347,8 +364,8 @@ func TestMiddleboxPayloadTypeDoesNotCache(t *testing.T) {
 	if !b.Delivered("h2") {
 		t.Fatalf("Type-2 rewrite must still deliver: %v", b)
 	}
-	if n.Boxes[b1].MB.CacheLen() != 0 {
-		t.Fatal("Type-2 entries must not populate the Type-1 cache")
+	if flowLen(n, m) != 0 {
+		t.Fatal("Type-2 entries must not populate the Type-1 flow table")
 	}
 }
 
@@ -356,13 +373,13 @@ func TestMiddleboxProbabilistic(t *testing.T) {
 	n, m := mbNet(t, MBProbabilistic)
 	b1 := n.BoxByName("b1")
 	// Rewrite to two possible headers: one forwarded, one dropped.
-	n.Boxes[b1].MB.Entries[0].Rewrite = func(pkt []byte) [][]byte {
+	setRewrite(n, m, func(pkt []byte) [][]byte {
 		fwd := append([]byte(nil), pkt...)
 		fwd[0] = 0b10000001
 		drop := append([]byte(nil), pkt...)
 		drop[0] = 0b00000001
 		return [][]byte{fwd, drop}
-	}
+	})
 	pkt := []byte{0b11100101}
 	b := walk(n, m, b1, pkt)
 	if !b.Probabilistic {
@@ -383,7 +400,7 @@ func TestMiddleboxDropAndPassthrough(t *testing.T) {
 	n, m := mbNet(t, MBDeterministic)
 	b1 := n.BoxByName("b1")
 	// Entry that drops matching packets.
-	n.Boxes[b1].MB.Entries[0].Rewrite = func(pkt []byte) [][]byte { return [][]byte{} }
+	setRewrite(n, m, func(pkt []byte) [][]byte { return [][]byte{} })
 	pkt := []byte{0b11100101}
 	b := walk(n, m, b1, pkt)
 	if b.Delivered("") || len(b.Drops) != 1 || b.Drops[0].Reason != DropMiddlebox {
@@ -399,7 +416,7 @@ func TestMiddleboxDropAndPassthrough(t *testing.T) {
 	}
 
 	// A nil rewrite result is an explicit pass-through entry.
-	n.Boxes[b1].MB.Entries[0].Rewrite = func(pkt []byte) [][]byte { return nil }
+	setRewrite(n, m, func(pkt []byte) [][]byte { return nil })
 	b = walk(n, m, b1, pkt)
 	// 111xxxxx is in no forwarding predicate, so it drops with no route —
 	// but not at the middlebox.

@@ -8,10 +8,11 @@ import (
 
 // Wiring binds the topology's predicate slots to predicate IDs for one
 // classifier epoch: each box's ingress ACL and, per port, the forwarding
-// predicate and the egress ACL (NoPred where a slot is empty). The owner
-// publishes it with the tree (aptree.Tx.SetData) and a walk reads it
-// from the snapshot it is pinned to (WiringOf), so every membership bit
-// is tested against the wiring of the leaf's own epoch. It carries no
+// predicate and the egress ACL (NoPred where a slot is empty) — and
+// attaches each box's middlebox, if any. The owner publishes it with the
+// tree (aptree.Tx.SetData) and a walk reads it from the snapshot it is
+// pinned to (WiringOf), so every membership bit is tested against the
+// wiring of the leaf's own epoch. It carries no
 // liveness probe: whoever removes a predicate unwires its ID in the same
 // update, so a walk only ever tests IDs live in its epoch.
 //
@@ -32,6 +33,7 @@ type Wiring struct {
 type wiredBox struct {
 	inACL int32
 	ports []wiredPort
+	mb    *Middlebox
 }
 
 type wiredPort struct{ fwd, outACL int32 }
@@ -103,3 +105,21 @@ func (w *Wiring) SetFwd(b, p int, id int32) { w.own(b).ports[p].fwd = id }
 // SetOutACL wires box b's port-p egress ACL to id. Only an unpublished
 // wiring may be set.
 func (w *Wiring) SetOutACL(b, p int, id int32) { w.own(b).ports[p].outACL = id }
+
+// Middlebox returns the middlebox box b's packets cross before
+// forwarding (§V-E), or nil.
+func (w *Wiring) Middlebox(b int) *Middlebox { return w.boxes[b].mb }
+
+// SetMiddlebox attaches m to box b (nil detaches). m must not change once
+// published. Only an unpublished wiring may be set.
+func (w *Wiring) SetMiddlebox(b int, m *Middlebox) { w.own(b).mb = m }
+
+// FirstMiddlebox returns the lowest box hosting a middlebox, or -1.
+func (w *Wiring) FirstMiddlebox() int {
+	for b := range w.boxes {
+		if w.boxes[b].mb != nil {
+			return b
+		}
+	}
+	return -1
+}

@@ -442,12 +442,10 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 // middlebox gets 422 and nil: atom-level analysis does not cover header
 // rewrites, and verify.New panics on them.
 func (s *Server) analyzer(w http.ResponseWriter) *verify.Analyzer {
-	for _, b := range s.c.Net.Boxes {
-		if b.MB != nil {
-			writeErr(w, http.StatusUnprocessableEntity,
-				"verification does not support middleboxes: box %q rewrites headers", b.Name)
-			return nil
-		}
+	if b := network.WiringOf(s.c.Manager.Snapshot()).FirstMiddlebox(); b >= 0 {
+		writeErr(w, http.StatusUnprocessableEntity,
+			"verification does not support middleboxes: box %q rewrites headers", s.c.Net.Boxes[b].Name)
+		return nil
 	}
 	return verify.New(s.c)
 }

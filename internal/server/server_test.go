@@ -229,7 +229,10 @@ func TestVerifyBadInput(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.middlebox {
-				c.Net.Boxes[1].MB = &network.Middlebox{Name: "nat"}
+				mb := apclassifier.RuleDelta{Op: apclassifier.OpSetMiddlebox, Box: 1, MB: &network.Middlebox{Name: "nat"}}
+				if err := c.ApplyRuleDeltas([]apclassifier.RuleDelta{mb}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			ts := httptest.NewServer(New(c).Handler())
 			defer ts.Close()

@@ -72,11 +72,11 @@ type row struct {
 // concrete headers, not atoms).
 func New(c *apclassifier.Classifier) *Analyzer {
 	snap, net := c.Manager.Snapshot(), c.Net
+	if network.WiringOf(snap).FirstMiddlebox() >= 0 {
+		panic("verify: atom-level analysis does not support middleboxes")
+	}
 	hostID := map[string]int{}
 	for _, b := range net.Boxes {
-		if b.MB != nil {
-			panic("verify: atom-level analysis does not support middleboxes")
-		}
 		for i := range b.Ports {
 			if p := &b.Ports[i].Peer; p.Kind == network.DestHost {
 				if _, ok := hostID[p.Host]; !ok {

@@ -260,7 +260,10 @@ func TestPacketSetCountAndFraction(t *testing.T) {
 func TestAnalyzerRejectsMiddleboxes(t *testing.T) {
 	ds := netgen.Internet2Like(netgen.Config{Seed: 59, RuleScale: 0.01})
 	c := compile(t, ds)
-	c.Net.Boxes[0].MB = &network.Middlebox{Name: "mb"}
+	mb := apclassifier.RuleDelta{Op: apclassifier.OpSetMiddlebox, Box: 0, MB: &network.Middlebox{Name: "mb"}}
+	if err := c.ApplyRuleDeltas([]apclassifier.RuleDelta{mb}); err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("middlebox networks must be rejected")

@@ -21,8 +21,9 @@ import (
 // dropped.
 //
 // The wiring is published with the tree, so a batch that makes a port
-// start or stop forwarding, or sets an ACL, shows in a snapshot whole or
-// not at all; the rest of the topology never changes after setup.
+// start or stop forwarding, sets an ACL or swaps a middlebox shows in a
+// snapshot whole or not at all; the rest of the topology never changes
+// after setup.
 type Snapshot struct {
 	c *Classifier
 	s *aptree.Snapshot
@@ -47,7 +48,7 @@ func (s *Snapshot) Classify(pkt header.Packet) *aptree.Node {
 // the leaf and the behavior (the server's /query, traced queries) use it
 // to avoid classifying the packet twice.
 func (s *Snapshot) BehaviorFrom(ingress int, pkt header.Packet, leaf *aptree.Node) *network.Behavior {
-	return s.c.behaviorVia(s.c.cacheFor(s.s), nil, s.s, ingress, pkt, leaf, false)
+	return s.c.behaviorVia(nil, s.s, ingress, pkt, leaf, false)
 }
 
 // NumPredicates reports the number of live predicates in the epoch.
