@@ -20,7 +20,7 @@ APDEBUG_PKGS := . ./internal/bdd ./internal/aptree
 # -benchtime keeps the step fast; it is a non-regression smoke (the
 # benchmarks must run and the parallel path must stay race-clean), not a
 # performance gate — numbers live in EXPERIMENTS.md.
-BENCH_SMOKE := ^(BenchmarkManagerClassify|BenchmarkParallelClassify|BenchmarkParallelClassifyWithUpdates|BenchmarkBatchClassify|BenchmarkFlatClassify)$$
+BENCH_SMOKE := ^(BenchmarkManagerClassify|BenchmarkParallelClassify|BenchmarkParallelClassifyWithUpdates|BenchmarkBatchClassify)$$
 
 # The facade-level batch benchmark (single vs batched pipeline, behavior
 # cache on) lives in the root package; bench-smoke runs it at a tiny
@@ -37,19 +37,14 @@ COVER_OUT   := coverage-obs.out
 SMOKE_DIR := /tmp/apc-checkpoint-smoke
 
 # Fuzz targets exercised briefly by fuzz-smoke: the two binary decoders
-# that parse untrusted bytes, the flat-vs-pointer differential harness
-# (the compiled classify core — the one stage-1 serving path — must answer
-# bit-identically to the pointer-tree reference on every dataset and
-# arbitrary packets), and the interval-coded AtomSet vs its map-of-IDs
-# model. A short -fuzztime keeps CI fast; long runs are for dedicated
-# fuzzing sessions.
+# that parse untrusted bytes, the classify-vs-simulate harness (a fuzzed
+# 5-tuple must land on a leaf that holds it and be delivered where the
+# rule-table simulator delivers it, on every dataset), and the
+# interval-coded AtomSet vs its map-of-IDs model. A short -fuzztime keeps
+# CI fast; long runs are for dedicated fuzzing sessions.
 FUZZ_TIME ?= 5s
 
-# bench-flat's -dur: long enough for stable per-network Mqps columns at
-# small scale, short enough for CI.
-FLAT_DUR := 100ms
-
-.PHONY: build fmt test vet lint race apdebug bench-smoke bench-gate bench-flat cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke cli-smoke no-orphans check
+.PHONY: build fmt test vet lint race apdebug bench-smoke bench-gate cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke cli-smoke no-orphans check
 
 build:
 	$(GO) build ./...
@@ -91,15 +86,6 @@ bench-smoke:
 bench-gate:
 	$(GO) run ./bench -workload all -smoke -seconds 5
 
-# Flat smoke: the compiled classify core measured against the pointer-tree
-# reference (the uncounted ClassifyPointer descent tests compare with, not
-# a second serving engine) on both networks at small scale. A
-# non-regression gate (the flat core must compile for every dataset and
-# the experiment must run end to end); recorded numbers live in
-# EXPERIMENTS.md.
-bench-flat:
-	$(GO) run ./cmd/apbench -scale small -run flat -dur $(FLAT_DUR)
-
 # Save → restore → verify through the real binaries: apstate writes a
 # checkpoint for every generator, then fully decodes and self-checks it.
 # This is the end-to-end durability gate (the unit tests cover the codec;
@@ -127,7 +113,7 @@ cluster-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZ_TIME) ./internal/bdd
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZ_TIME) ./internal/checkpoint
-	$(GO) test -run '^$$' -fuzz '^FuzzFlatVsPointer$$' -fuzztime $(FUZZ_TIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzClassifyVsSimulate$$' -fuzztime $(FUZZ_TIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzAtomSet$$' -fuzztime $(FUZZ_TIME) ./internal/predicate
 
 # Verification smoke: apverify's exhaustive sweeps on the small fat-tree
@@ -176,6 +162,6 @@ no-orphans:
 		echo "the processes above outlived the gates that started them"; exit 1; \
 	fi
 
-check: build fmt vet test lint race apdebug bench-smoke bench-gate bench-flat checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke cli-smoke cover
+check: build fmt vet test lint race apdebug bench-smoke bench-gate checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke cli-smoke cover
 	@$(MAKE) --no-print-directory no-orphans
 	@echo "all gates passed"

@@ -174,8 +174,8 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 	d.GC()
 	c.Manager = aptree.NewManagerWith(d, reg, tree, opts.Method, wiring)
 	// Index every table once, for the rule changes to come. After the
-	// build, so the tree, the DD and the flat core are laid out in the
-	// heap as they would be without it.
+	// build, so the tree and the DD are laid out in the heap as they
+	// would be without it.
 	for bi := range ds.Boxes {
 		ds.Boxes[bi].Fwd.Index()
 	}

@@ -9,38 +9,34 @@ import (
 	"apclassifier/internal/rule"
 )
 
-// checkFlatAgainstPointer differentially probes the published epoch's
-// compiled flat core against the pointer tree — boundary and random
-// headers, single-packet and batched descent — as the churn-equivalence
-// guard against stale flat compiles at epoch swaps.
-func checkFlatAgainstPointer(t *testing.T, c *Classifier, ds *netgen.Dataset, rng *rand.Rand, batch int) {
+// checkLeavesHoldProbes probes the published epoch with boundary and
+// random headers: each probe's leaf atom must hold the probe, and the
+// batched descent must land every probe on the leaf single-packet
+// Classify gives it — the per-epoch guard that a delta publish left the
+// tree's leaves a partition its searches agree on.
+func checkLeavesHoldProbes(t *testing.T, c *Classifier, ds *netgen.Dataset, rng *rand.Rand, batch int) {
 	t.Helper()
 	s := c.Manager.Snapshot()
-	f := s.Flat()
-	if f == nil {
-		t.Fatalf("batch %d: published epoch carries no flat core", batch)
-	}
 	probes := boundaryFields(ds, rng, 1)
 	for i := 0; i < 32; i++ {
 		probes = append(probes, ds.RandomFields(rng))
 	}
 	pkts := make([][]byte, len(probes))
+	single := make([]*aptree.Node, len(probes))
 	for i, fl := range probes {
 		pkts[i] = ds.PacketFromFields(fl)
-		want, _ := s.ClassifyPointer(pkts[i])
-		if got := f.Classify(pkts[i]); got != want {
-			t.Fatalf("batch %d probe %d: flat atom %d != pointer atom %d",
-				batch, i, got.AtomID, want.AtomID)
+		single[i] = s.ClassifyUncounted(pkts[i])
+		if !s.View().EvalBits(single[i].BDD, pkts[i]) {
+			t.Fatalf("batch %d probe %d: leaf atom %d does not hold the probe",
+				batch, i, single[i].AtomID)
 		}
 	}
-	outF := make([]*aptree.Node, len(pkts))
-	outP := make([]*aptree.Node, len(pkts))
-	s.ClassifyBatchWith(&aptree.BatchScratch{}, pkts, outF)
-	s.ClassifyBatchPointerWith(&aptree.BatchScratch{}, pkts, outP)
+	batched := make([]*aptree.Node, len(pkts))
+	s.ClassifyBatchWith(&aptree.BatchScratch{}, pkts, batched)
 	for i := range pkts {
-		if outF[i] != outP[i] {
-			t.Fatalf("batch %d probe %d: batched flat atom %d != pointer atom %d",
-				batch, i, outF[i].AtomID, outP[i].AtomID)
+		if batched[i] != single[i] {
+			t.Fatalf("batch %d probe %d: batched atom %d != single atom %d",
+				batch, i, batched[i].AtomID, single[i].AtomID)
 		}
 	}
 }
@@ -141,11 +137,9 @@ func TestChurnDeltasMatchFreshBuild(t *testing.T) {
 				if err := c.Manager.Tree().CheckLeafPartition(); err != nil {
 					t.Fatalf("batch %d broke the leaf partition: %v", batch, err)
 				}
-				// Every delta publish recompiles the flat core for the new
-				// epoch; check it against the pointer tree immediately so a
-				// stale compile is caught at the batch that introduced it,
-				// not after all twelve.
-				checkFlatAgainstPointer(t, c, ds, rng, batch)
+				// Probe every published epoch, so a bad publish is caught
+				// at the batch that introduced it, not after all twelve.
+				checkLeavesHoldProbes(t, c, ds, rng, batch)
 			}
 
 			// Cold rebuild from the mutated dataset: the full refinement the

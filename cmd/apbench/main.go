@@ -1,7 +1,7 @@
 // Command apbench regenerates the paper's evaluation tables and figures
 // (§VII) on the synthetic datasets and prints them as text tables, plus
-// the three beyond-the-paper sweeps no bench/ workload covers (optgap,
-// scaling, flat). Everything else beyond the paper is measured by
+// the two beyond-the-paper sweeps no bench/ workload covers (optgap,
+// scaling). Everything else beyond the paper is measured by
 // `go run ./bench` (see BENCHMARK.json).
 //
 // Usage:
@@ -64,7 +64,6 @@ var runners = []struct {
 	}},
 	{"fig15", func(e *experiments.Env, p params) tables { return e.Fig15(10, 512, p.dur) }},
 	{"tableII", func(e *experiments.Env, p params) tables { return tables{e.TableII(256, p.dur)} }},
-	{"flat", func(e *experiments.Env, p params) tables { return tables{e.FlatVsPointer(4096, p.dur)} }},
 	{"optgap", func(e *experiments.Env, p params) tables { return tables{e.OptimalityGap(10, 20)} }},
 	{"scaling", func(e *experiments.Env, p params) tables {
 		scales := []float64{0.02, 0.05, 0.1, 0.2, 0.5}

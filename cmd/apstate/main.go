@@ -79,19 +79,8 @@ func cmdSave(args []string) error {
 	}
 	built := time.Since(start)
 
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
 	start = time.Now()
-	if err := checkpoint.Encode(f, c.CheckpointSource()); err != nil {
-		_ = f.Close() // the encode error is the one to report
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := checkpoint.WriteFile(*out, c.CheckpointSource()); err != nil {
 		return err
 	}
 	fi, err := os.Stat(*out)

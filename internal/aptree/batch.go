@@ -26,8 +26,8 @@ import (
 // are identical to classifying the batch packet by packet.
 
 // evaluator abstracts the BDD evaluation backend a descent runs against:
-// a frozen epoch view (Snapshot.ClassifyBatchPointerWith) or, in the
-// tree-level batch tests, the live DD.
+// a frozen epoch view (Snapshot.ClassifyBatchWith) or, in the tree-level
+// batch tests, the live DD.
 type evaluator interface {
 	EvalBits(f bdd.Ref, bits []byte) bool
 }
@@ -57,13 +57,12 @@ func (sc *BatchScratch) prepare(n int) {
 	sc.weight = sc.weight[:n]
 }
 
-// classifyBatch is the shared batch pipeline around any descent engine:
-// collapse duplicate headers, hand the distinct representatives to search —
-// which descends them and writes their leaves into out — then fan each
-// representative's leaf back out to its duplicates. Both the pointer and
-// the flat engine plug in through search, so the collapse and fanout logic
-// (and its duplicate-weight accounting) exists exactly once.
-func classifyBatch(sc *BatchScratch, pkts [][]byte, out []*Node, search func(idx, tmp, weight []int32)) {
+// classifyBatch is the batch pipeline: collapse duplicate headers, descend
+// the distinct representatives from root by group-by-branch (writing their
+// leaves into out), then fan each representative's leaf back out to its
+// duplicates. visit receives each leaf group's packet weight, duplicates
+// included.
+func classifyBatch(ev evaluator, preds []bdd.Ref, root *Node, sc *BatchScratch, pkts [][]byte, out []*Node, visit func(atom int32, w uint64)) {
 	if len(out) < len(pkts) {
 		panic("aptree: ClassifyBatch output slice shorter than the batch")
 	}
@@ -88,7 +87,7 @@ func classifyBatch(sc *BatchScratch, pkts [][]byte, out []*Node, search func(idx
 		sc.weight[rep] = run
 		k += int(run)
 	}
-	search(sc.idx, sc.tmp, sc.weight)
+	descend(ev, preds, root, pkts, sc.idx, sc.tmp, sc.weight, out, visit)
 	// Fan each representative's leaf out to its duplicates: equal headers
 	// are adjacent in order, so one linear pass suffices.
 	rep := sc.order[0]
@@ -143,21 +142,8 @@ func descend(ev evaluator, preds []bdd.Ref, n *Node, pkts [][]byte, idx, tmp []i
 
 // ClassifyBatchWith is the epoch-pinned batch search with caller-owned
 // scratch, the allocation-free form used by the facade's batch pipeline.
-// Like single-packet Classify it descends the epoch's compiled flat core.
+// It descends the same tree as single-packet Classify, through the same
+// frozen view.
 func (s *Snapshot) ClassifyBatchWith(sc *BatchScratch, pkts [][]byte, out []*Node) {
-	visit := func(atom int32, w uint64) { s.visits.addN(atom, w) }
-	s.debugCheckFlat()
-	f := s.flat
-	classifyBatch(sc, pkts, out, func(idx, tmp, weight []int32) {
-		f.descend(f.root, pkts, idx, tmp, weight, out, visit)
-	})
-}
-
-// ClassifyBatchPointerWith is ClassifyBatchWith over the pointer tree,
-// with no visit accounting — the batched reference the differential
-// suite compares the flat descent against.
-func (s *Snapshot) ClassifyBatchPointerWith(sc *BatchScratch, pkts [][]byte, out []*Node) {
-	classifyBatch(sc, pkts, out, func(idx, tmp, weight []int32) {
-		descend(s.view, s.tree.preds, s.tree.root, pkts, idx, tmp, weight, out, nil)
-	})
+	classifyBatch(s.view, s.tree.preds, s.tree.root, sc, pkts, out, s.visits.addN)
 }

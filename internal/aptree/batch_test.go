@@ -24,10 +24,7 @@ func batchTree(numPreds int, seed int64) (*Tree, *rand.Rand) {
 // adding per-atom visit totals — the shape the single-packet
 // Tree.Classify takes, so the two can be compared directly.
 func classifyTreeBatch(t *Tree, sc *BatchScratch, pkts [][]byte, out []*Node) {
-	visit := func(atom int32, w uint64) { t.visits.view().addN(atom, w) }
-	classifyBatch(sc, pkts, out, func(idx, tmp, weight []int32) {
-		descend(t.D, t.preds, t.root, pkts, idx, tmp, weight, out, visit)
-	})
+	classifyBatch(t.D, t.preds, t.root, sc, pkts, out, t.visits.view().addN)
 }
 
 // TestClassifyBatchMatchesClassify checks that the batched descent agrees

@@ -86,66 +86,6 @@ func BenchmarkManagerClassify(b *testing.B) {
 	}
 }
 
-// benchFlatManager builds a manager on the paper's workload shape — IP
-// prefixes of length 8..24 over a 32-bit header — where node predicates
-// have real BDD depth, then returns it with a 4-byte trace.
-func benchFlatManager(b *testing.B) (*Manager, [][]byte) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(5))
-	m := NewManager(32, MethodOAPT)
-	m.Update(func(tx *Tx) {
-		for i := 0; i < 64; i++ {
-			v := uint64(rng.Uint32())
-			l := 8 + rng.Intn(17)
-			tx.Add(tx.DD().FromPrefix(0, v, l, 32))
-		}
-	})
-	trace := make([][]byte, 1024)
-	for i := range trace {
-		// Real headers run past any one predicate's probe window (netgen
-		// layouts are 13+ bytes); 8-byte packets keep the word fast path
-		// honest without padding tricks.
-		trace[i] = make([]byte, 8)
-		rng.Read(trace[i])
-	}
-	return m, trace
-}
-
-// BenchmarkFlatClassify pits the compiled flat core against the pointer
-// descent of the same published epoch, single-packet and batched. The
-// flat/pointer ratio is the headline number for the flat engine: the
-// branch-free array walk must hold at least 2x on single packets.
-func BenchmarkFlatClassify(b *testing.B) {
-	m, trace := benchFlatManager(b)
-	s := m.Snapshot()
-	f := s.Flat()
-	if f == nil {
-		b.Fatal("publish did not compile a flat core")
-	}
-	b.Run("flat", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f.Classify(trace[i%len(trace)])
-		}
-	})
-	b.Run("pointer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.ClassifyPointer(trace[i%len(trace)])
-		}
-	})
-	out := make([]*Node, len(trace))
-	sc := &BatchScratch{}
-	b.Run("batch-flat", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.ClassifyBatchWith(sc, trace, out)
-		}
-	})
-	b.Run("batch-pointer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.ClassifyBatchPointerWith(sc, trace, out)
-		}
-	})
-}
-
 // BenchmarkParallelClassify drives Classify from GOMAXPROCS goroutines.
 // With the lock-free snapshot path and striped visit counters this must
 // scale with cores; under the old RLock-per-query design it collapsed on

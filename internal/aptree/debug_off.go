@@ -12,6 +12,4 @@ func (t *Tree) debugCheckPartition() {}
 
 func (t *Tree) debugCheckMember(int32) {}
 
-func (s *Snapshot) debugCheckFlat() {}
-
 func (t *Tree) debugValidateRestore() error { return nil }

@@ -50,17 +50,6 @@ func (t *Tree) debugCheckMember(id int32) {
 	}
 }
 
-// debugCheckFlat panics if the snapshot is about to serve a flat classify
-// core compiled for a different epoch — a different tree root or a
-// different frozen view than the snapshot's own. Publish compiles the
-// flat form and the snapshot in one critical section, so a mismatch means
-// a stale-compile bug at the swap. Only compiled under -tags apdebug.
-func (s *Snapshot) debugCheckFlat() {
-	if s.flat.src != s.tree.root || s.flat.view != s.view {
-		panic("aptree: apdebug flat/epoch mismatch: flat core compiled for a retired epoch")
-	}
-}
-
 // debugValidateRestore runs Tree.Validate over every non-empty predicate
 // slot of a restored tree, so a leaf whose membership bit contradicts its
 // predicate fails the restore instead of misclassifying. Only compiled

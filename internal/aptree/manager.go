@@ -41,12 +41,6 @@ type Manager struct {
 
 	method Method
 
-	// flatPlans caches predicate lowering plans across the publishes of
-	// one DD lineage; Reconstruct's DD swap discards it (refs from the
-	// retired DD mean nothing in the new one).
-	//lint:guard mu
-	flatPlans *flatPlanner
-
 	rebuildMu sync.Mutex
 	journal   []journalOp // non-nil while a rebuild is in flight
 
@@ -117,34 +111,12 @@ func NewManagerWith(d *bdd.DD, reg *Registry, tree *Tree, method Method, data an
 
 // publishLocked captures the current tree, DD, liveness set and owner
 // data into a fresh immutable Snapshot and stores it for the lock-free
-// query path. The flat core is compiled against the previous epoch's: only
-// what the update changed is planned and emitted (see compileFlat).
-// Callers must hold m.mu (or be a constructor with exclusive access).
+// query path. Callers must hold m.mu (or be a constructor with exclusive
+// access).
 func (m *Manager) publishLocked() {
-	view := m.d.Freeze()
-	var prev *Flat
-	if m.flatPlans == nil || m.flatPlans.d != m.d {
-		m.flatPlans = newFlatPlanner(m.d)
-	} else if s := m.snap.Load(); s != nil {
-		prev = s.flat // same DD lineage: its refs mean the same here
-	}
-	start := time.Now()
-	flat := compileFlat(m.tree, view, m.flatPlans, prev)
-	mFlatBuildDur.Record(time.Since(start).Seconds())
-	m.flatPlans.trim(m.reg)
-	mFlatPlans.Set(int64(len(m.flatPlans.plans)))
-	mFlatBuilds.Inc()
-	mFlatEmitted.Add(uint64(flat.emitted))
-	st := flat.Stats()
-	mFlatNodes.Set(int64(st.Nodes))
-	mFlatBytes.Set(int64(st.Bytes))
-	mFlatMask.Set(int64(st.MaskNodes))
-	mFlatCubes.Set(int64(st.CubeNodes))
-	mFlatFallback.Set(int64(st.FallbackNodes))
 	m.snap.Store(&Snapshot{
 		tree:    m.tree,
-		view:    view,
-		flat:    flat,
+		view:    m.d.Freeze(),
 		live:    m.reg.live, // copy-on-write: never mutated after this
 		numLive: m.reg.n,
 		version: m.version,

@@ -91,8 +91,6 @@ func TestRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := NewRestoredManager(d2, reg2, tree2, m.Method(), snap.Version(), nil)
-	checkFlatPublished(t, "NewRestoredManager", m2.Snapshot())
-
 	if m2.Version() != snap.Version() {
 		t.Fatalf("restored version %d, want %d", m2.Version(), snap.Version())
 	}

@@ -30,10 +30,6 @@ import (
 type Snapshot struct {
 	tree *Tree
 	view *bdd.View
-	// flat is the cache-packed classify core compiled for this epoch at
-	// publish time: the stage-1 engine. The pointer tree is the build and
-	// update structure and the reference the flat form is tested against.
-	flat *Flat
 	// live has bit id set iff slot id held a predicate at capture time
 	// (IDs issued later read as dead). No query consults it — a removed
 	// ID is unwired in the update that removes it — it is what tells a
@@ -55,23 +51,22 @@ type Snapshot struct {
 	memo atomic.Pointer[any]
 }
 
-// Classify runs the stage-1 search against this epoch — a descent over
-// its compiled flat core — and returns the leaf together with the epoch's
+// Classify runs the stage-1 search against this epoch — one descent of
+// its AP Tree, evaluating each node's predicate through the frozen view —
+// counts the visit, and returns the leaf together with the epoch's
 // version. It takes no lock and does not allocate.
 func (s *Snapshot) Classify(pkt []byte) (*Node, uint64) {
-	s.debugCheckFlat()
-	n := s.flat.Classify(pkt)
+	n := s.ClassifyUncounted(pkt)
 	s.visits.add(n.AtomID)
 	return n, s.version
 }
 
-// ClassifyPointer runs stage 1 through the pointer tree — the reference
-// the differential fuzz and churn suites and internal/verify hold the
-// flat core against. Node BDDs evaluate through the frozen view, so a
-// writer growing the live DD never races with it. It does no visit
-// accounting, so differential probing never skews the §V-D distribution
-// statistics.
-func (s *Snapshot) ClassifyPointer(pkt []byte) (*Node, uint64) {
+// ClassifyUncounted is Classify without the visit count: the form for
+// callers that probe the epoch rather than serve queries (internal/verify
+// membership tests, differential checks), so probing never skews the §V-D
+// distribution statistics. Node BDDs evaluate through the frozen view, so
+// a writer growing the live DD never races with it.
+func (s *Snapshot) ClassifyUncounted(pkt []byte) *Node {
 	n := s.tree.root
 	v := s.view
 	preds := s.tree.preds
@@ -82,11 +77,8 @@ func (s *Snapshot) ClassifyPointer(pkt []byte) (*Node, uint64) {
 			n = n.F
 		}
 	}
-	return n, s.version
+	return n
 }
-
-// Flat returns the epoch's compiled flat classify core.
-func (s *Snapshot) Flat() *Flat { return s.flat }
 
 // IsLive reports whether predicate id was live in this epoch; the
 // checkpoint encoder serialises it.

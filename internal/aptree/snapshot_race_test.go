@@ -93,12 +93,11 @@ func TestSnapshotPinnedEpochUnderChurn(t *testing.T) {
 						t.Error("pinned snapshot changed its answer between passes")
 						return
 					}
-					// The epoch's flat core and pointer tree must agree from
-					// any goroutine, under every interleaving of publishes:
-					// the flat form is compiled inside the same critical
-					// section that captured the snapshot.
-					if leaf, _ := s.ClassifyPointer(pkt); leaf != first[j] {
-						t.Error("pointer engine disagrees with the pinned epoch's flat answer")
+					// The uncounted probe walks the same epoch and must
+					// agree from any goroutine, under every interleaving of
+					// publishes.
+					if leaf := s.ClassifyUncounted(pkt); leaf != first[j] {
+						t.Error("ClassifyUncounted disagrees with the pinned epoch's Classify")
 						return
 					}
 				}

@@ -34,29 +34,6 @@ var (
 		"Atom merges performed by delta transactions (a removed or replaced predicate no longer separating two leaves).")
 	mDeltaApplyDur = obs.Default.Histogram("apc_delta_apply_duration_seconds",
 		"Wall time of one delta transaction (structural splice + republish).", obs.DefBuckets)
-
-	// Flat classify-core counters: compile work done at publish time and
-	// the shape of the latest compiled form. All recorded inside
-	// publishLocked under the write lock; the flat descent itself, like
-	// the pointer descent, records nothing.
-	mFlatBuilds = obs.Default.Counter("apc_flat_builds_total",
-		"Flat classify cores compiled (one per snapshot publication).")
-	mFlatEmitted = obs.Default.Counter("apc_flat_nodes_emitted_total",
-		"Flat nodes planned and emitted by publishes; a subtree copied from the previous epoch's flat core is not counted.")
-	mFlatPlans = obs.Default.Gauge("apc_flat_plans",
-		"Predicate lowering plans the flat planner caches after the latest publish.")
-	mFlatBuildDur = obs.Default.Histogram("apc_flat_build_duration_seconds",
-		"Wall time to compile one epoch's flat classify core.", obs.DefBuckets)
-	mFlatNodes = obs.Default.Gauge("apc_flat_nodes",
-		"Internal nodes in the latest compiled flat classify core.")
-	mFlatBytes = obs.Default.Gauge("apc_flat_bytes",
-		"Compiled footprint of the latest flat core: node array plus predicate arenas.")
-	mFlatMask = obs.Default.Gauge("apc_flat_mask_nodes",
-		"Flat nodes lowered to masked byte compares (minterm predicates).")
-	mFlatCubes = obs.Default.Gauge("apc_flat_cube_nodes",
-		"Flat nodes lowered to rule-cube lists (unions of masked byte compares).")
-	mFlatFallback = obs.Default.Gauge("apc_flat_fallback_nodes",
-		"Flat nodes still evaluating their predicate through the frozen BDD view.")
 )
 
 // total sums every counter across all chunks and stripes: the number of

@@ -60,15 +60,9 @@ type Node struct {
 	Depth int32 // number of predicates evaluated to reach this node
 
 	// Leaf payload.
-	AtomID int32   // tree-local atom identifier
-	BDD    bdd.Ref // the atom: conjunction of decisions on the path
-	// compiled is set by the first flat compile that emits this internal
-	// node, before the snapshot holding it is published, and never
-	// cleared: a node without it is new since the last publish, and
-	// compileFlat plans it without looking for it in the previous flat
-	// form. It sits in padding, so Node stays 64 bytes.
-	compiled bool
-	Member   predicate.Bitset // bit j set iff this atom implies predicate j
+	AtomID int32            // tree-local atom identifier
+	BDD    bdd.Ref          // the atom: conjunction of decisions on the path
+	Member predicate.Bitset // bit j set iff this atom implies predicate j
 }
 
 // IsLeaf reports whether n is a leaf.
@@ -318,7 +312,7 @@ func (t *Tree) NumPreds() int { return len(t.preds) }
 
 // AtomIDBound returns an exclusive upper bound on the AtomIDs carried by
 // this tree's leaves. AtomIDs are never reused within a tree lineage, so
-// the bound sizes flat per-atom tables (the behavior cache) that index by
+// the bound sizes per-atom tables (the behavior cache) that index by
 // AtomID.
 func (t *Tree) AtomIDBound() int32 { return t.nextAtom }
 

@@ -62,16 +62,6 @@ func (v *View) MemBytes() int { return v.mem }
 // DD, now answerable without touching it.
 func (v *View) LiveMemBytes() int { return v.liveMem }
 
-// Node decomposes the internal node f into its variable level and two
-// children. It exists for compilers that lower frozen BDDs into other
-// evaluation forms (the AP Tree's flat classify core walks predicate
-// structure through it); f must be a non-terminal Ref that was retained
-// — directly or transitively — when the view was frozen.
-func (v *View) Node(f Ref) (level int32, low, high Ref) {
-	n := v.nodes[f]
-	return n.level, n.low, n.high
-}
-
 // EvalBits evaluates f against a packed MSB-first bit vector; see
 // DD.EvalBits. This is the snapshot query path's hot loop.
 func (v *View) EvalBits(f Ref, bits []byte) bool {

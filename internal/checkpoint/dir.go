@@ -147,7 +147,34 @@ func (d *Dir) Save(src *Source) (string, error) {
 }
 
 func (d *Dir) saveLocked(src *Source) (string, int64, error) {
-	tmp, err := os.CreateTemp(d.path, ".tmp-ckpt-*")
+	tmpName, size, err := writeTemp(d.path, src)
+	if err != nil {
+		return "", 0, err
+	}
+	final, err := d.commitLocked(tmpName)
+	return final, size, err
+}
+
+// WriteFile encodes src to path with the same atomic-write protocol as
+// Dir.Save, without a managed directory: temp file beside path, fsync,
+// rename, directory fsync. A refused or failed encode leaves neither path
+// nor the temp file behind.
+func WriteFile(path string, src *Source) error {
+	tmpName, _, err := writeTemp(filepath.Dir(path), src)
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		_ = os.Remove(tmpName) // the rename error is the one to report
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// writeTemp encodes src into a synced, closed temp file in dir and
+// returns its name and size. On any error the temp file is removed.
+func writeTemp(dir string, src *Source) (string, int64, error) {
+	tmp, err := os.CreateTemp(dir, ".tmp-ckpt-*")
 	if err != nil {
 		return "", 0, err
 	}
@@ -173,11 +200,7 @@ func (d *Dir) saveLocked(src *Source) (string, int64, error) {
 		_ = os.Remove(tmpName)
 		return "", 0, err
 	}
-	final, err := d.commitLocked(tmpName)
-	if err != nil {
-		return "", 0, err
-	}
-	return final, st.Size(), nil
+	return tmpName, st.Size(), nil
 }
 
 // commitLocked promotes a synced temp file into the next committed

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -12,10 +13,16 @@ import (
 	"apclassifier/internal/network"
 )
 
+// ErrMiddlebox is wrapped by the error Encode returns for an epoch that
+// hosts a middlebox. The format has no section for middleboxes, and a
+// checkpoint without them would restore a different data plane.
+var ErrMiddlebox = errors.New("checkpoint: the format does not hold middleboxes")
+
 // Encode writes src as one checkpoint file. The BDD payload is
 // serialized through the snapshot's frozen view, so encoding never
 // touches the live DD: queries and updates proceed concurrently and the
-// bytes describe exactly the pinned epoch.
+// bytes describe exactly the pinned epoch. An epoch hosting a middlebox
+// is refused with ErrMiddlebox before anything is written.
 func Encode(w io.Writer, src *Source) error {
 	if src.Snap == nil || src.Dataset == nil {
 		return fmt.Errorf("checkpoint: encode needs a snapshot and a dataset")
@@ -23,6 +30,9 @@ func Encode(w io.Writer, src *Source) error {
 	wiring := network.WiringOf(src.Snap)
 	if wiring == nil {
 		return fmt.Errorf("checkpoint: encode needs a snapshot that carries its wiring")
+	}
+	if b := wiring.FirstMiddlebox(); b >= 0 {
+		return fmt.Errorf("%w: box %q hosts one", ErrMiddlebox, src.Dataset.Boxes[b].Name)
 	}
 	tree := src.Snap.Tree()
 	numPreds := tree.NumPreds()

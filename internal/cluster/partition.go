@@ -20,7 +20,7 @@
 // computes *network-wide* behavior, so any walk can traverse any box,
 // and every worker must hold the full topology and predicate set. What
 // the partition divides is the query load and the per-epoch working set
-// (behavior-cache entries, visit counters, flat-core cache lines) — the
+// (behavior-cache entries, visit counters, tree-node cache lines) — the
 // resources that bound a single box's throughput. /rules/batch churn is
 // replicated to all shards by the router, and each shard's idempotency
 // cursor (?seq=, PR 7) makes the replication converge even across

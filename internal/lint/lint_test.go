@@ -263,8 +263,8 @@ func TestModuleIsClean(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
-	// The flat core is the one stage-1 serving path; the environment
-	// variable that used to select the other is gone. Keep any such switch
+	// Stage 1 has one serving path; the environment variable that once
+	// selected between classify engines is gone. Keep any such switch
 	// from coming back unnoticed: non-test code (all the loader reads) must
 	// not consult an APC_* environment variable.
 	for _, pkg := range m.Pkgs {

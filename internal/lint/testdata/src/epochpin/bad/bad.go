@@ -53,10 +53,10 @@ func deltaLeafDiff(m *aptree.Manager) int {
 	return b.Tree().NumLeaves() - a.Tree().NumLeaves()
 }
 
-func flatDiffAcrossEpochs(m *aptree.Manager, pkt header.Packet) bool {
-	f := m.Snapshot().Flat()
-	p, _ := m.Snapshot().ClassifyPointer(pkt) // re-pins: compares engines across epochs
-	return f.Classify(pkt) == p
+func probeAcrossEpochs(m *aptree.Manager, pkt header.Packet) bool {
+	leaf, _ := m.Snapshot().Classify(pkt)
+	p := m.Snapshot().ClassifyUncounted(pkt) // re-pins: compares answers across epochs
+	return leaf == p
 }
 
 // The pre-refactor verify.Analyzer constructor: pin an epoch, then

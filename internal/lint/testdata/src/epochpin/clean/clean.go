@@ -40,14 +40,13 @@ func deltaThenPin(m *aptree.Manager) (int, uint64) {
 	return s.Tree().NumLeaves(), s.Version()
 }
 
-// The flat-builder idiom: one pin serves both engines, so a differential
-// probe compares the flat core against the pointer tree of the same
-// epoch — never across a concurrent publish.
-func flatDiffOnePin(m *aptree.Manager, pkt header.Packet) bool {
+// The probing idiom: one pin serves both searches, so a differential
+// probe compares the counted and the uncounted answer of the same epoch
+// — never across a concurrent publish.
+func probeOnePin(m *aptree.Manager, pkt header.Packet) bool {
 	s := m.Snapshot()
-	f := s.Flat()
-	p, _ := s.ClassifyPointer(pkt)
-	return f.Classify(pkt) == p
+	leaf, _ := s.Classify(pkt)
+	return s.ClassifyUncounted(pkt) == leaf
 }
 
 // The snapshot-native verify idiom: one pin supplies the epoch, the atom

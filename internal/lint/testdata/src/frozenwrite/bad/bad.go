@@ -36,8 +36,8 @@ func deltaOnPublishedTree(s *aptree.Snapshot) {
 	s.Tree().ReplacePredicate(3, 0, 0) // deltas go through Manager.Update, not the published tree
 }
 
-func renumberViaFlat(s *aptree.Snapshot, pkt []byte) {
-	s.Flat().Classify(pkt).AtomID = 3 // the flat core serves the same frozen leaves
+func renumberViaUncounted(s *aptree.Snapshot, pkt []byte) {
+	s.ClassifyUncounted(pkt).AtomID = 3 // the uncounted search serves the same frozen leaves
 }
 
 func retainNodeAcrossEpochs(m *aptree.Manager, pkt []byte) {

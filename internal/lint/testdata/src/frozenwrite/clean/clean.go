@@ -44,14 +44,14 @@ func copyOnWriteLeaf(s *aptree.Snapshot, pkt []byte) *aptree.Node {
 	return nn
 }
 
-// The flat-builder idiom: the compiled core hanging off a snapshot is as
-// frozen as the tree it mirrors — reads of any depth are fine, and its
-// stats are a value copy the caller owns.
-func flatReadOnly(s *aptree.Snapshot, pkt []byte) (int32, int) {
-	leaf := s.Flat().Classify(pkt)
-	st := s.Flat().Stats()
-	st.Nodes++ // value copy: mutating it cannot reach the snapshot
-	return leaf.AtomID, st.Nodes
+// The probing idiom: the uncounted search hands out the snapshot's own
+// frozen leaves — reads of any depth are fine, and a membership vector
+// cloned out of one is the caller's to mutate.
+func uncountedReadOnly(s *aptree.Snapshot, pkt []byte) (int32, bool) {
+	leaf := s.ClassifyUncounted(pkt)
+	member := leaf.Member.Clone(8)
+	member.Set(0, true) // a clone: mutating it cannot reach the snapshot
+	return leaf.AtomID, member.Get(0)
 }
 
 // The snapshot-native analyzer idiom: atoms retained through an AtomView

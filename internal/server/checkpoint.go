@@ -36,7 +36,8 @@ func (s *Server) captureCheckpoint() *checkpoint.Source {
 
 // handleCheckpoint forces a checkpoint right now — the operator's "save
 // before I do something risky" button. 503 when the server was started
-// without a checkpoint directory.
+// without a checkpoint directory, 422 when the epoch hosts a middlebox
+// (the format cannot hold one).
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	// The endpoint takes no body, but a client that sends one anyway is
 	// bounded like every other POST: drain up to the limit, 413 past it.
@@ -55,6 +56,10 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	path, err := s.ckpt.Save(s.captureCheckpoint())
+	if errors.Is(err, checkpoint.ErrMiddlebox) {
+		writeErr(w, http.StatusUnprocessableEntity, "checkpoint refused: %v", err)
+		return
+	}
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "checkpoint failed: %v", err)
 		return

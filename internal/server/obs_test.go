@@ -78,13 +78,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"apc_checkpoint_save_duration_seconds",
 		"apc_checkpoint_age_seconds",
 		"apc_checkpoint_corrupt_rejected_total",
-		"apc_flat_builds_total",
-		"apc_flat_build_duration_seconds_count",
-		"apc_flat_nodes",
-		"apc_flat_bytes",
-		"apc_flat_mask_nodes",
-		"apc_flat_cube_nodes",
-		"apc_flat_fallback_nodes",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

@@ -10,7 +10,7 @@
 //	POST /query/batch               → [query, ...] → [behavior, ...] (≤256 per request)
 //	POST /rules/batch[?seq=n]       → [delta, ...] → one epoch per batch (≤256, idempotent via seq)
 //	POST /reconstruct               → {"weighted":false}
-//	POST /checkpoint                → force a checkpoint save (503 if disabled)
+//	POST /checkpoint                → force a checkpoint save (503 if disabled, 422 with a middlebox)
 //	GET  /checkpoint/latest         → newest committed checkpoint file (peer bootstrap)
 //	GET  /healthz                   → readiness: 200 serving, 503 draining; epoch + delta cursor
 //	GET  /verify/loops              → loop-freedom check over all packets (epoch-pinned)

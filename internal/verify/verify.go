@@ -234,8 +234,7 @@ func (ps PacketSet) Atoms() predicate.AtomSet { return ps.set }
 // Contains reports whether the concrete packet belongs to the set,
 // classifying it against the pinned epoch.
 func (ps PacketSet) Contains(pkt []byte) bool {
-	leaf, _ := ps.a.snap.ClassifyPointer(pkt)
-	return ps.set.Contains(leaf.AtomID)
+	return ps.set.Contains(ps.a.snap.ClassifyUncounted(pkt).AtomID)
 }
 
 // Count returns the number of headers in the set (atoms are disjoint, so
