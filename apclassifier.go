@@ -118,10 +118,13 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 	}
 	c.linkTopology()
 
-	// Convert forwarding tables: one predicate per non-empty output port.
+	// Convert forwarding tables: one predicate per non-empty output port,
+	// each table in one walk of its prefix index. The index is built here,
+	// once, and kept for the rule changes to come.
 	wiring := network.NewWiring(numPorts)
 	for bi := range ds.Boxes {
 		box := &ds.Boxes[bi]
+		box.Fwd.Index()
 		for pi, p := range predicate.PortPredicates(d, ds.Layout, dstField, &box.Fwd, box.NumPorts) {
 			if p != bdd.False {
 				d.Retain(p)
@@ -173,12 +176,6 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 	// garbage collected again (the GC-at-swap rule; see bdd.View).
 	d.GC()
 	c.Manager = aptree.NewManagerWith(d, reg, tree, opts.Method, wiring)
-	// Index every table once, for the rule changes to come. After the
-	// build, so the tree and the DD are laid out in the heap as they
-	// would be without it.
-	for bi := range ds.Boxes {
-		ds.Boxes[bi].Fwd.Index()
-	}
 	return c, nil
 }
 

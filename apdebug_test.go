@@ -15,8 +15,8 @@ import (
 // ruleDeltaApplyOps is TestRuleDeltaWorkIsLocal's exact apply-op count in
 // this build: the sanitizers that check every tree update run their BDD
 // operations in the live DD, so they count beside the delta engine's own
-// 38,893.
-const ruleDeltaApplyOps = 214936
+// 37,739.
+const ruleDeltaApplyOps = 214726
 
 // TestApdebugDeltaPartition drives the delta pipeline with the leaf
 // partition sanitizer armed: under -tags apdebug every AddPredicate and

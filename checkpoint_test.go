@@ -256,12 +256,20 @@ func TestCheckpointResumesDeltaSeq(t *testing.T) {
 	}
 }
 
+// trieWalkEvents records a WalkTrie over g: a leaf as its port, Drop
+// included, and a split as -2 minus its length.
+func trieWalkEvents(tbl *rule.FwdTable, g rule.Prefix) []int {
+	var ev []int
+	tbl.WalkTrie(g, func(port int) { ev = append(ev, port) }, func(length int) { ev = append(ev, -2-length) })
+	return ev
+}
+
 // TestRuleTablesKeepInsertionOrder holds the indexed rule tables to the
 // slice they replaced: the 300-delta program applied through
 // ApplyRuleDeltas must leave every box's rules — and so the Dataset.Write
 // bytes a checkpoint embeds — exactly as appends and a scan-and-compact
 // remove leave them. A copyRuleTables copy taken halfway must keep its own
-// bytes and a consistent index, answering overlap queries as an index
+// bytes and a consistent index, walking each region's trie as an index
 // freshly built from its rules does, while the live tables go on
 // changing.
 func TestRuleTablesKeepInsertionOrder(t *testing.T) {
@@ -318,9 +326,9 @@ func TestRuleTablesKeepInsertionOrder(t *testing.T) {
 		fresh := rule.FwdTable{Rules: slices.Clone(tbl.Rules)} // indexed on first use
 		for k := 0; k < 200; k++ {
 			r := tbl.Rules[rng.Intn(len(tbl.Rules))].Prefix
-			region := []rule.Prefix{rule.P(r.Value|rng.Uint32()&0xFF, min(32, r.Length+rng.Intn(9)))}
-			if got, want := tbl.OverlappingByDescendingLength(region), fresh.OverlappingByDescendingLength(region); !slices.Equal(got, want) {
-				t.Fatalf("box %d copy: overlapping %v = %v, fresh index %v", b, region, got, want)
+			region := rule.P(r.Value|rng.Uint32()&0xFF, min(32, r.Length+rng.Intn(9)))
+			if got, want := trieWalkEvents(tbl, region), trieWalkEvents(&fresh, region); !slices.Equal(got, want) {
+				t.Fatalf("box %d copy: trie walk of %v = %v, fresh index %v", b, region, got, want)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"apclassifier/internal/bdd"
 	"apclassifier/internal/network"
 	"apclassifier/internal/predicate"
+	"apclassifier/internal/rule"
 )
 
 // debugCheckWiring panics unless every predicate ID stage 2 can test —
@@ -45,11 +46,15 @@ func (c *Classifier) debugCheckWiring() {
 // debugCheckRederive re-derives from scratch what a rule-delta batch
 // maintained incrementally, for every box whose forwarding table the
 // batch edited: the table's prefix index is checked against a scan of its
-// rules, and the whole-table PortPredicates, built in a scratch DD, must
-// give each port exactly the predicate the epoch's wiring holds for it
-// (carried into the scratch DD by Transfer). It runs inside the batch's
-// Update, under the write lock, and only reads the live DD, so the work
-// counters the release build is measured by do not move.
+// rules, and each port's predicate, re-derived in a scratch DD as the
+// permit set of a first-match ACL over the whole table (its rules longest
+// prefix first, ties in insertion order, permitting the port's own), must
+// be exactly the predicate the region-stitched deltas left in the epoch's
+// wiring (carried into the scratch DD by Transfer). The ACL conversion
+// shares no code with the trie walk the deltas run and reads no index, so
+// neither the BDD work counters nor the rule-entry counter the release
+// build is measured by move. It runs inside the batch's Update, under the
+// write lock.
 func (c *Classifier) debugCheckRederive(tx *aptree.Tx, w *network.Wiring, boxes []int) {
 	live := tx.DD()
 	scratch := bdd.New(live.NumVars())
@@ -58,7 +63,16 @@ func (c *Classifier) debugCheckRederive(tx *aptree.Tx, w *network.Wiring, boxes 
 		if err := spec.Fwd.CheckIndex(); err != nil {
 			panic(fmt.Sprintf("apdebug: box %d: %v", box, err))
 		}
-		for p, want := range predicate.PortPredicates(scratch, c.Layout, "dstIP", &spec.Fwd, spec.NumPorts) {
+		order := spec.Fwd.ByDescendingLength()
+		acl := rule.ACL{Default: rule.Deny, Rules: make([]rule.ACLRule, len(order))}
+		for p := 0; p < spec.NumPorts; p++ {
+			for i, ri := range order {
+				r := spec.Fwd.Rules[ri]
+				m := rule.MatchAll()
+				m.Dst = r.Prefix
+				acl.Rules[i] = rule.ACLRule{Match: m, Action: rule.Action(r.Port == p)}
+			}
+			want := predicate.ACLPredicate(scratch, c.Layout, &acl)
 			got := bdd.False
 			if id := w.Fwd(box, p); id != network.NoPred {
 				got = bdd.Transfer(scratch, live, tx.Ref(id))

@@ -108,9 +108,8 @@ func (d *DD) MemBytes() int {
 	return len(d.nodes)*12 + len(d.next)*4 + len(d.buckets)*4 + d.cache.memBytes()
 }
 
-// LiveMemBytes estimates the footprint of live nodes only — what a
-// compacted manager (e.g. after a Reconstruct into a fresh DD) would
-// occupy. Construction scratch that GC has freed is excluded.
+// LiveMemBytes estimates the footprint of the live nodes and the operation
+// cache: MemBytes without the freed slots GC left in the node store.
 func (d *DD) LiveMemBytes() int {
 	return d.live*16 + d.cache.memBytes()
 }
@@ -163,6 +162,20 @@ func (d *DD) mk(level int32, low, high Ref) Ref {
 		d.rehash(len(d.buckets) * 2)
 	}
 	return r
+}
+
+// Node returns the canonical node testing variable level, with low as its
+// 0-child and high as its 1-child, reduced like every node the DD builds.
+// It is the constructor for callers that assemble a BDD bottom-up from a
+// structure already in variable order, with no apply step. It panics
+// unless level is a variable and lies above both children's levels.
+func (d *DD) Node(level int, low, high Ref) Ref {
+	d.checkVar(level)
+	if d.nodes[low].level <= int32(level) || d.nodes[high].level <= int32(level) {
+		panic(fmt.Sprintf("bdd: node at level %d over children at levels %d and %d",
+			level, d.nodes[low].level, d.nodes[high].level))
+	}
+	return d.mk(int32(level), low, high)
 }
 
 func (d *DD) rehash(n int) {

@@ -641,3 +641,41 @@ func BenchmarkEvalBits(b *testing.B) {
 		d.EvalBits(f, bits)
 	}
 }
+
+// TestNodeConstructor holds Node to its contract: it builds the function
+// the apply path builds, reduces low == high to the child, shares equal
+// triples, and panics on a level outside the variables or at or below a
+// child's level.
+func TestNodeConstructor(t *testing.T) {
+	d := New(4)
+	x2 := d.Var(2)
+	if got, want := d.Node(1, x2, True), d.Or(d.Var(1), x2); got != want {
+		t.Fatalf("Node(1, x2, true) = %d, x1 ∨ x2 = %d", got, want)
+	}
+	if got := d.Node(0, x2, x2); got != x2 {
+		t.Fatalf("Node(0, x2, x2) = %d, want the child %d", got, x2)
+	}
+	if a, b := d.Node(0, False, x2), d.Node(0, False, x2); a != b {
+		t.Fatalf("equal triples gave %d and %d", a, b)
+	}
+	size := d.Size()
+	d.Node(0, False, x2)
+	if d.Size() != size {
+		t.Fatal("an equal triple allocated a node")
+	}
+	for name, mk := range map[string]func(){
+		"level -1":         func() { d.Node(-1, False, True) },
+		"level numVars":    func() { d.Node(4, False, True) },
+		"low at level":     func() { d.Node(2, x2, True) },
+		"high above level": func() { d.Node(3, False, x2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Node did not panic", name)
+				}
+			}()
+			mk()
+		}()
+	}
+}

@@ -57,9 +57,8 @@ func (v *View) LiveNodes() int { return v.live }
 // MemBytes reports the DD's allocated-footprint estimate at freeze time.
 func (v *View) MemBytes() int { return v.mem }
 
-// LiveMemBytes reports the DD's live-footprint estimate at freeze time —
-// what /stats and the memory experiment historically read from the live
-// DD, now answerable without touching it.
+// LiveMemBytes reports the DD's LiveMemBytes at freeze time: its live
+// nodes and operation cache, without the slots GC freed.
 func (v *View) LiveMemBytes() int { return v.liveMem }
 
 // EvalBits evaluates f against a packed MSB-first bit vector; see

@@ -163,14 +163,14 @@ func (e *Env) Fig10(nRandom int) []*Table {
 }
 
 // MemoryUsage reproduces §VII-B: memory cost of all classifier components.
-// "allocated" counts the BDD node table including construction scratch
-// already garbage-collected (slot capacity); "live" counts only reachable
-// nodes — the working set a compacting reconstruction leaves behind, which
-// is the number comparable to the paper's JDD measurements.
+// "incl. freed slots" is Classifier.MemBytes: the BDD node store's slot
+// capacity, slots GC freed after the ACL, atom and tree work included,
+// plus the tree; "live" counts only reachable nodes — the number
+// comparable to the paper's JDD measurements.
 func (e *Env) MemoryUsage() *Table {
 	t := &Table{
 		Title:  "§VII-B — memory usage of AP Classifier (all components)",
-		Header: []string{"network", "allocated (MB)", "live BDD+tree (MB)", "predicates", "atoms"},
+		Header: []string{"network", "BDD+tree incl. freed slots (MB)", "live BDD+tree (MB)", "predicates", "atoms"},
 		Notes:  []string{"paper: Internet2 4.79 MB, Stanford 2.15 MB at full scale (live)"},
 	}
 	for _, name := range e.networks() {

@@ -4,11 +4,43 @@ import (
 	"fmt"
 
 	"apclassifier/internal/bdd"
+	"apclassifier/internal/header"
+	"apclassifier/internal/rule"
 )
 
-// Test-only helpers: the exact atom-set check the refinement tests hold
-// every Compute/AddPredicate result to, and the AtomSet conversions and
-// set algebra the model-based AtomSet tests state their laws in.
+// Test-only helpers: the shadow walk PortPredicates is held to, the exact
+// atom-set check the refinement tests hold every Compute/AddPredicate
+// result to, and the AtomSet conversions and set algebra the model-based
+// AtomSet tests state their laws in.
+
+// shadowPortPredicates is the AP Verifier conversion of a forwarding table
+// to port predicates: the rules in decreasing prefix length, ties in
+// insertion order, each contributing the packets its prefix matches minus
+// the packets already shadowed by the rules before it. It is the oracle
+// the trie walk of PortPredicates is held to, ref for ref in one DD.
+func shadowPortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *rule.FwdTable, numPorts int) []bdd.Ref {
+	preds := make([]bdd.Ref, numPorts)
+	for i := range preds {
+		preds[i] = bdd.False
+	}
+	shadow := bdd.False
+	for _, ri := range t.ByDescendingLength() {
+		r := t.Rules[ri]
+		match := PrefixBDD(d, layout, dstField, r.Prefix)
+		eff := d.Diff(match, shadow)
+		if eff != bdd.False && r.Port != rule.Drop {
+			if r.Port < 0 || r.Port >= numPorts {
+				panic(fmt.Sprintf("predicate: rule port %d out of range [0,%d)", r.Port, numPorts))
+			}
+			preds[r.Port] = d.Or(preds[r.Port], eff)
+		}
+		shadow = d.Or(shadow, match)
+		if shadow == bdd.True {
+			break
+		}
+	}
+	return preds
+}
 
 // Verify checks the defining properties of an atom set against the
 // predicates it was computed from: atoms are non-false and pairwise

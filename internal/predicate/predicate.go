@@ -11,7 +11,9 @@
 package predicate
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"apclassifier/internal/bdd"
 	"apclassifier/internal/header"
@@ -21,11 +23,7 @@ import (
 // PrefixBDD returns the BDD for an IPv4 prefix constraint over the named
 // 32-bit field of the layout.
 func PrefixBDD(d *bdd.DD, layout *header.Layout, field string, p rule.Prefix) bdd.Ref {
-	f := layout.MustField(field)
-	if f.Width != 32 {
-		panic(fmt.Sprintf("predicate: field %q is %d bits, prefixes need 32", field, f.Width))
-	}
-	return d.FromPrefix(f.Offset, uint64(p.Value), p.Length, 32)
+	return d.FromPrefix(prefixField(layout, field).Offset, uint64(p.Value), p.Length, 32)
 }
 
 // PortPredicates converts a longest-prefix-match forwarding table into one
@@ -33,31 +31,98 @@ func PrefixBDD(d *bdd.DD, layout *header.Layout, field string, p rule.Prefix) bd
 // table forwards to port i. Packets matched by a Drop rule, or matched by
 // no rule, belong to no port predicate.
 //
-// The conversion walks rules in decreasing prefix length, maintaining the
-// BDD of already-shadowed packets, so each rule contributes only the
-// packets it actually wins (the AP Verifier construction).
+// A forwarding table is a laminar prefix tree, so the conversion is one
+// walk of the table's prefix index (rule.FwdTable.WalkTrie) that emits
+// every predicate bottom-up, one BDD node per port per trie node and no
+// apply step: every node it makes belongs to a result. The table is
+// indexed first if it has no index.
 func PortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *rule.FwdTable, numPorts int) []bdd.Ref {
 	preds := make([]bdd.Ref, numPorts)
 	for i := range preds {
 		preds[i] = bdd.False
 	}
-	shadow := bdd.False
-	for _, ri := range t.ByDescendingLength() {
-		r := t.Rules[ri]
-		match := PrefixBDD(d, layout, dstField, r.Prefix)
-		eff := d.Diff(match, shadow)
-		if eff != bdd.False && r.Port != rule.Drop {
-			if r.Port < 0 || r.Port >= numPorts {
-				panic(fmt.Sprintf("predicate: rule port %d out of range [0,%d)", r.Port, numPorts))
-			}
-			preds[r.Port] = d.Or(preds[r.Port], eff)
-		}
-		shadow = d.Or(shadow, match)
-		if shadow == bdd.True {
-			break
-		}
+	b := trieBuilder{d: d, offset: prefixField(layout, dstField).Offset, numPorts: numPorts}
+	for _, e := range b.walk(t, rule.P(0, 0)) {
+		preds[e.port] = e.ref
 	}
 	return preds
+}
+
+// prefixField returns the named field of the layout, which must be a
+// 32-bit prefix field.
+func prefixField(layout *header.Layout, field string) header.Field {
+	f := layout.MustField(field)
+	if f.Width != 32 {
+		panic(fmt.Sprintf("predicate: field %q is %d bits, prefixes need 32", field, f.Width))
+	}
+	return f
+}
+
+// portRef is one entry of a sparse port predicate list.
+type portRef struct {
+	port int32
+	ref  bdd.Ref
+}
+
+// trieBuilder turns a table's post-order trie walk into port predicates.
+// Each trie node's result is the list of the ports that win some packet
+// in its block, ascending, each with its predicate over the address bits
+// below the node. The results of the nodes whose parent has not been
+// reached yet sit concatenated on out, the i-th from starts[i].
+type trieBuilder struct {
+	d        *bdd.DD
+	offset   int
+	numPorts int
+	out      []portRef
+	starts   []int
+}
+
+// walk runs WalkTrie over the region g and returns g's result, whose
+// predicates test only the address bits below g's length.
+func (b *trieBuilder) walk(t *rule.FwdTable, g rule.Prefix) []portRef {
+	b.out, b.starts = b.out[:0], b.starts[:0]
+	t.WalkTrie(g, b.leaf, b.split)
+	return b.out
+}
+
+// leaf pushes a block one rule wins whole: its port is the block's only
+// entry, true everywhere.
+func (b *trieBuilder) leaf(port int) {
+	b.starts = append(b.starts, len(b.out))
+	if port == rule.Drop {
+		return
+	}
+	if port < 0 || port >= b.numPorts {
+		panic(fmt.Sprintf("predicate: rule port %d out of range [0,%d)", port, b.numPorts))
+	}
+	b.out = append(b.out, portRef{int32(port), bdd.True})
+}
+
+// split replaces the two topmost results, a node's 0-child and 1-child,
+// with the node's own: a merge by port, one BDD node per port.
+func (b *trieBuilder) split(length int) {
+	n := len(b.starts)
+	start, end := b.starts[n-2], len(b.out)
+	lo, hi := b.out[start:b.starts[n-1]], b.out[b.starts[n-1]:end]
+	b.starts = b.starts[:n-1]
+	level := b.offset + length
+	for i, j := 0, 0; i < len(lo) || j < len(hi); {
+		var port int32
+		low, high := bdd.False, bdd.False
+		switch {
+		case j == len(hi) || i < len(lo) && lo[i].port < hi[j].port:
+			port, low = lo[i].port, lo[i].ref
+			i++
+		case i == len(lo) || hi[j].port < lo[i].port:
+			port, high = hi[j].port, hi[j].ref
+			j++
+		default:
+			port, low, high = lo[i].port, lo[i].ref, hi[j].ref
+			i, j = i+1, j+1
+		}
+		b.out = append(b.out, portRef{port, b.d.Node(level, low, high)})
+	}
+	b.out = b.out[:start+copy(b.out[start:], b.out[end:])]
 }
 
 // PortPredicateDelta records the change to one port's forwarding predicate
@@ -73,15 +138,14 @@ type PortPredicateDelta struct {
 // the table after the mutations; old yields the pre-mutation predicate of a
 // port. The result lists every port whose predicate actually changed.
 //
-// The construction exploits that LPM is per-packet local: the winners inside
-// the cone regions are determined by the rules overlapping those regions
-// alone, so the shadow walk of PortPredicates is replayed with every match
-// intersected with the region union, and each changed predicate is stitched
-// as (old minus region) or (winners within region). The table's prefix
-// index yields those rules — the ones containing a region and the ones a
-// region contains — without reading the rest of the table. Ports outside
-// the cones' port sets are untouched by the rule.Cone contract and are
-// never even read.
+// LPM is per-packet local: the winners inside a cone region are decided by
+// the rules inside it and the one rule that wins the region's block from
+// outside. So each maximal region g is converted like a whole table, by
+// one trie walk of the index run inside g that starts from g's winner; its
+// predicates are lifted above g with one node per bit of g's prefix, and
+// each changed predicate is stitched as (old minus region) or (winners
+// within region). Ports outside the cones' port sets are untouched by the
+// rule.Cone contract and are never even read.
 func DeltaPortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *rule.FwdTable, cones []rule.Cone, numPorts int, old func(port int) bdd.Ref) []PortPredicateDelta {
 	// Candidate ports form an interval-coded set: cone port lists are
 	// dense index runs, so the set stays a few intervals no matter how
@@ -98,33 +162,40 @@ func DeltaPortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *r
 	if candidates.Empty() {
 		return nil
 	}
+	// In (value, length) order a region comes before every region inside
+	// it, so one pass keeps the maximal ones.
 	regions := make([]rule.Prefix, len(cones))
 	for i, c := range cones {
 		regions[i] = c.Region
 	}
-	region := ConeRegion(d, layout, dstField, cones)
+	slices.SortFunc(regions, func(a, b rule.Prefix) int {
+		return cmp.Or(cmp.Compare(a.Value, b.Value), cmp.Compare(a.Length, b.Length))
+	})
+	maximal := regions[:0]
+	for _, g := range regions {
+		if len(maximal) == 0 || !maximal[len(maximal)-1].Contains(g) {
+			maximal = append(maximal, g)
+		}
+	}
+	b := trieBuilder{d: d, offset: prefixField(layout, dstField).Offset, numPorts: numPorts}
 	within := make([]bdd.Ref, numPorts)
 	for i := range within {
 		within[i] = bdd.False
 	}
-	shadow := bdd.False
-	// A rule missing every region has match ∧ region = False, so only the
-	// overlapping rules are walked; skipping the rest is exact.
-	for _, ri := range t.OverlappingByDescendingLength(regions) {
-		r := t.Rules[ri]
-		match := d.And(PrefixBDD(d, layout, dstField, r.Prefix), region)
-		eff := d.Diff(match, shadow)
-		if eff != bdd.False && r.Port != rule.Drop {
-			if r.Port < 0 || r.Port >= numPorts {
-				panic(fmt.Sprintf("predicate: rule port %d out of range [0,%d)", r.Port, numPorts))
+	for _, g := range maximal {
+		for _, e := range b.walk(t, g) {
+			f := e.ref
+			for i := g.Length - 1; i >= 0; i-- {
+				if g.Value&(1<<(31-i)) != 0 {
+					f = d.Node(b.offset+i, bdd.False, f)
+				} else {
+					f = d.Node(b.offset+i, f, bdd.False)
+				}
 			}
-			within[r.Port] = d.Or(within[r.Port], eff)
-		}
-		shadow = d.Or(shadow, match)
-		if shadow == region {
-			break
+			within[e.port] = d.Or(within[e.port], f)
 		}
 	}
+	region := ConeRegion(d, layout, dstField, cones)
 	var deltas []PortPredicateDelta
 	candidates.Each(func(port int32) bool {
 		prev := old(int(port))

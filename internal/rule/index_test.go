@@ -1,7 +1,6 @@
 package rule
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -31,18 +30,31 @@ func scanRemove(rules []FwdRule, p Prefix) (out []FwdRule, ports []int) {
 	return out, ports
 }
 
-func scanOverlapping(rules []FwdRule, regions []Prefix) []int {
-	var idx []int
-	for i, r := range rules {
-		for _, g := range regions {
-			if r.Prefix.Contains(g) || g.Contains(r.Prefix) {
-				idx = append(idx, i)
-				break
+// scanTrie is WalkTrie by scans, appending its events as trieEvents
+// records them: a node splits while some rule lies strictly inside it,
+// and a leaf's winner is the first added of the longest rules containing
+// it.
+func scanTrie(rules []FwdRule, g Prefix, ev []int) []int {
+	if !slices.ContainsFunc(rules, func(r FwdRule) bool { return g.Contains(r.Prefix) && r.Prefix.Length > g.Length }) {
+		winner, longest := Drop, -1
+		for _, r := range rules {
+			if r.Prefix.Contains(g) && r.Prefix.Length > longest {
+				winner, longest = r.Port, r.Prefix.Length
 			}
 		}
+		return append(ev, winner)
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return rules[idx[a]].Prefix.Length > rules[idx[b]].Prefix.Length })
-	return idx
+	ev = scanTrie(rules, P(g.Value, g.Length+1), ev)
+	ev = scanTrie(rules, P(g.Value|1<<(31-g.Length), g.Length+1), ev)
+	return append(ev, -2-g.Length)
+}
+
+// trieEvents records a WalkTrie over g: a leaf as its port, Drop
+// included, and a split as -2 minus its length.
+func trieEvents(tbl *FwdTable, g Prefix) []int {
+	var ev []int
+	tbl.WalkTrie(g, func(port int) { ev = append(ev, port) }, func(length int) { ev = append(ev, -2-length) })
+	return ev
 }
 
 // checkIndex requires the index to be a permutation of the rule positions
@@ -86,8 +98,8 @@ func randomPrefix(rng *rand.Rand) Prefix {
 // TestIndexMatchesScans drives random tables through random edits — plain
 // and cone adds and removes, duplicates, /0, /32 and Drop rules — and
 // holds every indexed answer to the slice scan: the rule slice itself,
-// both cones, the OverlappingByDescendingLength order and the index
-// invariant after every edit. A table never indexed must stay so through
+// both cones, the trie walk over a region and the index invariant after
+// every edit. A table never indexed must stay so through
 // plain adds and removes: those are what a generated dataset and a
 // simulator's replica see, and they must cost what a slice costs.
 func TestIndexMatchesScans(t *testing.T) {
@@ -148,9 +160,9 @@ func TestIndexMatchesScans(t *testing.T) {
 				continue
 			}
 			checkIndex(t, &tbl)
-			regions := []Prefix{victim, randomPrefix(rng)}[:1+rng.Intn(2)]
-			if got, want := tbl.OverlappingByDescendingLength(regions), scanOverlapping(shadow, regions); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("trial %d step %d: overlapping %v = %v, want %v", trial, step, regions, got, want)
+			g := []Prefix{victim, randomPrefix(rng), P(0, 0)}[rng.Intn(3)]
+			if got, want := trieEvents(&tbl, g), scanTrie(shadow, g, nil); !slices.Equal(got, want) {
+				t.Fatalf("trial %d step %d: trie walk of %v = %v, want %v", trial, step, g, got, want)
 			}
 		}
 	}
@@ -158,7 +170,7 @@ func TestIndexMatchesScans(t *testing.T) {
 
 // TestCloneIsIndependent holds a Clone to its promise: edits to the
 // original, which move index entries in place, leave the copy's rules,
-// index and overlap answers as they were.
+// index and trie walks as they were.
 func TestCloneIsIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var tbl FwdTable
@@ -177,9 +189,9 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 	checkIndex(t, &cp)
 	for k := 0; k < 200; k++ {
-		regions := []Prefix{randomPrefix(rng)}
-		if got, want := cp.OverlappingByDescendingLength(regions), scanOverlapping(rules, regions); !slices.Equal(got, want) {
-			t.Fatalf("clone overlapping %v = %v, want %v", regions, got, want)
+		g := randomPrefix(rng)
+		if got, want := trieEvents(&cp, g), scanTrie(rules, g, nil); !slices.Equal(got, want) {
+			t.Fatalf("clone trie walk of %v = %v, want %v", g, got, want)
 		}
 	}
 }

@@ -74,7 +74,7 @@ type FwdRule struct {
 // contiguous run right after it, and the rules containing it are found
 // longest first by walking back from its slot (ancestors). Index builds
 // it in bulk; Add and Remove keep an existing index in step; the cone
-// methods and OverlappingByDescendingLength index the table on first use.
+// methods and WalkTrie index the table on first use.
 // A table filled with Add and Remove and only read (a generated dataset,
 // a simulator oracle) never pays for it: Add appends, Remove scans, and
 // Lookup is always a read-only scan.
@@ -94,7 +94,7 @@ type FwdTable struct {
 // read: every comparison a search makes, every rule a run or an ancestor
 // walk visits. A whole-table scan would read every entry.
 var mExamined = obs.Default.Counter("apc_rule_entries_examined_total",
-	"Forwarding-rule entries read by indexed cones, overlap queries and removals.")
+	"Forwarding-rule entries read by indexed cones, trie walks and removals.")
 
 // Index builds the prefix index if the table has none (or has one that
 // no longer covers Rules), in one O(n log n) sort. A table that will be
@@ -410,9 +410,9 @@ func (t *FwdTable) Lookup(ip uint32) (port int, ok bool) {
 }
 
 // ByDescendingLength returns the rule indices sorted longest prefix first,
-// breaking ties by insertion order. This is the priority order used when
-// converting the table to predicates. A counting pass over the 33 lengths
-// builds it in linear time.
+// breaking ties by insertion order: the priority order of a shadow walk
+// over the table, which the HSA transfer functions are built in. A
+// counting pass over the 33 lengths builds it in linear time.
 func (t *FwdTable) ByDescendingLength() []int {
 	var start [34]int // start[32-l]: first output slot of length l
 	for _, r := range t.Rules {
@@ -430,39 +430,84 @@ func (t *FwdTable) ByDescendingLength() []int {
 	return idx
 }
 
-// OverlappingByDescendingLength is ByDescendingLength restricted to the
-// rules whose prefix overlaps one of the regions, in the same order, ties
-// included. By laminarity those are the rules containing a region — found
-// by the index's ancestor walk, at most 33 per region — and the rules a
-// region contains, one contiguous run of the index; only those are read
-// and sorted.
-func (t *FwdTable) OverlappingByDescendingLength(regions []Prefix) []int {
+// WalkTrie walks the table's longest-prefix-match decision inside the
+// region g as a binary trie over the address bits, in post-order. A trie
+// node is a prefix at or inside g; it is a leaf once no rule lies strictly
+// inside it, and leaf reports the output of the rule that wins its whole
+// block: the first added of the longest rules containing it, or Drop when
+// that rule drops or no rule contains it. Any other node splits on its
+// next address bit: the walk visits the 0-child's subtrie, then the
+// 1-child's, then calls split with the node's prefix length.
+//
+// Prefixes are laminar, so no node looks up its winner: the walk carries
+// it down, cuts the index run of the rules inside a node at the child
+// boundary with a binary search of the run, and a rule equal to a child
+// becomes that child's winner. The run inside g is contiguous in the
+// index, and g's own winner comes from the ancestor walk, so nothing
+// outside g and the rules containing it is read. The table is indexed
+// first if it has no index.
+func (t *FwdTable) WalkTrie(g Prefix, leaf func(port int), split func(length int)) {
 	t.Index()
 	var n uint64
-	var keys []uint64 // (32 - length) << 32 | position: ascending is the order
-	add := func(s int, p Prefix) bool {
-		keys = append(keys, uint64(32-p.Length)<<32|uint64(t.idx[s]))
+	at := t.search(g, &n)
+	winner, longest := Drop, Prefix{Length: -1}
+	// Equal prefixes come in descending position: the last one the walk
+	// meets at the longest length is the first added.
+	t.ancestors(g, at-1, &n, func(s int, p Prefix) bool {
+		if longest.Length >= 0 && p != longest {
+			return false
+		}
+		winner, longest = t.Rules[t.idx[s]].Port, p
 		return true
+	})
+	end := t.upperBound(P(g.Value|^mask32(g.Length), 32), at, len(t.idx), &n)
+	w := trieWalk{t: t, leaf: leaf, split: split, n: &n}
+	w.walk(at, end, g, winner)
+	mExamined.Add(n)
+}
+
+// trieWalk is the state of one WalkTrie.
+type trieWalk struct {
+	t     *FwdTable
+	leaf  func(port int)
+	split func(length int)
+	n     *uint64
+}
+
+// walk visits the trie node g, whose winner is winner and whose strictly
+// contained rules are index slots [lo, hi).
+func (w *trieWalk) walk(lo, hi int, g Prefix, winner int) {
+	if lo == hi {
+		w.leaf(winner)
+		return
 	}
-	for _, g := range regions {
-		at := t.search(g, &n)
-		t.ancestors(g, at-1, &n, add)
-		for s := at; s < len(t.idx); s++ {
-			p := t.at(s, &n)
-			if !g.Contains(p) {
-				break
-			}
-			add(s, p)
+	// Every prefix in the run has g's bits and is longer than g, so its
+	// bit g.Length splits the run: zeros first.
+	bit := uint32(1) << (31 - g.Length)
+	mid, top := lo, hi
+	for mid < top {
+		m := int(uint(mid+top) >> 1)
+		if w.t.at(m, w.n).Value&bit == 0 {
+			mid = m + 1
+		} else {
+			top = m
 		}
 	}
-	mExamined.Add(n)
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	idx := make([]int, len(keys))
-	for i, k := range keys {
-		idx[i] = int(uint32(k))
+	w.child(lo, mid, P(g.Value, g.Length+1), winner)
+	w.child(mid, hi, P(g.Value|bit, g.Length+1), winner)
+	w.split(g.Length)
+}
+
+// child visits the child c of a trie node whose rules inside c are index
+// slots [lo, hi): the rules equal to c lead the run, and the first of
+// them, the first added, takes over from the parent's winner.
+func (w *trieWalk) child(lo, hi int, c Prefix, winner int) {
+	if lo < hi && w.t.at(lo, w.n) == c {
+		winner = w.t.Rules[w.t.idx[lo]].Port
+		for lo++; lo < hi && w.t.at(lo, w.n) == c; lo++ {
+		}
 	}
-	return idx
+	w.walk(lo, hi, c, winner)
 }
 
 // Action is an ACL rule decision.
