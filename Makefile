@@ -40,10 +40,11 @@ SMOKE_DIR := /tmp/apc-checkpoint-smoke
 # that parse untrusted bytes, the classify-vs-simulate harness (a fuzzed
 # 5-tuple must land on a leaf that holds it and be delivered where the
 # rule-table simulator delivers it, on every dataset), the
-# interval-coded AtomSet vs its map-of-IDs model, and the FIB trie walk
-# vs the shadow walk (cold, and region-stitched after cone edits). A
-# short -fuzztime keeps CI fast; long runs are for dedicated fuzzing
-# sessions.
+# interval-coded AtomSet vs its map-of-IDs model, the FIB trie walk
+# vs the shadow walk (cold, and region-stitched after cone edits), and
+# the atoms of the joint walk of several tables plus ACLs vs refinement
+# by every predicate. A short -fuzztime keeps CI fast; long runs are for
+# dedicated fuzzing sessions.
 FUZZ_TIME ?= 5s
 
 .PHONY: build fmt test vet lint race apdebug bench-smoke bench-gate cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke soak-smoke cli-smoke no-orphans check
@@ -118,6 +119,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzClassifyVsSimulate$$' -fuzztime $(FUZZ_TIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzAtomSet$$' -fuzztime $(FUZZ_TIME) ./internal/predicate
 	$(GO) test -run '^$$' -fuzz '^FuzzPortPredicates$$' -fuzztime $(FUZZ_TIME) ./internal/predicate
+	$(GO) test -run '^$$' -fuzz '^FuzzJointAtoms$$' -fuzztime $(FUZZ_TIME) ./internal/predicate
 
 # Verification smoke: apverify's exhaustive sweeps on the small fat-tree
 # — loop freedom must hold, the injected loop must be found, and every

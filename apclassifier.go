@@ -158,13 +158,7 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 
 	// Atoms and tree.
 	live := reg.LiveIDs()
-	refs := make([]bdd.Ref, len(live))
-	ids := make([]int, len(live))
-	for i, id := range live {
-		refs[i] = reg.Ref(id)
-		ids[i] = int(id)
-	}
-	atoms := predicate.ComputeMapped(d, refs, ids, reg.NumIDs())
+	atoms := c.atoms(d, wiring, live, reg.Ref, reg.NumIDs())
 	tree := aptree.Build(aptree.Input{
 		D:     d,
 		Preds: reg.Refs(),
@@ -190,31 +184,59 @@ func (c *Classifier) linkTopology() {
 	}
 }
 
-// TreeInput recomputes the atomic predicates of the live predicate set and
-// returns a build input suitable for constructing additional AP Trees over
-// the same predicates — the experiment harness uses it to compare
+// atoms computes the atomic predicates of the live predicates, whose refs
+// ref yields, with membership vectors sized for capBits IDs. The
+// forwarding predicates, mapped to their tables' ports through wiring,
+// are not refined one by one: their atoms come from one joint walk of
+// every box's prefix index (predicate.JointAtoms), and only the other
+// live predicates — ACLs and any a caller added — refine them. The atoms
+// come out as predicate.ComputeMapped over the live IDs numbers them.
+func (c *Classifier) atoms(d *bdd.DD, w *network.Wiring, live []int32, ref func(int32) bdd.Ref, capBits int) *predicate.Atoms {
+	boxes := c.Dataset.Boxes
+	tables := make([]*rule.FwdTable, len(boxes))
+	fwd := make([]bool, capBits)
+	for bi := range boxes {
+		tables[bi] = &boxes[bi].Fwd
+		for pi := 0; pi < w.NumPorts(bi); pi++ {
+			if id := w.Fwd(bi, pi); id != network.NoPred {
+				fwd[id] = true
+			}
+		}
+	}
+	var rest []bdd.Ref
+	var restIDs []int
+	for _, id := range live {
+		if !fwd[id] {
+			rest = append(rest, ref(id))
+			restIDs = append(restIDs, int(id))
+		}
+	}
+	// NoPred is negative: a port without a predicate.
+	fwdID := func(box, port int) int { return int(w.Fwd(box, port)) }
+	return predicate.JointAtoms(d, c.Layout, "dstIP", tables, fwdID, rest, restIDs, capBits)
+}
+
+// TreeInput recomputes the atomic predicates of the live predicate set the
+// way New does, from the rule tables and the published wiring, and returns
+// a build input suitable for constructing additional AP Trees over the
+// same predicates — the experiment harness uses it to compare
 // construction methods. The classifier must be quiescent (no concurrent
 // updates or reconstructions) while the input and trees built from it are
-// in use, because they share the live DD.
+// in use, because they share the live DD and read the rule tables.
 func (c *Classifier) TreeInput() aptree.Input {
 	m := c.Manager
 	d := m.DD()
 	live := m.LiveIDs()
-	refs := make([]bdd.Ref, len(live))
-	ids := make([]int, len(live))
 	maxID := int32(0)
-	for i, id := range live {
-		refs[i] = m.Ref(id)
-		ids[i] = int(id)
-		if id > maxID {
-			maxID = id
-		}
+	for _, id := range live {
+		maxID = max(maxID, id)
 	}
-	atoms := predicate.ComputeMapped(d, refs, ids, int(maxID)+1)
 	preds := make([]bdd.Ref, maxID+1)
-	for i, id := range live {
-		preds[id] = refs[i]
+	for _, id := range live {
+		preds[id] = m.Ref(id)
 	}
+	ref := func(id int32) bdd.Ref { return preds[id] }
+	atoms := c.atoms(d, network.WiringOf(m.Snapshot()), live, ref, int(maxID)+1)
 	return aptree.Input{D: d, Preds: preds, Live: live, Atoms: atoms}
 }
 

@@ -18,6 +18,14 @@ import (
 // 37,739.
 const ruleDeltaApplyOps = 214726
 
+// TestNewWorkIsPinned's exact apply-op counts for a build of Internet2
+// ×0.1 and of Stanford ×0.05 in this build, the sanitizers' operations
+// included.
+const (
+	newApplyOpsInternet2 = 29011
+	newApplyOpsStanford  = 472674
+)
+
 // TestApdebugDeltaPartition drives the delta pipeline with the leaf
 // partition sanitizer armed: under -tags apdebug every AddPredicate and
 // RemovePredicate self-checks inside the transaction, and this test

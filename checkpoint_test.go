@@ -260,7 +260,7 @@ func TestCheckpointResumesDeltaSeq(t *testing.T) {
 // included, and a split as -2 minus its length.
 func trieWalkEvents(tbl *rule.FwdTable, g rule.Prefix) []int {
 	var ev []int
-	tbl.WalkTrie(g, func(port int) { ev = append(ev, port) }, func(length int) { ev = append(ev, -2-length) })
+	rule.WalkTrie([]*rule.FwdTable{tbl}, g, func(winners []int) { ev = append(ev, winners[0]) }, func(length int) { ev = append(ev, -2-length) })
 	return ev
 }
 

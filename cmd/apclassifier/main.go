@@ -79,7 +79,10 @@ func main() {
 		c.NumPredicates(), c.NumAtoms(), c.AverageDepth(), time.Since(start).Round(time.Millisecond))
 
 	if *stats {
-		fmt.Printf("memory estimate: %.2f MB allocated, %.2f MB live\n",
+		// MemBytes counts the node store's slot capacity, the slots GC
+		// freed included, and the tree; LiveMemBytes only the reachable
+		// BDD nodes and the operation cache.
+		fmt.Printf("memory estimate: %.2f MB BDD+tree incl. freed slots, %.2f MB live BDD\n",
 			float64(c.MemBytes())/1e6, float64(c.Manager.DD().LiveMemBytes())/1e6)
 		return
 	}

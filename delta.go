@@ -204,14 +204,13 @@ func (c *Classifier) ApplyRuleDeltasSeq(seq uint64, deltas []RuleDelta) (applied
 		}
 		for _, box := range boxes {
 			spec := &c.Dataset.Boxes[box]
-			pd := predicate.DeltaPortPredicates(d, c.Layout, "dstIP", &spec.Fwd,
+			pd, region := predicate.DeltaPortPredicates(d, c.Layout, "dstIP", &spec.Fwd,
 				cones[box], spec.NumPorts, func(port int) bdd.Ref {
 					if id := w.Fwd(box, port); id != network.NoPred {
 						return tx.Ref(id)
 					}
 					return bdd.False
 				})
-			region := predicate.ConeRegion(d, c.Layout, "dstIP", cones[box])
 			for _, dp := range pd {
 				switch id := w.Fwd(box, dp.Port); {
 				case id == network.NoPred:

@@ -6,3 +6,10 @@ package apclassifier
 // the release build (the apdebug build records its own, sanitizers
 // included, in apdebug_test.go).
 const ruleDeltaApplyOps = 37739
+
+// TestNewWorkIsPinned's exact apply-op counts for a build of Internet2
+// ×0.1 and of Stanford ×0.05 in the release build.
+const (
+	newApplyOpsInternet2 = 0
+	newApplyOpsStanford  = 386919
+)

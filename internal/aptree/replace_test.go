@@ -129,8 +129,7 @@ func TestReplaceEqualsRemoveAdd(t *testing.T) {
 				set(k, next, d.Xor(refs[k], next))
 			}
 			if cones != nil {
-				region := predicate.ConeRegion(d, layout, "dstIP", cones)
-				pd := predicate.DeltaPortPredicates(d, layout, "dstIP", tbl, cones, numPorts,
+				pd, region := predicate.DeltaPortPredicates(d, layout, "dstIP", tbl, cones, numPorts,
 					func(port int) bdd.Ref { return refs[box*numPorts+port] })
 				for _, dp := range pd {
 					set(box*numPorts+dp.Port, dp.New, region)

@@ -84,3 +84,32 @@ func TestAtomsAddDuplicatePredicate(t *testing.T) {
 		}
 	}
 }
+
+// TestAtomsAddPredicateGrowsOnlyShortVectors requires AddPredicate to set
+// a bit the membership vectors already hold in place, and to grow every
+// vector once an ID lies past their capacity.
+func TestAtomsAddPredicateGrowsOnlyShortVectors(t *testing.T) {
+	d := bdd.New(8)
+	a := ComputeMapped(d, []bdd.Ref{d.FromPrefix(0, 0x80, 1, 8)}, []int{0}, 64)
+	words := make([]*uint64, len(a.Member))
+	for i, m := range a.Member {
+		words[i] = &m[0]
+	}
+	a.AddPredicate(5, d.FromPrefix(0, 0x00, 1, 8)) // splits no atom
+	for i, m := range a.Member {
+		if &m[0] != words[i] {
+			t.Fatalf("atom %d: a vector with room for bit 5 was copied", i)
+		}
+	}
+	a.AddPredicate(64, d.FromPrefix(0, 0xC0, 2, 8))
+	for i, m := range a.Member {
+		if len(m) != 2 {
+			t.Fatalf("atom %d: %d words after adding predicate 64, want 2", i, len(m))
+		}
+	}
+	preds := make([]bdd.Ref, 65)
+	preds[0], preds[5], preds[64] = d.FromPrefix(0, 0x80, 1, 8), d.FromPrefix(0, 0x00, 1, 8), d.FromPrefix(0, 0xC0, 2, 8)
+	if err := a.Verify(preds); err != nil {
+		t.Fatal(err)
+	}
+}

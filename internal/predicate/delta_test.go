@@ -27,7 +27,7 @@ func TestDeltaPortPredicatesAdd(t *testing.T) {
 	preds := PortPredicates(d, header.IPv4Dst, "dstIP", &tbl, numPorts)
 
 	cone := tbl.AddWithCone(rule.FwdRule{Prefix: rule.P(0x0A0B0000, 16), Port: 2})
-	deltas := DeltaPortPredicates(d, header.IPv4Dst, "dstIP", &tbl, []rule.Cone{cone}, numPorts,
+	deltas, _ := DeltaPortPredicates(d, header.IPv4Dst, "dstIP", &tbl, []rule.Cone{cone}, numPorts,
 		func(p int) bdd.Ref { return preds[p] })
 
 	// Port 1 loses 10.11/16 to port 2; port 0 is covered by the cone but
@@ -52,9 +52,9 @@ func TestDeltaPortPredicatesEmptyCone(t *testing.T) {
 	d := bdd.New(32)
 	var tbl rule.FwdTable
 	tbl.Add(rule.FwdRule{Prefix: rule.P(0, 0), Port: 0})
-	if got := DeltaPortPredicates(d, header.IPv4Dst, "dstIP", &tbl, nil, 1,
-		func(int) bdd.Ref { t.Fatal("old must not be read"); return bdd.False }); got != nil {
-		t.Fatalf("no cones must yield no deltas, got %v", got)
+	if got, region := DeltaPortPredicates(d, header.IPv4Dst, "dstIP", &tbl, nil, 1,
+		func(int) bdd.Ref { t.Fatal("old must not be read"); return bdd.False }); got != nil || region != bdd.False {
+		t.Fatalf("no cones must yield no deltas and no region, got %v over %v", got, region)
 	}
 }
 
@@ -90,7 +90,7 @@ func TestDeltaPortPredicatesChurn(t *testing.T) {
 				t.Fatalf("step %d: removing an existing prefix failed", step)
 			}
 		}
-		deltas := DeltaPortPredicates(d, header.IPv4Dst, "dstIP", &tbl, []rule.Cone{cone}, numPorts,
+		deltas, _ := DeltaPortPredicates(d, header.IPv4Dst, "dstIP", &tbl, []rule.Cone{cone}, numPorts,
 			func(p int) bdd.Ref { return preds[p] })
 		applyDeltas(preds, deltas)
 		want := PortPredicates(d, header.IPv4Dst, "dstIP", &tbl, numPorts)
@@ -132,7 +132,7 @@ func TestDeltaPortPredicatesBatched(t *testing.T) {
 				}
 			}
 		}
-		deltas := DeltaPortPredicates(d, header.IPv4Dst, "dstIP", &tbl, cones, numPorts,
+		deltas, _ := DeltaPortPredicates(d, header.IPv4Dst, "dstIP", &tbl, cones, numPorts,
 			func(p int) bdd.Ref { return preds[p] })
 		applyDeltas(preds, deltas)
 		want := PortPredicates(d, header.IPv4Dst, "dstIP", &tbl, numPorts)
@@ -148,7 +148,7 @@ func TestDeltaPortPredicatesBatched(t *testing.T) {
 // rule table had a prefix index: the rules overlapping a cone region are
 // found by a scan of the whole table and ordered by a stable sort on
 // prefix length. It is the oracle the indexed version is held to.
-func scanDeltaPortPredicates(d *bdd.DD, t *rule.FwdTable, cones []rule.Cone, numPorts int, old func(int) bdd.Ref) []PortPredicateDelta {
+func scanDeltaPortPredicates(d *bdd.DD, t *rule.FwdTable, cones []rule.Cone, numPorts int, old func(int) bdd.Ref) ([]PortPredicateDelta, bdd.Ref) {
 	var idx []int
 	for i, r := range t.Rules {
 		for _, c := range cones {
@@ -159,7 +159,10 @@ func scanDeltaPortPredicates(d *bdd.DD, t *rule.FwdTable, cones []rule.Cone, num
 		}
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return t.Rules[idx[a]].Prefix.Length > t.Rules[idx[b]].Prefix.Length })
-	region := ConeRegion(d, header.IPv4Dst, "dstIP", cones)
+	region := bdd.False
+	for _, c := range cones {
+		region = d.Or(region, PrefixBDD(d, header.IPv4Dst, "dstIP", c.Region))
+	}
 	within := make([]bdd.Ref, numPorts)
 	shadow := bdd.False
 	for _, ri := range idx {
@@ -186,7 +189,10 @@ func scanDeltaPortPredicates(d *bdd.DD, t *rule.FwdTable, cones []rule.Cone, num
 			out = append(out, PortPredicateDelta{Port: p, Old: prev, New: next})
 		}
 	}
-	return out
+	if len(ports) == 0 {
+		region = bdd.False
+	}
+	return out, region
 }
 
 // TestDeltaPortPredicatesMatchesScan holds the indexed DeltaPortPredicates
@@ -216,10 +222,10 @@ func TestDeltaPortPredicatesMatchesScan(t *testing.T) {
 				}
 			}
 			old := func(p int) bdd.Ref { return preds[p] }
-			got := DeltaPortPredicates(d, header.IPv4Dst, "dstIP", &tbl, cones, numPorts, old)
-			want := scanDeltaPortPredicates(d, &tbl, cones, numPorts, old)
-			if !slices.Equal(got, want) {
-				t.Fatalf("trial %d round %d: indexed %v, scan %v", trial, round, got, want)
+			got, region := DeltaPortPredicates(d, header.IPv4Dst, "dstIP", &tbl, cones, numPorts, old)
+			want, wantRegion := scanDeltaPortPredicates(d, &tbl, cones, numPorts, old)
+			if !slices.Equal(got, want) || region != wantRegion {
+				t.Fatalf("trial %d round %d: indexed %v over %v, scan %v over %v", trial, round, got, region, want, wantRegion)
 			}
 			applyDeltas(preds, got)
 		}

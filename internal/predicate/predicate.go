@@ -32,20 +32,35 @@ func PrefixBDD(d *bdd.DD, layout *header.Layout, field string, p rule.Prefix) bd
 // no rule, belong to no port predicate.
 //
 // A forwarding table is a laminar prefix tree, so the conversion is one
-// walk of the table's prefix index (rule.FwdTable.WalkTrie) that emits
-// every predicate bottom-up, one BDD node per port per trie node and no
-// apply step: every node it makes belongs to a result. The table is
-// indexed first if it has no index.
+// walk of the table's prefix index (rule.WalkTrie) that emits every
+// predicate bottom-up, one BDD node per port per trie node and no apply
+// step: every node it makes belongs to a result. The table is indexed
+// first if it has no index.
 func PortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *rule.FwdTable, numPorts int) []bdd.Ref {
 	preds := make([]bdd.Ref, numPorts)
 	for i := range preds {
 		preds[i] = bdd.False
 	}
-	b := trieBuilder{d: d, offset: prefixField(layout, dstField).Offset, numPorts: numPorts}
-	for _, e := range b.walk(t, rule.P(0, 0)) {
-		preds[e.port] = e.ref
+	b := trieBuilder{d: d, offset: prefixField(layout, dstField).Offset}
+	for _, e := range b.walk([]*rule.FwdTable{t}, rule.P(0, 0), portLabel(numPorts)) {
+		preds[e.label] = e.ref
 	}
 	return preds
+}
+
+// portLabel labels a one-table trie leaf with its winning port, and a
+// dropped block with no label.
+func portLabel(numPorts int) func(winners []int) int32 {
+	return func(winners []int) int32 {
+		port := winners[0]
+		if port == rule.Drop {
+			return -1
+		}
+		if port < 0 || port >= numPorts {
+			panic(fmt.Sprintf("predicate: rule port %d out of range [0,%d)", port, numPorts))
+		}
+		return int32(port)
+	}
 }
 
 // prefixField returns the named field of the layout, which must be a
@@ -58,48 +73,46 @@ func prefixField(layout *header.Layout, field string) header.Field {
 	return f
 }
 
-// portRef is one entry of a sparse port predicate list.
-type portRef struct {
-	port int32
-	ref  bdd.Ref
+// labelRef is one entry of a sparse label list.
+type labelRef struct {
+	label int32
+	ref   bdd.Ref
 }
 
-// trieBuilder turns a table's post-order trie walk into port predicates.
-// Each trie node's result is the list of the ports that win some packet
-// in its block, ascending, each with its predicate over the address bits
-// below the node. The results of the nodes whose parent has not been
+// trieBuilder turns a post-order trie walk whose leaves carry labels into
+// one predicate per label: the union of the blocks of the leaves with
+// that label. Each trie node's result is the list of the labels of the
+// leaves below it, ascending, each with its predicate over the address
+// bits below the node. The results of the nodes whose parent has not been
 // reached yet sit concatenated on out, the i-th from starts[i].
 type trieBuilder struct {
-	d        *bdd.DD
-	offset   int
-	numPorts int
-	out      []portRef
-	starts   []int
+	d      *bdd.DD
+	offset int
+	out    []labelRef
+	starts []int
 }
 
-// walk runs WalkTrie over the region g and returns g's result, whose
-// predicates test only the address bits below g's length.
-func (b *trieBuilder) walk(t *rule.FwdTable, g rule.Prefix) []portRef {
+// walk runs WalkTrie of the tables over the region g, labelling each leaf
+// by its winners (a negative label puts the leaf's block in no result),
+// and returns g's result, whose predicates test only the address bits
+// below g's length.
+func (b *trieBuilder) walk(tables []*rule.FwdTable, g rule.Prefix, label func(winners []int) int32) []labelRef {
 	b.out, b.starts = b.out[:0], b.starts[:0]
-	t.WalkTrie(g, b.leaf, b.split)
+	rule.WalkTrie(tables, g, func(winners []int) { b.leaf(label(winners)) }, b.split)
 	return b.out
 }
 
-// leaf pushes a block one rule wins whole: its port is the block's only
-// entry, true everywhere.
-func (b *trieBuilder) leaf(port int) {
+// leaf pushes a block one label covers whole: the label is the block's
+// only entry, true everywhere.
+func (b *trieBuilder) leaf(label int32) {
 	b.starts = append(b.starts, len(b.out))
-	if port == rule.Drop {
-		return
+	if label >= 0 {
+		b.out = append(b.out, labelRef{label, bdd.True})
 	}
-	if port < 0 || port >= b.numPorts {
-		panic(fmt.Sprintf("predicate: rule port %d out of range [0,%d)", port, b.numPorts))
-	}
-	b.out = append(b.out, portRef{int32(port), bdd.True})
 }
 
 // split replaces the two topmost results, a node's 0-child and 1-child,
-// with the node's own: a merge by port, one BDD node per port.
+// with the node's own: a merge by label, one BDD node per label.
 func (b *trieBuilder) split(length int) {
 	n := len(b.starts)
 	start, end := b.starts[n-2], len(b.out)
@@ -107,20 +120,20 @@ func (b *trieBuilder) split(length int) {
 	b.starts = b.starts[:n-1]
 	level := b.offset + length
 	for i, j := 0, 0; i < len(lo) || j < len(hi); {
-		var port int32
+		var label int32
 		low, high := bdd.False, bdd.False
 		switch {
-		case j == len(hi) || i < len(lo) && lo[i].port < hi[j].port:
-			port, low = lo[i].port, lo[i].ref
+		case j == len(hi) || i < len(lo) && lo[i].label < hi[j].label:
+			label, low = lo[i].label, lo[i].ref
 			i++
-		case i == len(lo) || hi[j].port < lo[i].port:
-			port, high = hi[j].port, hi[j].ref
+		case i == len(lo) || hi[j].label < lo[i].label:
+			label, high = hi[j].label, hi[j].ref
 			j++
 		default:
-			port, low, high = lo[i].port, lo[i].ref, hi[j].ref
+			label, low, high = lo[i].label, lo[i].ref, hi[j].ref
 			i, j = i+1, j+1
 		}
-		b.out = append(b.out, portRef{port, b.d.Node(level, low, high)})
+		b.out = append(b.out, labelRef{label, b.d.Node(level, low, high)})
 	}
 	b.out = b.out[:start+copy(b.out[start:], b.out[end:])]
 }
@@ -136,7 +149,9 @@ type PortPredicateDelta struct {
 // DeltaPortPredicates recomputes port predicates after table mutations whose
 // LPM cones are given, touching only the header region the cones cover. t is
 // the table after the mutations; old yields the pre-mutation predicate of a
-// port. The result lists every port whose predicate actually changed.
+// port. The result lists every port whose predicate actually changed, and
+// the region the cones cover, the union of their Region prefixes, outside
+// which none of them changed (False when no cone names a port).
 //
 // LPM is per-packet local: the winners inside a cone region are decided by
 // the rules inside it and the one rule that wins the region's block from
@@ -146,7 +161,7 @@ type PortPredicateDelta struct {
 // each changed predicate is stitched as (old minus region) or (winners
 // within region). Ports outside the cones' port sets are untouched by the
 // rule.Cone contract and are never even read.
-func DeltaPortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *rule.FwdTable, cones []rule.Cone, numPorts int, old func(port int) bdd.Ref) []PortPredicateDelta {
+func DeltaPortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *rule.FwdTable, cones []rule.Cone, numPorts int, old func(port int) bdd.Ref) ([]PortPredicateDelta, bdd.Ref) {
 	// Candidate ports form an interval-coded set: cone port lists are
 	// dense index runs, so the set stays a few intervals no matter how
 	// many ports a batch touches.
@@ -160,7 +175,7 @@ func DeltaPortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *r
 		}
 	}
 	if candidates.Empty() {
-		return nil
+		return nil, bdd.False
 	}
 	// In (value, length) order a region comes before every region inside
 	// it, so one pass keeps the maximal ones.
@@ -177,13 +192,13 @@ func DeltaPortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *r
 			maximal = append(maximal, g)
 		}
 	}
-	b := trieBuilder{d: d, offset: prefixField(layout, dstField).Offset, numPorts: numPorts}
+	b := trieBuilder{d: d, offset: prefixField(layout, dstField).Offset}
 	within := make([]bdd.Ref, numPorts)
 	for i := range within {
 		within[i] = bdd.False
 	}
 	for _, g := range maximal {
-		for _, e := range b.walk(t, g) {
+		for _, e := range b.walk([]*rule.FwdTable{t}, g, portLabel(numPorts)) {
 			f := e.ref
 			for i := g.Length - 1; i >= 0; i-- {
 				if g.Value&(1<<(31-i)) != 0 {
@@ -192,10 +207,10 @@ func DeltaPortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *r
 					f = d.Node(b.offset+i, f, bdd.False)
 				}
 			}
-			within[e.port] = d.Or(within[e.port], f)
+			within[e.label] = d.Or(within[e.label], f)
 		}
 	}
-	region := ConeRegion(d, layout, dstField, cones)
+	region := coneRegion(d, layout, dstField, cones)
 	var deltas []PortPredicateDelta
 	candidates.Each(func(port int32) bool {
 		prev := old(int(port))
@@ -205,13 +220,12 @@ func DeltaPortPredicates(d *bdd.DD, layout *header.Layout, dstField string, t *r
 		}
 		return true
 	})
-	return deltas
+	return deltas, region
 }
 
-// ConeRegion returns the header region the cones cover: the union of their
-// Region prefixes over dstField. Every port predicate DeltaPortPredicates
-// reports differs from its old value only inside it.
-func ConeRegion(d *bdd.DD, layout *header.Layout, dstField string, cones []rule.Cone) bdd.Ref {
+// coneRegion returns the header region the cones cover: the union of their
+// Region prefixes over dstField.
+func coneRegion(d *bdd.DD, layout *header.Layout, dstField string, cones []rule.Cone) bdd.Ref {
 	region := bdd.False
 	for _, c := range cones {
 		region = d.Or(region, PrefixBDD(d, layout, dstField, c.Region))

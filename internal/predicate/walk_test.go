@@ -128,7 +128,7 @@ func FuzzPortPredicates(f *testing.F) {
 		}
 		var cones []rule.Cone
 		flush := func() {
-			deltas := DeltaPortPredicates(d, header.IPv4Dst, "dstIP", &tbl, cones, numPorts,
+			deltas, _ := DeltaPortPredicates(d, header.IPv4Dst, "dstIP", &tbl, cones, numPorts,
 				func(p int) bdd.Ref { return preds[p] })
 			applyDeltas(preds, deltas)
 			cones = nil

@@ -30,30 +30,35 @@ func scanRemove(rules []FwdRule, p Prefix) (out []FwdRule, ports []int) {
 	return out, ports
 }
 
-// scanTrie is WalkTrie by scans, appending its events as trieEvents
-// records them: a node splits while some rule lies strictly inside it,
-// and a leaf's winner is the first added of the longest rules containing
-// it.
-func scanTrie(rules []FwdRule, g Prefix, ev []int) []int {
-	if !slices.ContainsFunc(rules, func(r FwdRule) bool { return g.Contains(r.Prefix) && r.Prefix.Length > g.Length }) {
-		winner, longest := Drop, -1
-		for _, r := range rules {
-			if r.Prefix.Contains(g) && r.Prefix.Length > longest {
-				winner, longest = r.Port, r.Prefix.Length
+// scanTrie is WalkTrie by scans over each table's rules, appending its
+// events as trieEvents records them: a node splits while some table has a
+// rule strictly inside it, and a leaf's winner in a table is the first
+// added of its longest rules containing the leaf.
+func scanTrie(tables [][]FwdRule, g Prefix, ev []int) []int {
+	inside := func(r FwdRule) bool { return g.Contains(r.Prefix) && r.Prefix.Length > g.Length }
+	if !slices.ContainsFunc(tables, func(rules []FwdRule) bool { return slices.ContainsFunc(rules, inside) }) {
+		for _, rules := range tables {
+			winner, longest := Drop, -1
+			for _, r := range rules {
+				if r.Prefix.Contains(g) && r.Prefix.Length > longest {
+					winner, longest = r.Port, r.Prefix.Length
+				}
 			}
+			ev = append(ev, winner)
 		}
-		return append(ev, winner)
+		return ev
 	}
-	ev = scanTrie(rules, P(g.Value, g.Length+1), ev)
-	ev = scanTrie(rules, P(g.Value|1<<(31-g.Length), g.Length+1), ev)
+	ev = scanTrie(tables, P(g.Value, g.Length+1), ev)
+	ev = scanTrie(tables, P(g.Value|1<<(31-g.Length), g.Length+1), ev)
 	return append(ev, -2-g.Length)
 }
 
-// trieEvents records a WalkTrie over g: a leaf as its port, Drop
-// included, and a split as -2 minus its length.
-func trieEvents(tbl *FwdTable, g Prefix) []int {
+// trieEvents records a WalkTrie of the tables over g: a leaf as its
+// winners, one per table, Drop included, and a split as -2 minus its
+// length.
+func trieEvents(tables []*FwdTable, g Prefix) []int {
 	var ev []int
-	tbl.WalkTrie(g, func(port int) { ev = append(ev, port) }, func(length int) { ev = append(ev, -2-length) })
+	WalkTrie(tables, g, func(winners []int) { ev = append(ev, winners...) }, func(length int) { ev = append(ev, -2-length) })
 	return ev
 }
 
@@ -161,7 +166,7 @@ func TestIndexMatchesScans(t *testing.T) {
 			}
 			checkIndex(t, &tbl)
 			g := []Prefix{victim, randomPrefix(rng), P(0, 0)}[rng.Intn(3)]
-			if got, want := trieEvents(&tbl, g), scanTrie(shadow, g, nil); !slices.Equal(got, want) {
+			if got, want := trieEvents([]*FwdTable{&tbl}, g), scanTrie([][]FwdRule{shadow}, g, nil); !slices.Equal(got, want) {
 				t.Fatalf("trial %d step %d: trie walk of %v = %v, want %v", trial, step, g, got, want)
 			}
 		}
@@ -190,8 +195,47 @@ func TestCloneIsIndependent(t *testing.T) {
 	checkIndex(t, &cp)
 	for k := 0; k < 200; k++ {
 		g := randomPrefix(rng)
-		if got, want := trieEvents(&cp, g), scanTrie(rules, g, nil); !slices.Equal(got, want) {
+		if got, want := trieEvents([]*FwdTable{&cp}, g), scanTrie([][]FwdRule{rules}, g, nil); !slices.Equal(got, want) {
 			t.Fatalf("clone trie walk of %v = %v, want %v", g, got, want)
+		}
+	}
+}
+
+// TestJointTrieMatchesScan walks several random tables at once — some
+// empty, some all Drop, with /0 routes and duplicate prefixes — over
+// random regions and holds every leaf's winners and every split to the
+// scan of each table. Tables are shared between walks in different
+// orders, and one walk's tables are indexed by it, the others' up front.
+func TestJointTrieMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(5)
+		tables := make([]*FwdTable, n)
+		rules := make([][]FwdRule, n)
+		for i := range tables {
+			tables[i] = &FwdTable{}
+			allDrop := rng.Intn(5) == 0
+			for k := rng.Intn(30); k > 0; k-- {
+				r := FwdRule{randomPrefix(rng), rng.Intn(4) - 1}
+				if allDrop {
+					r.Port = Drop
+				}
+				tables[i].Add(r)
+			}
+			if trial%2 == 0 {
+				tables[i].Index()
+			}
+			rules[i] = slices.Clone(tables[i].Rules)
+		}
+		for k := 0; k < 5; k++ {
+			g := []Prefix{P(0, 0), randomPrefix(rng)}[rng.Intn(2)]
+			if got, want := trieEvents(tables, g), scanTrie(rules, g, nil); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: joint walk of %d tables over %v = %v, want %v", trial, n, g, got, want)
+			}
+			rng.Shuffle(n, func(i, j int) {
+				tables[i], tables[j] = tables[j], tables[i]
+				rules[i], rules[j] = rules[j], rules[i]
+			})
 		}
 	}
 }

@@ -430,84 +430,136 @@ func (t *FwdTable) ByDescendingLength() []int {
 	return idx
 }
 
-// WalkTrie walks the table's longest-prefix-match decision inside the
-// region g as a binary trie over the address bits, in post-order. A trie
-// node is a prefix at or inside g; it is a leaf once no rule lies strictly
-// inside it, and leaf reports the output of the rule that wins its whole
-// block: the first added of the longest rules containing it, or Drop when
-// that rule drops or no rule contains it. Any other node splits on its
-// next address bit: the walk visits the 0-child's subtrie, then the
-// 1-child's, then calls split with the node's prefix length.
+// WalkTrie walks the joint longest-prefix-match decision of the tables
+// inside the region g as a binary trie over the address bits, in
+// post-order. A trie node is a prefix at or inside g; it is a leaf once no
+// table has a rule strictly inside it, and leaf reports the rule that wins
+// its whole block in each table: winners[i] is the output of the first
+// added of tables[i]'s longest rules containing the block, or Drop when
+// that rule drops or no rule contains it. The slice is the walk's own,
+// valid until leaf returns. Any other node splits on its next address
+// bit: the walk visits the 0-child's subtrie, then the 1-child's, then
+// calls split with the node's prefix length.
 //
-// Prefixes are laminar, so no node looks up its winner: the walk carries
-// it down, cuts the index run of the rules inside a node at the child
-// boundary with a binary search of the run, and a rule equal to a child
-// becomes that child's winner. The run inside g is contiguous in the
-// index, and g's own winner comes from the ancestor walk, so nothing
-// outside g and the rules containing it is read. The table is indexed
-// first if it has no index.
-func (t *FwdTable) WalkTrie(g Prefix, leaf func(port int), split func(length int)) {
-	t.Index()
-	var n uint64
-	at := t.search(g, &n)
-	winner, longest := Drop, Prefix{Length: -1}
-	// Equal prefixes come in descending position: the last one the walk
-	// meets at the longest length is the first added.
-	t.ancestors(g, at-1, &n, func(s int, p Prefix) bool {
-		if longest.Length >= 0 && p != longest {
-			return false
+// Prefixes are laminar, so no node looks up a winner: the walk carries
+// each table's winner down, cuts the index run of the table's rules inside
+// a node at the child boundary with a binary search of the run, and a
+// rule equal to a child becomes that child's winner in its table. A node
+// carries only the tables with a rule strictly inside it, so a table costs
+// the nodes of its own trie and nothing where it has no rules. Each run
+// inside g is contiguous in its table's index, and g's own winners come
+// from the ancestor walks, so nothing outside g and the rules containing
+// it is read. A table with no index is indexed first.
+func WalkTrie(tables []*FwdTable, g Prefix, leaf func(winners []int), split func(length int)) {
+	w := trieWalk{tables: tables, winners: make([]int, len(tables)), leaf: leaf, split: split}
+	for i, t := range tables {
+		t.Index()
+		at := t.search(g, &w.n)
+		winner, longest := Drop, Prefix{Length: -1}
+		// Equal prefixes come in descending position: the last one the
+		// walk meets at the longest length is the first added.
+		t.ancestors(g, at-1, &w.n, func(s int, p Prefix) bool {
+			if longest.Length >= 0 && p != longest {
+				return false
+			}
+			winner, longest = t.Rules[t.idx[s]].Port, p
+			return true
+		})
+		w.winners[i] = winner
+		if end := t.upperBound(P(g.Value|^mask32(g.Length), 32), at, len(t.idx), &w.n); at < end {
+			w.runs = append(w.runs, trieRun{table: int32(i), lo: int32(at), hi: int32(end)})
 		}
-		winner, longest = t.Rules[t.idx[s]].Port, p
-		return true
-	})
-	end := t.upperBound(P(g.Value|^mask32(g.Length), 32), at, len(t.idx), &n)
-	w := trieWalk{t: t, leaf: leaf, split: split, n: &n}
-	w.walk(at, end, g, winner)
-	mExamined.Add(n)
+	}
+	w.walk(g, 0)
+	mExamined.Add(w.n)
 }
 
-// trieWalk is the state of one WalkTrie.
+// trieRun is one table's index run at a trie node: slots [lo, hi) hold
+// the table's rules strictly inside the node, and mid is where its
+// 1-child's rules begin.
+type trieRun struct {
+	table, lo, mid, hi int32
+}
+
+// trieUndo records the winner a table had before a child took over.
+type trieUndo struct {
+	table  int32
+	winner int
+}
+
+// trieWalk is the state of one WalkTrie. runs is a stack: a node's runs
+// are runs[from:] when it is visited, and its children's are pushed above
+// them. undo holds the winners a child took over, to restore on the way
+// back up.
 type trieWalk struct {
-	t     *FwdTable
-	leaf  func(port int)
-	split func(length int)
-	n     *uint64
+	tables  []*FwdTable
+	winners []int
+	runs    []trieRun
+	undo    []trieUndo
+	leaf    func(winners []int)
+	split   func(length int)
+	n       uint64
 }
 
-// walk visits the trie node g, whose winner is winner and whose strictly
-// contained rules are index slots [lo, hi).
-func (w *trieWalk) walk(lo, hi int, g Prefix, winner int) {
-	if lo == hi {
-		w.leaf(winner)
+// walk visits the trie node g, whose runs are runs[from:].
+func (w *trieWalk) walk(g Prefix, from int) {
+	to := len(w.runs)
+	if from == to {
+		w.leaf(w.winners)
 		return
 	}
-	// Every prefix in the run has g's bits and is longer than g, so its
-	// bit g.Length splits the run: zeros first.
+	// Every prefix in a run has g's bits and is longer than g, so its bit
+	// g.Length splits the run: zeros first.
 	bit := uint32(1) << (31 - g.Length)
-	mid, top := lo, hi
-	for mid < top {
-		m := int(uint(mid+top) >> 1)
-		if w.t.at(m, w.n).Value&bit == 0 {
-			mid = m + 1
-		} else {
-			top = m
+	for i := from; i < to; i++ {
+		r := &w.runs[i]
+		t := w.tables[r.table]
+		lo, hi := int(r.lo), int(r.hi)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if t.at(m, &w.n).Value&bit == 0 {
+				lo = m + 1
+			} else {
+				hi = m
+			}
 		}
+		r.mid = int32(lo)
 	}
-	w.child(lo, mid, P(g.Value, g.Length+1), winner)
-	w.child(mid, hi, P(g.Value|bit, g.Length+1), winner)
+	w.child(P(g.Value, g.Length+1), from, to, false)
+	w.child(P(g.Value|bit, g.Length+1), from, to, true)
 	w.split(g.Length)
 }
 
-// child visits the child c of a trie node whose rules inside c are index
-// slots [lo, hi): the rules equal to c lead the run, and the first of
-// them, the first added, takes over from the parent's winner.
-func (w *trieWalk) child(lo, hi int, c Prefix, winner int) {
-	if lo < hi && w.t.at(lo, w.n) == c {
-		winner = w.t.Rules[w.t.idx[lo]].Port
-		for lo++; lo < hi && w.t.at(lo, w.n) == c; lo++ {
+// child visits the child c of the node whose runs are runs[from:to]: the
+// 1-child when one is set. In each table the rules equal to c lead its
+// part of the run, and the first of them, the first added, takes over
+// from the parent's winner.
+func (w *trieWalk) child(c Prefix, from, to int, one bool) {
+	undo := len(w.undo)
+	for i := from; i < to; i++ {
+		r := w.runs[i]
+		lo, hi := r.lo, r.mid
+		if one {
+			lo, hi = r.mid, r.hi
+		}
+		t := w.tables[r.table]
+		if lo < hi && t.at(int(lo), &w.n) == c {
+			w.undo = append(w.undo, trieUndo{r.table, w.winners[r.table]})
+			w.winners[r.table] = t.Rules[t.idx[lo]].Port
+			for lo++; lo < hi && t.at(int(lo), &w.n) == c; lo++ {
+			}
+		}
+		if lo < hi {
+			w.runs = append(w.runs, trieRun{table: r.table, lo: lo, hi: hi})
 		}
 	}
-	w.walk(lo, hi, c, winner)
+	w.walk(c, to)
+	w.runs = w.runs[:to]
+	for len(w.undo) > undo {
+		u := w.undo[len(w.undo)-1]
+		w.winners[u.table] = u.winner
+		w.undo = w.undo[:len(w.undo)-1]
+	}
 }
 
 // Action is an ACL rule decision.
