@@ -26,6 +26,18 @@ const (
 	newApplyOpsStanford  = 472674
 )
 
+// TestRebuildWorkIsPinned's counts in this build: the partition sanitizer
+// that checks the rebuilt tree runs its BDD operations in the rebuild's
+// DD, and its results stay there. This build re-derives every edited
+// table after each rule batch (≈ 80 ms a step on Internet2 ×0.2), so the
+// rebuild tests churn for 50 steps instead of 3,000.
+const (
+	rebuildApplyOpsInternet2 = 29042
+	rebuildApplyOpsStanford  = 85824
+	rebuildSanitizerNodes    = 13448
+	rebuildChurnSteps        = 50
+)
+
 // TestApdebugDeltaPartition drives the delta pipeline with the leaf
 // partition sanitizer armed: under -tags apdebug every AddPredicate and
 // RemovePredicate self-checks inside the transaction, and this test

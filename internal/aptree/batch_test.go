@@ -49,7 +49,7 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 		// pass itself leaves on the counters: the batch must add the same.
 		counts := func() map[int32]uint64 {
 			c := map[int32]uint64{}
-			tree.Leaves(func(l *Node) { c[l.AtomID] = tree.visits.count(l.AtomID) })
+			tree.Leaves(func(l *Node) { c[l.AtomID] = tree.Visits(l) })
 			return c
 		}
 		before := counts()
@@ -77,7 +77,7 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 			}
 		}
 		tree.Leaves(func(l *Node) {
-			delta := tree.visits.count(l.AtomID) - before[l.AtomID]
+			delta := tree.Visits(l) - before[l.AtomID]
 			if delta != wantVisits[l.AtomID] {
 				t.Fatalf("n=%d atom %d: batch visit delta %d, single-path total %d",
 					n, l.AtomID, delta, wantVisits[l.AtomID])

@@ -2,6 +2,7 @@ package aptree
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,7 +99,8 @@ func NewManager(numVars int, method Method) *Manager {
 // manager. It is the batch-construction path: converting a whole dataset
 // and building the tree once is far cheaper than AddPredicate per
 // predicate. The registry must hold retained refs in d, and the tree must
-// have been built from the registry's live predicates. The DD must not be
+// have been built from the registry's live predicates: its leaves are
+// their atoms, which Reconstruct reuses. The DD must not be
 // garbage collected after this call: the manager publishes frozen views
 // of it, which a GC would invalidate (run any post-construction GC first).
 // data is the first epoch's Snapshot.Data.
@@ -320,69 +322,60 @@ func (m *Manager) LiveIDs() []int32 {
 // end up closer to the root (§V-D). Reconstruct is safe to run concurrently
 // with Classify and every update; concurrent Reconstruct calls
 // serialize.
+//
+// The rebuild computes no atoms. Every update keeps the live tree's
+// leaves the atoms of the live predicates (Tx.Remove merges what a dead
+// predicate alone separated), so sorting them by membership
+// (predicate.CompareMembership) gives the atoms, their IDs and their
+// R(p) runs exactly as refinement over the live IDs in ascending order
+// (predicate.ComputeMapped) would.
 func (m *Manager) Reconstruct(weighted bool) {
 	start := time.Now()
 	m.rebuildMu.Lock()
 	defer m.rebuildMu.Unlock()
 	defer func() { mRebuildDur.Record(time.Since(start).Seconds()) }()
 
-	// Phase 1: open the journal and snapshot the live predicate set.
+	// Phase 1: open the journal and snapshot the live predicate set and
+	// the live tree's leaves. Nodes are immutable once published, and the
+	// visit view is frozen, so both are read after the lock is released.
 	m.mu.Lock()
 	m.journal = []journalOp{}
 	snap := m.reg.Clone()
 	oldD := m.d
-	type leafWeight struct {
-		ref bdd.Ref
-		w   float64
-	}
-	var weights []leafWeight
-	if weighted {
-		tree := m.tree
-		tree.Leaves(func(n *Node) {
-			if v := tree.Visits(n); v > 0 {
-				weights = append(weights, leafWeight{n.BDD, float64(v)})
-			}
-		})
-	}
+	var leaves []*Node
+	m.tree.Leaves(func(n *Node) { leaves = append(leaves, n) })
+	visits := m.tree.visits.view()
 	m.mu.Unlock()
+	slices.SortFunc(leaves, func(x, y *Node) int { return predicate.CompareMembership(x.Member, y.Member) })
 
-	// Phase 2: transfer live predicates (and weighted leaf BDDs) into a
-	// private DD. Reading oldD requires the read lock because concurrent
-	// updates mutate it.
+	// Phase 2: transfer the live predicates and the atoms into a private
+	// DD. Reading oldD requires the read lock because concurrent updates
+	// mutate it.
 	newD := bdd.New(oldD.NumVars())
 	liveIDs := snap.LiveIDs()
 	newRefs := make([]bdd.Ref, snap.NumIDs())
+	atoms := &predicate.Atoms{D: newD, NumPreds: snap.NumIDs(),
+		List: make([]bdd.Ref, len(leaves)), Member: make([]predicate.Bitset, len(leaves))}
 	m.mu.RLock()
 	for _, id := range liveIDs {
 		newRefs[id] = bdd.Transfer(newD, oldD, snap.Ref(id))
 	}
-	weightByRef := make(map[bdd.Ref]float64, len(weights))
-	for _, lw := range weights {
-		weightByRef[bdd.Transfer(newD, oldD, lw.ref)] = lw.w
+	for i, n := range leaves {
+		atoms.List[i], atoms.Member[i] = bdd.Transfer(newD, oldD, n.BDD), n.Member
 	}
 	m.mu.RUnlock()
 	for _, id := range liveIDs {
 		newD.Retain(newRefs[id])
 	}
 
-	// Phase 3: compute atoms and build the new tree, entirely in the
-	// private DD — no locks, queries continue on the old tree.
-	liveRefs := make([]bdd.Ref, len(liveIDs))
-	intIDs := make([]int, len(liveIDs))
-	for i, id := range liveIDs {
-		liveRefs[i] = newRefs[id]
-		intIDs[i] = int(id)
-	}
-	atoms := predicate.ComputeMapped(newD, liveRefs, intIDs, snap.NumIDs())
-	var atomWeights []float64
-	if weighted && len(weightByRef) > 0 {
-		atomWeights = make([]float64, atoms.N())
-		for i, ref := range atoms.List {
-			if w, ok := weightByRef[ref]; ok {
-				atomWeights[i] = w
-			} else {
-				atomWeights[i] = 1 // new or re-cut atom: neutral weight
-			}
+	// Phase 3: build the new tree, entirely in the private DD — no locks,
+	// queries continue on the old tree. An atom never visited, new or
+	// re-cut since the last swap, gets the neutral weight 1.
+	var weights []float64
+	if weighted {
+		weights = make([]float64, len(leaves))
+		for i, n := range leaves {
+			weights[i] = float64(max(visits.count(n.AtomID), 1))
 		}
 	}
 	newTree := Build(Input{
@@ -390,7 +383,7 @@ func (m *Manager) Reconstruct(weighted bool) {
 		Preds:   newRefs,
 		Live:    liveIDs,
 		Atoms:   atoms,
-		Weights: atomWeights,
+		Weights: weights,
 		Rand:    rand.New(rand.NewSource(1)),
 	}, m.method)
 

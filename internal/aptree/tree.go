@@ -396,9 +396,6 @@ func (t *Tree) DepthHistogram() []int {
 	return h
 }
 
-// Visits returns leaf n's query counter (the sum over counter stripes).
-func (t *Tree) Visits(n *Node) uint64 { return t.visits.count(n.AtomID) }
-
 // Drop releases the tree's BDD retentions (leaf atoms). The tree must not
 // be used afterwards.
 func (t *Tree) Drop() {

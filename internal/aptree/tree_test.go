@@ -352,6 +352,9 @@ func TestDepthHistogramAndStats(t *testing.T) {
 	}
 }
 
+// Visits returns leaf n's query counter (the sum over counter stripes).
+func (t *Tree) Visits(n *Node) uint64 { return t.visits.view().count(n.AtomID) }
+
 func TestVisitCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	d := bdd.New(16)

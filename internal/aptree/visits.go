@@ -74,9 +74,6 @@ func (c *visitCounters) view() visitView {
 // add increments atom's counter on the calling goroutine's stripe.
 func (c *visitCounters) add(atom int32) { c.view().add(atom) }
 
-// count sums atom's stripes.
-func (c *visitCounters) count(atom int32) uint64 { return c.view().count(atom) }
-
 // visitView is the snapshot-side handle: a frozen chunk-pointer slice.
 // The counters themselves are shared with the live store, so increments
 // made through any view in the lineage are visible to the §V-D rebuild.

@@ -74,12 +74,13 @@ func Compute(d *bdd.DD, preds []bdd.Ref) *Atoms {
 
 // ComputeMapped is Compute with an explicit predicate-ID mapping:
 // membership bit ids[j] records implication of preds[j], and vectors are
-// sized for capBits predicate IDs. The AP Classifier uses it to keep
-// predicate IDs stable while dead slots (removed predicates, whose IDs
-// are never reused) are excluded from a rebuild.
+// sized for capBits predicate IDs, so the IDs of a sparse registry (dead
+// slots are never reused) keep their bits. It is the reference the
+// product's atoms are tested against and the experiments' builder.
 //
 // Refinement in ascending ID order leaves the atoms sorted by membership
-// (see sortByMembership), the order JointAtoms reproduces without it.
+// (see sortByMembership), the order JointAtoms and a Manager rebuild
+// reproduce without it.
 func ComputeMapped(d *bdd.DD, preds []bdd.Ref, ids []int, capBits int) *Atoms {
 	if len(ids) != len(preds) {
 		panic("predicate: ids and preds length mismatch")
@@ -136,7 +137,7 @@ func (a *Atoms) sortByMembership() {
 	for i := range perm {
 		perm[i] = i
 	}
-	slices.SortFunc(perm, func(x, y int) int { return compareMembership(a.Member[x], a.Member[y]) })
+	slices.SortFunc(perm, func(x, y int) int { return CompareMembership(a.Member[x], a.Member[y]) })
 	list, member := make([]bdd.Ref, len(perm)), make([]Bitset, len(perm))
 	for i, k := range perm {
 		list[i], member[i] = a.List[k], a.Member[k]
@@ -144,9 +145,10 @@ func (a *Atoms) sortByMembership() {
 	a.List, a.Member = list, member
 }
 
-// compareMembership orders two membership vectors at the lowest bit where
-// they differ, the one with the bit set first.
-func compareMembership(x, y Bitset) int {
+// CompareMembership orders two membership vectors at the lowest bit where
+// they differ, the one with the bit set first. Sorting distinct atoms by
+// it gives refinement's order in ascending predicate ID.
+func CompareMembership(x, y Bitset) int {
 	for w := range max(len(x), len(y)) {
 		var u, v uint64
 		if w < len(x) {
